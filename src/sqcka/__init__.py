@@ -41,7 +41,6 @@ from .protocol import (
     prepare_ghz,
     run_round_exact,
     run_session,
-    sample_round,
 )
 from .qmath import (
     DensityOperator,

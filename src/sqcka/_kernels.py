@@ -1,75 +1,31 @@
-"""Hot statevector kernels, numba-jitted with a pure-numpy fallback.
+"""Hot statevector kernels, in plain numpy.
 
 Two operations dominate the exact-simulation runtime: applying a small
 unitary to a block of subsystem axes of a large statevector, and
-accumulating marginal probabilities over a subset of axes.  Both exist in
-two implementations:
+accumulating marginal probabilities over a subset of axes.  The first is a
+``transpose`` + matrix multiplication, the second a ``reshape`` + ``sum``.
 
-* a numba ``@njit`` gather/scatter path that walks precomputed flat
-  offsets (no transposes of the full amplitude array), and
-* a pure-numpy path built on ``transpose`` + matrix multiplication.
-
-The active backend is selected once at import time from the
-``SQCKA_KERNEL_BACKEND`` environment variable: ``numba`` (default when
-numba is importable), ``numpy`` for the fallback, or ``auto``.  Tests and
-benchmarks may switch at runtime via :func:`set_backend`.
+``apply_matrix`` returns a fresh contiguous array that nothing else
+references; :class:`~sqcka.qmath.StateVector` takes over that buffer
+without copying it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-ENV_VAR = "SQCKA_KERNEL_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Kept for callers that report the kernel implementation; numba is not used.
+HAVE_NUMBA = False
 
 
-def _flat_strides(dims: Sequence[int]) -> np.ndarray:
-    """C-order strides (in elements) for a multi-axis shape."""
-    strides = np.ones(len(dims), dtype=np.int64)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
+def backend_name() -> str:
+    return "numpy"
 
 
-def _axis_offsets(dims: Sequence[int], strides: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """All flat offsets spanned by the given axes, big-endian in axis order."""
-    off = np.zeros(1, dtype=np.int64)
-    for ax in axes:
-        step = np.arange(dims[ax], dtype=np.int64) * strides[ax]
-        off = (off[:, None] + step[None, :]).ravel()
-    return off
-
-
-def _offset_pair(dims: Sequence[int], axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    strides = _flat_strides(dims)
-    rest_axes = [i for i in range(len(dims)) if i not in axes]
-    tgt = _axis_offsets(dims, strides, axes)
-    rest = _axis_offsets(dims, strides, rest_axes)
-    return tgt, rest
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-
-def apply_matrix_numpy(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
-                       matrix: np.ndarray) -> np.ndarray:
+def apply_matrix(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
+                 matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the ``axes`` block of a flat amplitude array."""
     dims = tuple(dims)
     nax = len(dims)
@@ -81,8 +37,8 @@ def apply_matrix_numpy(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int
     return np.ascontiguousarray(out.transpose(inv)).reshape(-1)
 
 
-def axis_probabilities_numpy(amps: np.ndarray, dims: Sequence[int],
-                             axes: Sequence[int]) -> np.ndarray:
+def axis_probabilities(amps: np.ndarray, dims: Sequence[int],
+                       axes: Sequence[int]) -> np.ndarray:
     """Marginal |amplitude|^2 distribution over ``axes``, in axis order."""
     dims = tuple(dims)
     prob = (amps.real ** 2 + amps.imag ** 2).reshape(dims)
@@ -92,95 +48,3 @@ def axis_probabilities_numpy(amps: np.ndarray, dims: Sequence[int],
     kept_sorted = sorted(axes)
     perm = [kept_sorted.index(ax) for ax in axes]
     return np.ascontiguousarray(prob.transpose(perm)).reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _apply_kernel(src, mat_t, tgt_off, rest_off):  # pragma: no cover - jitted
-    r = rest_off.size
-    m = tgt_off.size
-    buf = np.empty((r, m), np.complex128)
-    for i in range(r):
-        base = rest_off[i]
-        for j in range(m):
-            buf[i, j] = src[base + tgt_off[j]]
-    res = np.dot(buf, mat_t)
-    out = np.empty_like(src)
-    for i in range(r):
-        base = rest_off[i]
-        for j in range(m):
-            out[base + tgt_off[j]] = res[i, j]
-    return out
-
-
-@njit(cache=True)
-def _probs_kernel(src, tgt_off, rest_off):  # pragma: no cover - jitted
-    out = np.zeros(tgt_off.size, np.float64)
-    for j in range(tgt_off.size):
-        t = tgt_off[j]
-        acc = 0.0
-        for i in range(rest_off.size):
-            v = src[rest_off[i] + t]
-            acc += v.real * v.real + v.imag * v.imag
-        out[j] = acc
-    return out
-
-
-def apply_matrix_numba(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
-                       matrix: np.ndarray) -> np.ndarray:
-    tgt, rest = _offset_pair(dims, axes)
-    mat_t = np.ascontiguousarray(matrix.astype(np.complex128).T)
-    return _apply_kernel(np.ascontiguousarray(amps), mat_t, tgt, rest)
-
-
-def axis_probabilities_numba(amps: np.ndarray, dims: Sequence[int],
-                             axes: Sequence[int]) -> np.ndarray:
-    tgt, rest = _offset_pair(dims, axes)
-    return _probs_kernel(np.ascontiguousarray(amps), tgt, rest)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "numpy": (apply_matrix_numpy, axis_probabilities_numpy),
-    "numba": (apply_matrix_numba, axis_probabilities_numba),
-}
-
-_active = "numpy"
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend ("numba" or "numpy"). Returns the choice."""
-    global _active
-    name = name.strip().lower()
-    if name == "auto":
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _active = name
-    return _active
-
-
-def backend_name() -> str:
-    return _active
-
-
-def apply_matrix(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
-                 matrix: np.ndarray) -> np.ndarray:
-    return _BACKENDS[_active][0](amps, dims, axes, matrix)
-
-
-def axis_probabilities(amps: np.ndarray, dims: Sequence[int],
-                       axes: Sequence[int]) -> np.ndarray:
-    return _BACKENDS[_active][1](amps, dims, axes)
-
-
-set_backend(os.environ.get(ENV_VAR, "auto"))

@@ -115,6 +115,20 @@ def validate_gram(gram: np.ndarray, d: int) -> np.ndarray:
     return g
 
 
+def gram_purification(gram: np.ndarray, d: int) -> np.ndarray:
+    """Eve vectors realizing a Gram, one per column; shape (K, 2 d^2).
+
+    Rows are sqrt(w) u^H over the eigenpairs of the flattened Gram with
+    w > 1e-12, so ``m^H m`` reproduces the Gram.
+    """
+    flat = np.asarray(gram).reshape(2 * d * d, 2 * d * d)
+    w, u = np.linalg.eigh(flat)
+    if w.min() < -GRAM_PSD_ATOL:
+        raise ValidationError(f"gram is not PSD (min eig {w.min():.3e})")
+    keep = w > 1e-12
+    return np.sqrt(w[keep])[:, None] * u[:, keep].conj().T
+
+
 def identity_gram(d: int) -> np.ndarray:
     """Orthonormal Eve vectors: identity Gram over the (a, b, b') index set."""
     k = 2 * d * d
@@ -394,7 +408,8 @@ def joint_az_analytic(a: int, c: int, params: DepolarizingParams,
 # plain-text attack files
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("FORWARD", "BACKWARD", "GRAM")
+#: Number of integer index fields per row, by section.
+_SECTIONS = {"FORWARD": 2, "BACKWARD": 3, "GRAM": 6}
 
 
 def load_attack_file(path) -> CollectiveAttack:
@@ -405,11 +420,12 @@ def load_attack_file(path) -> CollectiveAttack:
     ``a b bprime a2 c cprime re_value``); ``#`` starts a comment.  The
     channel dimension is inferred from the FORWARD section, which must be
     complete.  Omitted GRAM entries default to orthonormal Eve vectors
-    (identity Gram); the diagonal may be omitted.
+    (identity Gram); the diagonal may be omitted.  Out-of-range indices and
+    repeated rows (a GRAM row and its mirror count as one) are rejected
+    with the ``path:line`` of the offending row.
     """
-    fwd_rows: list[tuple[int, int, float]] = []
-    bwd_rows: list[tuple[int, int, int, float]] = []
-    gram_rows: list[tuple[int, int, int, int, int, int, float]] = []
+    rows: dict[str, dict[tuple[int, ...], tuple[int, float]]] = {
+        name: {} for name in _SECTIONS}
     section = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -422,35 +438,41 @@ def load_attack_file(path) -> CollectiveAttack:
                 continue
             parts = line.split()
             try:
-                if section == "FORWARD" and len(parts) == 3:
-                    fwd_rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
-                elif section == "BACKWARD" and len(parts) == 4:
-                    bwd_rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                     float(parts[3])))
-                elif section == "GRAM" and len(parts) == 7:
-                    gram_rows.append(tuple(int(x) for x in parts[:6]) + (float(parts[6]),))
-                else:
+                if section is None or len(parts) != _SECTIONS[section] + 1:
                     raise ValueError("wrong field count for section")
+                idx = tuple(int(x) for x in parts[:-1])
+                val = float(parts[-1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: cannot parse {line!r} ({exc})")
-    if not fwd_rows:
+            if section == "GRAM":
+                idx = min(idx, idx[3:] + idx[:3])
+            if idx in rows[section]:
+                raise ValidationError(f"{path}:{lineno}: duplicate {section} row, "
+                                      f"first given on line {rows[section][idx][0]}")
+            rows[section][idx] = (lineno, val)
+    if not rows["FORWARD"]:
         raise ValidationError(f"{path}: missing FORWARD section")
-    d = max(b for _, b, _ in fwd_rows) + 1
-    d = max(d, 2)
-    if len(fwd_rows) != 2 * d:
+    d = max(2, max(b for _, b in rows["FORWARD"]) + 1)
+    limits = (2, d, d, 2, d, d)
+    for table in rows.values():
+        for idx, (lineno, _) in table.items():
+            if not all(0 <= i < m for i, m in zip(idx, limits)):
+                raise ValidationError(f"{path}:{lineno}: index {idx} outside "
+                                      f"{limits[:len(idx)]}")
+    if len(rows["FORWARD"]) != 2 * d:
         raise ValidationError(f"{path}: FORWARD must list all 2*{d} entries, "
-                              f"got {len(fwd_rows)}")
+                              f"got {len(rows['FORWARD'])}")
     fwd = np.zeros((2, d))
-    for a, b, p in fwd_rows:
-        fwd[a, b] = p
+    for idx, (_, p) in rows["FORWARD"].items():
+        fwd[idx] = p
     bwd = np.zeros((2, d, d))
-    for a, b, bp, p in bwd_rows:
-        bwd[a, b, bp] = p
+    for idx, (_, p) in rows["BACKWARD"].items():
+        bwd[idx] = p
     tables = ConditionalChannelTable(fwd, bwd)
     gram = np.array(identity_gram(d))
-    for a, b, bp, a2, c, cp, val in gram_rows:
-        gram[a, b, bp, a2, c, cp] = val
-        gram[a2, c, cp, a, b, bp] = val
+    for idx, (_, val) in rows["GRAM"].items():
+        gram[idx] = val
+        gram[idx[3:] + idx[:3]] = val
     return attack_from_tables(tables, gram, label="file")
 
 

@@ -90,7 +90,10 @@ def load_run_config(path) -> RunConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_CASTS:
                 raise qmath.ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _CONFIG_CASTS[key](val))
+            try:
+                setattr(cfg, key, _CONFIG_CASTS[key](val))
+            except ValueError as exc:
+                raise qmath.ValidationError(f"{path}:{lineno}: bad {key} ({exc})") from None
     return cfg
 
 
@@ -559,8 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input ends in one ``sqcka: error:`` line, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (qmath.ValidationError, qmath.DomainError, qmath.CapacityError,
+            OSError) as exc:
+        print(f"sqcka: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

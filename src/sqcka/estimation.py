@@ -155,26 +155,6 @@ def estimate_channel_conditionals(tallies: TallyCounts) -> np.ndarray:
     return counts / row_sums[:, None]
 
 
-def solve_alpha_system(q_ac: np.ndarray, p_ba: np.ndarray) -> np.ndarray:
-    """Aggregate Gram functionals G_{ac} consumed by the entropy bound.
-
-    The observables determine only the weighted aggregates
-    G_{ac} = sum_{b,b'} sqrt(p(b|a) p(b'|a) p'(c|ab) p'(c|ab')) Re<E_abc|E_ab'c>,
-    and these aggregates equal the branch norms q_{ac} themselves.
-    Individual overlap entries are not identifiable from the observables
-    and are deliberately not invented here.
-    """
-    q = np.asarray(q_ac, dtype=np.float64)
-    p = np.asarray(p_ba, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != 2:
-        raise ValidationError(f"branch-norm table must be (2, d), got {q.shape}")
-    if p.shape != q.shape:
-        raise ValidationError(f"conditional table shape {p.shape} != {q.shape}")
-    if q.min() < -1e-12 or p.min() < -1e-12:
-        raise ValidationError("negative probabilities in input tables")
-    return q.copy()
-
-
 def bob_disagreement_rates(tallies: TallyCounts) -> np.ndarray:
     """Per-receiver rate of disagreement with the sender's bit."""
     if tallies.sift_total <= 0:
@@ -210,41 +190,51 @@ def tally_to_text(tallies: TallyCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TALLY_SCALARS = ("tally n", "ghz pass", "ghz total", "sift total")
+
+
 def tally_from_text(text: str) -> TallyCounts:
-    n = None
-    ghz_pass = ghz_total = sift_total = 0
-    z_rows: list[tuple[int, int, int]] = []
-    s_rows: list[tuple[int, int, int]] = []
+    """Parse :func:`tally_to_text` output; errors name the offending line."""
+    entries: dict[object, tuple[int, int]] = {}  # key -> (line number, count)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        try:
-            cat, idx, cnt = parts
-        except ValueError:
+        if len(parts) != 3:
             raise ValidationError(f"line {lineno}: expected 'category index count'")
-        if cat == "tally" and idx == "n":
-            n = int(cnt)
-        elif cat == "ghz" and idx == "pass":
-            ghz_pass = int(cnt)
-        elif cat == "ghz" and idx == "total":
-            ghz_total = int(cnt)
-        elif cat == "sift" and idx == "total":
-            sift_total = int(cnt)
-        elif cat in ("zctrl", "sift"):
-            a, c = (int(x) for x in idx.split(","))
-            (z_rows if cat == "zctrl" else s_rows).append((a, c, int(cnt)))
-        else:
+        cat, idx, cnt = parts
+        try:
+            count = int(cnt)
+            if f"{cat} {idx}" in _TALLY_SCALARS:
+                key = f"{cat} {idx}"
+            elif cat in ("zctrl", "sift"):
+                a, c = (int(x) for x in idx.split(","))
+                key = (cat, a, c)
+            else:
+                key = None
+        except ValueError:
+            raise ValidationError(f"line {lineno}: cannot parse {line!r}") from None
+        if key is None:
             raise ValidationError(f"line {lineno}: unknown category {cat!r}")
-    if n is None:
+        if key in entries:
+            raise ValidationError(f"line {lineno}: duplicates line {entries[key][0]}")
+        entries[key] = (lineno, count)
+    if "tally n" not in entries:
         raise ValidationError("missing 'tally n' line")
+    lineno, n = entries["tally n"]
+    if n < 1:
+        raise ValidationError(f"line {lineno}: n={n} is not >= 1")
     d = 1 << n
-    z = np.zeros((2, d), dtype=np.int64)
-    s = np.zeros((2, d), dtype=np.int64)
-    for a, c, cnt in z_rows:
-        z[a, c] = cnt
-    for a, b, cnt in s_rows:
-        s[a, b] = cnt
-    return TallyCounts(n=n, ghz_pass=ghz_pass, ghz_total=ghz_total,
-                       z_ctrl_counts=z, sift_joint_counts=s, sift_total=sift_total)
+    tables = {"zctrl": np.zeros((2, d), dtype=np.int64),
+              "sift": np.zeros((2, d), dtype=np.int64)}
+    for key, (lineno, count) in entries.items():
+        if isinstance(key, tuple):
+            cat, a, c = key
+            if not (0 <= a < 2 and 0 <= c < d):
+                raise ValidationError(f"line {lineno}: index {a},{c} outside 2 x {d}")
+            tables[cat][a, c] = count
+    scalar = {k: entries[k][1] if k in entries else 0 for k in _TALLY_SCALARS}
+    return TallyCounts(n=n, ghz_pass=scalar["ghz pass"], ghz_total=scalar["ghz total"],
+                       z_ctrl_counts=tables["zctrl"], sift_joint_counts=tables["sift"],
+                       sift_total=scalar["sift total"])

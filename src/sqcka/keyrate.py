@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import CollectiveAttack, DepolarizingParams, eve_catalogue
+from .attacks import (
+    CollectiveAttack,
+    DepolarizingParams,
+    eve_catalogue,
+    gram_purification,
+)
 from .qmath import (
     CapacityError,
     DensityOperator,
@@ -353,15 +358,10 @@ def exact_entropy_oracle(attack: CollectiveAttack, n: int | None = None) -> floa
     if not attack.has_analytic:
         raise ValidationError("oracle needs the analytic attack form")
     d = attack.d
-    flat = attack.gram.reshape(2 * d * d, 2 * d * d)
-    w_eig, u = np.linalg.eigh(flat)
-    if w_eig.min() < -1e-9:
-        raise ValidationError(f"gram is not PSD (min eig {w_eig.min():.3e})")
-    keep = w_eig > 1e-12
-    k = int(keep.sum())
+    vecs = gram_purification(attack.gram, d)  # (K, 2 d^2)
+    k = vecs.shape[0]
     if 2 * k > ORACLE_DIM_CAP:
         raise CapacityError(f"oracle state dim {2 * k} exceeds {ORACLE_DIM_CAP}")
-    vecs = (np.sqrt(w_eig[keep])[:, None] * u[:, keep].conj().T)  # (K, 2 d^2)
     weights = np.einsum("ab,abc->abc", attack.tables.forward,
                         attack.tables.backward) / 2.0
     rho = np.zeros((2 * k, 2 * k), dtype=np.complex128)

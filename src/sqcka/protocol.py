@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .attacks import CollectiveAttack
+from .attacks import CollectiveAttack, gram_purification
 from .estimation import TallyCounts
 from .qmath import (
     CapacityError,
@@ -51,17 +51,13 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Session-level parameters; transmission is fixed at 1 (no qubit loss)."""
+    """Session-level parameters; transmission is lossless (not modeled)."""
 
     n: int
-    exact_sim_enabled: bool = True
-    transmission: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need at least one receiver, got n={self.n}")
-        if self.transmission != 1.0:
-            raise DomainError("lossy transmission is not modeled; transmission must be 1")
 
 
 @dataclass(frozen=True)
@@ -250,17 +246,6 @@ def _dilated_round_state(attack: CollectiveAttack, theta: int
     return psi, layout
 
 
-def _gram_vectors(gram: np.ndarray, d: int) -> np.ndarray:
-    """Embed unit Eve vectors consistent with the Gram; shape (2, d, d, K)."""
-    flat = gram.reshape(2 * d * d, 2 * d * d)
-    w, u = np.linalg.eigh(flat)
-    if w.min() < -1e-9:
-        raise ValidationError(f"gram is not PSD (min eig {w.min():.3e})")
-    keep = w > 1e-12
-    m = (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T)  # (K, 2 d^2)
-    return np.ascontiguousarray(m.T).reshape(2, d, d, m.shape[0])
-
-
 #: Tolerance on the reflected-branch norm when checking that tables + gram
 #: describe a channel a unitary dilation can realize.
 CTRL_CONSISTENCY_ATOL = 1e-9
@@ -269,8 +254,9 @@ CTRL_CONSISTENCY_ATOL = 1e-9
 def _embedded_round_state(attack: CollectiveAttack, theta: int
                           ) -> tuple[StateVector, RegisterLayout]:
     n, d = attack.n, attack.d
-    vecs = _gram_vectors(attack.gram, d)
-    k = vecs.shape[-1]
+    m = gram_purification(attack.gram, d)  # (K, 2 d^2)
+    k = m.shape[0]
+    vecs = np.ascontiguousarray(m.T).reshape(2, d, d, k)
     coef = np.sqrt(np.einsum("ab,abc->abc", attack.tables.forward,
                              attack.tables.backward)) * SQRT_HALF
     if theta == 1:
@@ -328,8 +314,6 @@ def run_round_exact(params: ProtocolParams, attack: CollectiveAttack, theta: int
     """
     if params.n != attack.n:
         raise ValidationError(f"params n={params.n} != attack n={attack.n}")
-    if not params.exact_sim_enabled:
-        raise ValidationError("exact simulation disabled in params")
     if theta not in (0, 1):
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     if attack.has_dilation:
@@ -488,20 +472,13 @@ class RoundSampler:
         return divmod(idx, self.d)
 
 
-def sample_round(params: ProtocolParams, attack: CollectiveAttack, theta: int,
-                 rng: np.random.Generator, ctrl_kind: str = "ghz") -> RoundOutcome:
-    """Draw one round outcome from the exact distribution.
-
-    CTRL rounds are GHZ tests by default; pass ``ctrl_kind="ztest"`` for the
-    cut-and-choose Z measurement.  Sessions share one
-    :class:`RoundSampler`; this convenience front-end builds a fresh one.
-    """
-    sampler = RoundSampler(attack, params)
-    return _sample_with(sampler, theta, rng, ctrl_kind)
-
-
 def _sample_with(sampler: RoundSampler, theta: int, rng: np.random.Generator,
                  ctrl_kind: str = "ghz") -> RoundOutcome:
+    """Draw one round outcome from a shared sampler.
+
+    CTRL rounds are GHZ tests by default; pass ``ctrl_kind="ztest"`` for the
+    cut-and-choose Z measurement.
+    """
     if theta == 1:
         a, b, c = sampler.sample_sift(rng)
         return RoundOutcome(theta=1, alice_bit=a, alice_t=c, bob_bits=b)

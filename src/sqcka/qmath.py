@@ -1,9 +1,12 @@
 """Exact complex linear algebra and entropy kernels for composite systems.
 
-Everything is dense, double precision, and immutable after construction;
-operations are pure functions, safe to call from parallel workers.  The
-exact-simulation size is capped at :data:`DIM_CAP` amplitudes — callers
-needing more must fall back to analytic paths.
+Everything is dense, double precision, and read-only after construction;
+operations are pure functions, safe to call from parallel workers.
+:class:`StateVector` takes over the buffer it is given without copying it
+(it keeps a read-only view), so a caller that keeps writing to that buffer
+changes the state.  The exact-simulation size is capped at
+:data:`DIM_CAP` amplitudes — callers needing more must fall back to
+analytic paths.
 
 Index convention: the first subsystem of a layout occupies the most
 significant position of the flat index (big-endian multi-index).  This is
@@ -185,20 +188,28 @@ def _frozen_complex(data, dim_hint: str) -> np.ndarray:
 
 
 class StateVector:
-    """A pure state as a flat complex amplitude array."""
+    """A pure state as a flat complex amplitude array.
+
+    Takes over the buffer it is given without copying it: ``amps`` is a
+    read-only view of the input (converted to complex128 only if needed),
+    and the caller's own array stays writeable.
+    """
 
     __slots__ = ("amps", "normalized")
 
     def __init__(self, amps, normalized: bool = True):
-        arr = _frozen_complex(np.asarray(amps).reshape(-1), "state vector")
+        arr = np.asarray(amps, dtype=np.complex128).reshape(-1).view()
         if arr.size < 1:
             raise ValidationError("empty state vector")
         if arr.size > DIM_CAP:
             raise CapacityError(f"state of dim {arr.size} exceeds cap {DIM_CAP}")
-        if normalized:
-            nrm = float(np.vdot(arr, arr).real)
-            if abs(nrm - 1.0) > NORM_ATOL:
-                raise ValidationError(f"state marked normalized has norm^2 {nrm!r}")
+        # a NaN or Inf amplitude makes the squared norm non-finite
+        nrm = float(np.vdot(arr, arr).real)
+        if not math.isfinite(nrm):
+            raise ValidationError("state vector contains NaN/Inf")
+        if normalized and abs(nrm - 1.0) > NORM_ATOL:
+            raise ValidationError(f"state marked normalized has norm^2 {nrm!r}")
+        arr.setflags(write=False)
         self.amps = arr
         self.normalized = normalized
 
@@ -245,11 +256,6 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
-
-    def validate_psd(self, atol: float = 1e-10) -> None:
-        lo = float(self.eigenvalues().min())
-        if lo < -atol:
-            raise ValidationError(f"negative eigenvalue {lo:.3e} below -{atol}")
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"

@@ -311,6 +311,36 @@ class TestAttackFiles:
         with pytest.raises(ValidationError, match="PSD"):
             load_attack_file(path)
 
+    PLAIN = ("FORWARD\n0 0 0.9\n0 1 0.1\n1 0 0.1\n1 1 0.9\n"
+             "BACKWARD\n0 0 0 1\n0 0 1 0\n0 1 0 0\n0 1 1 1\n"
+             "1 0 0 1\n1 0 1 0\n1 1 0 0\n1 1 1 1\n")
+
+    @pytest.mark.parametrize("old,new", [
+        ("1 1 0.9\n", "-1 1 0.9\n"),
+        ("1 1 0.9\n", "2 1 0.9\n"),
+        ("0 1 1 1\n", "0 1 -1 1\n"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 1 5 1 0.1\n"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 -1 1 1 0.1\n"),
+    ], ids=["forward-negative-bit", "forward-bit-past-1", "backward-negative-string",
+            "gram-string-past-d", "gram-negative-bit"])
+    def test_out_of_range_index_rejected(self, tmp_path, old, new):
+        path = tmp_path / "bad.attack"
+        path.write_text(self.PLAIN.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=r"bad\.attack:\d+: index"):
+            load_attack_file(path)
+
+    @pytest.mark.parametrize("old,new", [
+        ("0 1 0.1\n", "0 0 0.9\n"),
+        ("0 0 1 0\n", "0 0 0 1\n"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 1 1 1 0.2\n0 0 0 1 1 1 0.3\n"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 1 1 1 0.2\n1 1 1 0 0 0 0.3\n"),
+    ], ids=["forward", "backward", "gram", "gram-mirror"])
+    def test_duplicate_row_rejected(self, tmp_path, old, new):
+        path = tmp_path / "dup.attack"
+        path.write_text(self.PLAIN.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=r"dup\.attack:\d+: duplicate"):
+            load_attack_file(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.attack"
         path.write_text(

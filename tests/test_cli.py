@@ -187,3 +187,38 @@ class TestSimulate:
         from sqcka.qmath import ValidationError
         with pytest.raises(ValidationError):
             cli.load_run_config(cfg)
+
+
+class TestCleanExits:
+    """Bad input ends in one ``sqcka: error:`` line and exit code 2."""
+
+    def run_error(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("sqcka: error: ") and err.count("\n") == 1
+        return err
+
+    def test_missing_attack_file(self, capsys, tmp_path):
+        err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
+                             "--attack-file", str(tmp_path / "none.attack"))
+        assert "none.attack" in err
+
+    def test_malformed_attack_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.attack"
+        path.write_text("FORWARD\n0 zero 1.0\n")
+        err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
+                             "--attack-file", str(path))
+        assert "bad.attack:2: cannot parse" in err
+
+    def test_config_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 1\nqq = 1\n")
+        err = self.run_error(capsys, "simulate", "--config", str(cfg))
+        assert "run.cfg:2: unknown key 'qq'" in err
+
+    def test_config_bad_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rounds = many\n")
+        err = self.run_error(capsys, "simulate", "--config", str(cfg))
+        assert "run.cfg:1: bad rounds" in err

@@ -17,7 +17,6 @@ from sqcka.estimation import (
     estimate_p_ghz,
     estimate_re_overlap,
     hoeffding_radius,
-    solve_alpha_system,
     tally_from_text,
     tally_to_text,
 )
@@ -140,25 +139,16 @@ class TestChannelConditionals:
 
 
 class TestAlphaSystem:
-    def test_identity_attack(self):
-        q = np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
-        p = np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
-        g = solve_alpha_system(q, p)
-        np.testing.assert_allclose(g, q)
+    """The Gram aggregates G_ac the entropy bound consumes are the branch norms."""
 
     def test_depolarizing_aggregates(self):
         params = DepolarizingParams(0.1, 0.2, 2)
-        stats = round_statistics(depolarizing_attack(params), 0)
         atk = depolarizing_attack(params)
-        g = solve_alpha_system(stats.branch_norms, atk.tables.forward)
+        g = round_statistics(atk, 0).branch_norms
         # diagonal-gram specialization: G_ac = sum_b p(b|a) p'(c|ab)
         expected = np.einsum("ab,abc->ac", atk.tables.forward, atk.tables.backward)
         np.testing.assert_allclose(g, expected, atol=1e-12)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            solve_alpha_system(np.ones((3, 4)), np.ones((3, 4)))
 
 
 class TestDisagreement:
@@ -222,8 +212,26 @@ class TestTallies:
         np.testing.assert_array_equal(back.sift_joint_counts, s)
         assert back.sift_total == 27
 
+    @pytest.mark.parametrize("line,where", [
+        ("zctrl 0,-1 5", "line 2: index"),
+        ("zctrl 0,7 5", "line 2: index"),
+        ("sift 2,0 5", "line 2: index"),
+        ("zctrl 0,1,1 5", "line 2: cannot parse"),
+        ("ghz pass many", "line 2: cannot parse"),
+        ("zctrl 0,1 5\nzctrl 0,1 6", "line 3: duplicates line 2"),
+        ("ghz total 5\nghz total 6", "line 3: duplicates line 2"),
+        ("tally n 1", "line 2: duplicates line 1"),
+    ], ids=["negative-string", "string-past-d", "bit-past-1", "three-indices",
+            "bad-count", "duplicate-zctrl", "duplicate-ghz-total", "duplicate-n"])
+    def test_text_boundary_errors(self, line, where):
+        with pytest.raises(ValidationError, match=where):
+            tally_from_text(f"tally n 1\n{line}\n")
+
     def test_text_errors(self):
         with pytest.raises(ValidationError):
             tally_from_text("ghz pass 3\n")  # no n line
         with pytest.raises(ValidationError):
             tally_from_text("tally n 1\nwhat is this\n")
+        for bad_n in ("0", "-1"):
+            with pytest.raises(ValidationError, match="line 1: n="):
+                tally_from_text(f"tally n {bad_n}\n")

@@ -1,16 +1,14 @@
-"""Backend parity: the numba kernels must match the numpy fallback exactly."""
+"""Statevector kernels against dense references built from plain linear algebra.
+
+``apply_matrix`` is checked against the full operator (``np.kron`` with the
+identity, conjugated by the axis permutation); ``axis_probabilities``
+against a direct ``reshape(dims)`` + ``sum`` of the squared amplitudes.
+"""
 
 import numpy as np
 import pytest
 
 from sqcka import _kernels
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = _kernels.backend_name()
-    yield
-    _kernels.set_backend(before)
 
 
 def random_case(rng, dims, axes):
@@ -21,6 +19,24 @@ def random_case(rng, dims, axes):
     return amps, mat
 
 
+def dense_operator(dims, axes, mat):
+    """``mat`` on ``axes`` (big-endian in the given order), identity elsewhere."""
+    order = list(axes) + [i for i in range(len(dims)) if i not in axes]
+    total = int(np.prod(dims))
+    src = np.arange(total).reshape(dims).transpose(order).ravel()
+    perm = np.zeros((total, total))
+    perm[np.arange(total), src] = 1.0
+    rest = total // mat.shape[0]
+    return perm.T @ np.kron(mat, np.eye(rest)) @ perm
+
+
+def dense_probabilities(amps, dims, axes):
+    prob = (np.abs(amps) ** 2).reshape(dims)
+    prob = np.moveaxis(prob, list(axes), list(range(len(axes))))
+    m = int(np.prod([dims[a] for a in axes]))
+    return prob.reshape(m, -1).sum(axis=1)
+
+
 CASES = [
     ((2, 2), (0,)),
     ((2, 2), (1,)),
@@ -29,31 +45,26 @@ CASES = [
     ((2, 2, 2, 2, 2), (1, 3)),
     ((4, 2, 4, 2), (0, 3)),
     ((2, 8, 2, 8, 2), (0, 2, 4)),
+    ((2, 3, 4), (2, 0)),
 ]
 
 
 @pytest.mark.parametrize("dims,axes", CASES)
 def test_apply_matrix_backends_agree(dims, axes):
+    """The kernel and the dense-operator reference give the same state."""
     rng = np.random.default_rng(hash((dims, axes)) % 2 ** 31)
     amps, mat = random_case(rng, dims, axes)
-    _kernels.set_backend("numpy")
-    ref = _kernels.apply_matrix(amps, dims, axes, mat)
-    if _kernels.HAVE_NUMBA:
-        _kernels.set_backend("numba")
-        out = _kernels.apply_matrix(amps, dims, axes, mat)
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+    out = _kernels.apply_matrix(amps, dims, axes, mat)
+    np.testing.assert_allclose(out, dense_operator(dims, axes, mat) @ amps, atol=1e-13)
 
 
 @pytest.mark.parametrize("dims,axes", CASES)
 def test_axis_probabilities_backends_agree(dims, axes):
+    """The kernel and the reshape-sum reference give the same marginal."""
     rng = np.random.default_rng(hash(("p", dims, axes)) % 2 ** 31)
     amps, _ = random_case(rng, dims, axes)
-    _kernels.set_backend("numpy")
-    ref = _kernels.axis_probabilities(amps, dims, axes)
-    if _kernels.HAVE_NUMBA:
-        _kernels.set_backend("numba")
-        out = _kernels.axis_probabilities(amps, dims, axes)
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+    out = _kernels.axis_probabilities(amps, dims, axes)
+    np.testing.assert_allclose(out, dense_probabilities(amps, dims, axes), atol=1e-13)
 
 
 def test_apply_matrix_matches_dense_kron():
@@ -63,26 +74,16 @@ def test_apply_matrix_matches_dense_kron():
     amps, _ = random_case(rng, dims, (0,))
     gate = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     full = np.kron(np.kron(np.eye(2), gate), np.eye(3))
-    for backend in (["numpy", "numba"] if _kernels.HAVE_NUMBA else ["numpy"]):
-        _kernels.set_backend(backend)
-        out = _kernels.apply_matrix(amps, dims, (1,), gate)
-        np.testing.assert_allclose(out, full @ amps, atol=1e-13)
+    out = _kernels.apply_matrix(amps, dims, (1,), gate)
+    np.testing.assert_allclose(out, full @ amps, atol=1e-13)
 
 
 def test_axis_probabilities_order_follows_request():
     rng = np.random.default_rng(6)
     dims = (2, 3, 4)
     amps, _ = random_case(rng, dims, (0,))
-    _kernels.set_backend("numpy")
     p_ab = _kernels.axis_probabilities(amps, dims, (0, 1)).reshape(2, 3)
     p_ba = _kernels.axis_probabilities(amps, dims, (1, 0)).reshape(3, 2)
     np.testing.assert_allclose(p_ab, p_ba.T, atol=1e-14)
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    assert _kernels.set_backend("numpy") == "numpy"
-    assert _kernels.backend_name() == "numpy"
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.set_backend("auto") == "numba"
-    with pytest.raises(ValueError):
-        _kernels.set_backend("cuda")
+    np.testing.assert_allclose(p_ba.ravel(), dense_probabilities(amps, dims, (1, 0)),
+                               atol=1e-14)

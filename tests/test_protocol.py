@@ -27,7 +27,6 @@ from sqcka.protocol import (
     round_statistics,
     run_round_exact,
     run_session,
-    sample_round,
 )
 from sqcka.qmath import DomainError, ValidationError
 
@@ -219,26 +218,28 @@ class TestRunRoundExact:
 
 class TestSampling:
     def test_identity_sift_is_deterministic(self):
-        pp = ProtocolParams(n=2)
+        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = sample_round(pp, identity_attack(2), 1, rng)
+            out = protocol._sample_with(sampler, 1, rng)
             assert out.bob_bits == out.alice_t
             assert out.bob_bits in (0, 3)
             assert out.alice_bit == (0 if out.bob_bits == 0 else 1)
 
     def test_identity_ctrl_always_passes(self):
-        pp = ProtocolParams(n=2)
+        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert sample_round(pp, identity_attack(2), 0, rng).ghz_pass == 1
+            assert protocol._sample_with(sampler, 0, rng).ghz_pass == 1
 
     def test_ctrl_ztest_outcome_fields(self):
-        pp = ProtocolParams(n=2)
+        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(3)
-        out = sample_round(pp, identity_attack(2), 0, rng, ctrl_kind="ztest")
+        out = protocol._sample_with(sampler, 0, rng, ctrl_kind="ztest")
         assert out.theta == 0 and out.ghz_pass is None
         assert out.alice_bit in (0, 1) and out.alice_t in (0, 3)
+        with pytest.raises(DomainError):
+            protocol._sample_with(sampler, 0, rng, ctrl_kind="bogus")
 
     def test_ghz_sampling_within_binomial_bounds(self):
         p = DepolarizingParams(0.3, 0.0, 2)

@@ -106,6 +106,19 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amps[0] = 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_rejects_non_finite_unnormalized(self, bad):
+        with pytest.raises(ValidationError, match="NaN/Inf"):
+            StateVector([bad, 0.5], normalized=False)
+
+    def test_wraps_caller_buffer_read_only(self):
+        buf = np.array([0.6, 0.8j])
+        s = StateVector(buf)
+        assert np.shares_memory(s.amps, buf)
+        assert not s.amps.flags.writeable
+        assert buf.flags.writeable
+        buf[0] = 0.0  # the caller's array stays writeable
+
 
 class TestTensor:
     def test_basis_composition(self):
