@@ -34,7 +34,6 @@ from .keyrate import (
 )
 from .protocol import (
     ProtocolParams,
-    RoundOutcome,
     SessionRecord,
     ThetaSchedule,
     expand_theta_schedule,

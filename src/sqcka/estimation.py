@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import DomainError, ValidationError
+from .qmath import DIM_CAP, CapacityError, DomainError, ValidationError
 
 
 class NoDataError(ValueError):
@@ -28,6 +28,14 @@ class NoDataError(ValueError):
 
 class InconsistencyWarning(UserWarning):
     """Estimates violate a structural bound (bad tallies or non-collective noise)."""
+
+
+def _counter_dim(n: int, where: str = "") -> int:
+    """d = 2^n, once the two (2, d) counter tables are known to fit the cap."""
+    if 2 << min(n, 64) > DIM_CAP:  # min: a huge n must not build a huge int
+        raise CapacityError(f"{where}tally n={n} needs 2 x 2^{n} counters per "
+                            f"table, over the cap {DIM_CAP}")
+    return 1 << n
 
 
 @dataclass
@@ -47,7 +55,7 @@ class TallyCounts:
     sift_total: int = 0
 
     def __post_init__(self):
-        d = 1 << self.n
+        d = _counter_dim(self.n)
         if self.z_ctrl_counts is None:
             self.z_ctrl_counts = np.zeros((2, d), dtype=np.int64)
         else:
@@ -225,7 +233,7 @@ def tally_from_text(text: str) -> TallyCounts:
     lineno, n = entries["tally n"]
     if n < 1:
         raise ValidationError(f"line {lineno}: n={n} is not >= 1")
-    d = 1 << n
+    d = _counter_dim(n, f"line {lineno}: ")
     tables = {"zctrl": np.zeros((2, d), dtype=np.int64),
               "sift": np.zeros((2, d), dtype=np.int64)}
     for key, (lineno, count) in entries.items():

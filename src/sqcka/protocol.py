@@ -79,31 +79,25 @@ class ThetaSchedule:
     def num_ctrl(self) -> int:
         return len(self.ctrl_indices)
 
-    def theta(self, j: int) -> int:
-        """Round basis bit: 0 = CTRL (reflect), 1 = SIFT (measure-resend)."""
-        return 0 if j in set(self.ctrl_indices) else 1
-
-
-@dataclass(frozen=True, slots=True)
-class RoundOutcome:
-    """Recorded results of one round; only fields for the round type are set.
-
-    Bit strings are stored as big-endian integer indices.
-    """
-
-    theta: int
-    ghz_pass: int | None = None
-    alice_bit: int | None = None
-    alice_t: int | None = None
-    bob_bits: int | None = None
-
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Everything a finished session produced."""
+    """Everything a finished session produced.
+
+    Round outcomes are columns indexed by round (0-based: round j is entry
+    j - 1), with -1 wherever a field does not apply to the round's kind.
+    ``theta`` is 0 for CTRL and 1 for SIFT rounds; ``a`` is the sender bit
+    (SIFT and Z-test rounds), ``b`` the receivers' string (SIFT), ``c`` the
+    returned string (SIFT and Z-test) and ``ghz_pass`` the GHZ-test result
+    (GHZ-test rounds).  Strings are big-endian integer indices.
+    """
 
     params: ProtocolParams
-    outcomes: tuple[RoundOutcome, ...]
+    theta: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    ghz_pass: np.ndarray
     tallies: TallyCounts
     raw_key_alice: np.ndarray
     raw_key_bobs: np.ndarray
@@ -423,13 +417,16 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
                               branch_norms=q_ac, re_overlap=re_tilde)
 
 
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 
 class RoundSampler:
-    """Draws round outcomes from the exact per-round distributions.
+    """Maps arrays of uniforms in [0, 1) to outcome arrays drawn from the
+    exact per-round distributions; flat indices follow the C order of
+    ``abc_joint`` and ``ctrl_az``.
 
     Prefers analytic statistics; falls back to one exact simulation per
     Theta branch for dilated-only attacks.
@@ -438,17 +435,15 @@ class RoundSampler:
     def __init__(self, attack: CollectiveAttack,
                  params: ProtocolParams | None = None):
         params = params or ProtocolParams(n=attack.n)
+        if params.n != attack.n:
+            raise ValidationError(f"params n={params.n} != attack n={attack.n}")
         if attack.has_analytic:
             sift = round_statistics(attack, 1)
             ctrl = round_statistics(attack, 0)
         else:
             _, _, sift = run_round_exact(params, attack, 1)
             _, _, ctrl = run_round_exact(params, attack, 0)
-        self.n = attack.n
-        self.d = attack.d
         self.p_ghz = float(ctrl.p_ghz)
-        self.sift_stats = sift
-        self.ctrl_stats = ctrl
         self._sift_cum = self._cumulative(sift.abc_joint)
         self._ctrl_cum = self._cumulative(ctrl.ctrl_az)
 
@@ -457,37 +452,17 @@ class RoundSampler:
         cum = np.cumsum(np.asarray(table, dtype=np.float64).ravel())
         return cum / cum[-1]
 
-    def sample_sift(self, rng: np.random.Generator) -> tuple[int, int, int]:
-        """One (sender bit, receivers' string, returned string) draw."""
-        idx = int(np.searchsorted(self._sift_cum, rng.random(), side="right"))
-        a, rest = divmod(idx, self.d * self.d)
-        b, c = divmod(rest, self.d)
-        return a, b, c
+    def draw_sift(self, u: np.ndarray) -> np.ndarray:
+        """Flat (sender bit, receivers' string, returned string) indices."""
+        return np.searchsorted(self._sift_cum, u, side="right")
 
-    def sample_ctrl_ghz(self, rng: np.random.Generator) -> int:
-        return int(rng.random() < self.p_ghz)
+    def draw_ghz(self, u: np.ndarray) -> np.ndarray:
+        """GHZ-test results, True where the test passes."""
+        return u < self.p_ghz
 
-    def sample_ctrl_ztest(self, rng: np.random.Generator) -> tuple[int, int]:
-        idx = int(np.searchsorted(self._ctrl_cum, rng.random(), side="right"))
-        return divmod(idx, self.d)
-
-
-def _sample_with(sampler: RoundSampler, theta: int, rng: np.random.Generator,
-                 ctrl_kind: str = "ghz") -> RoundOutcome:
-    """Draw one round outcome from a shared sampler.
-
-    CTRL rounds are GHZ tests by default; pass ``ctrl_kind="ztest"`` for the
-    cut-and-choose Z measurement.
-    """
-    if theta == 1:
-        a, b, c = sampler.sample_sift(rng)
-        return RoundOutcome(theta=1, alice_bit=a, alice_t=c, bob_bits=b)
-    if ctrl_kind == "ghz":
-        return RoundOutcome(theta=0, ghz_pass=sampler.sample_ctrl_ghz(rng))
-    if ctrl_kind == "ztest":
-        a, c = sampler.sample_ctrl_ztest(rng)
-        return RoundOutcome(theta=0, alice_bit=a, alice_t=c)
-    raise DomainError(f"unknown ctrl_kind {ctrl_kind!r}")
+    def draw_ztest(self, u: np.ndarray) -> np.ndarray:
+        """Flat (sender bit, returned string) indices."""
+        return np.searchsorted(self._ctrl_cum, u, side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +519,9 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
 
     All parties expand the same seed to the same schedule.  ``num_ctrl``
     defaults to ceil(sqrt(N)).  Selection is a partial Fisher-Yates shuffle
-    driven by a SHAKE-256 stream, so any seed-holding party reproduces it.
+    of the pool 1..N driven by a SHAKE-256 stream, so any seed-holding party
+    reproduces it.  Only displaced pool entries are stored, so memory is
+    O(num_ctrl) whatever N is.
     """
     if num_rounds < 0:
         raise DomainError(f"negative round count {num_rounds}")
@@ -553,17 +530,30 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     if num_ctrl > num_rounds:
         raise DomainError(f"num_ctrl {num_ctrl} exceeds num_rounds {num_rounds}")
     stream = _XofStream(_seed_bytes(seed))
-    pool = np.arange(1, num_rounds + 1, dtype=np.int64)
+    moved: dict[int, int] = {}  # pool position -> round, where not position + 1
+    chosen = []
     for i in range(num_ctrl):
         j = i + stream.below(num_rounds - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return ThetaSchedule(num_rounds=num_rounds,
-                         ctrl_indices=tuple(sorted(int(x) for x in pool[:num_ctrl])))
+        chosen.append(moved.get(j, j + 1))
+        moved[j] = moved.pop(i, i + 1)  # position i is never read again
+    return ThetaSchedule(num_rounds=num_rounds, ctrl_indices=tuple(sorted(chosen)))
 
 
 # ---------------------------------------------------------------------------
 # session runner
 # ---------------------------------------------------------------------------
+
+#: Rounds sampled per vectorized pass; bounds the per-pass temporaries.
+_CHUNK = 1 << 16
+
+
+def _round_uniforms(key: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Uniforms of rounds start + 1 .. start + count, shape (count, 2): the
+    Philox4x64 outputs from 2 * start on, four per counter step."""
+    pos = 2 * start
+    gen = np.random.Generator(np.random.Philox(key=key, counter=pos // 4))
+    gen.random(pos % 4)
+    return gen.random(2 * count).reshape(count, 2)
 
 
 def run_session(params: ProtocolParams, attack: CollectiveAttack,
@@ -574,50 +564,60 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     CTRL rounds alternate GHZ test / Z cut-and-choose test by their position
     in the schedule (even positions test GHZ).  The given fraction of SIFT
     rounds is publicly disclosed for parameter estimation and excluded from
-    the raw keys.  Each round consumes its own seeded stream derived from
-    the session seed and the round index, so results do not depend on
-    evaluation order.
+    the raw keys.
+
+    Randomness is counter-based: the session seed (a non-negative ``int``,
+    or one draw from a ``Generator``) keys a Philox4x64 stream, and round j
+    (1-based) uses its uniforms 2(j-1), the outcome draw, and 2(j-1) + 1,
+    the disclosure draw of SIFT rounds.  So a round depends only on the seed
+    and j, never on evaluation order.  Rounds are sampled in chunks of
+    ``_CHUNK``, which bounds the temporaries; the outcome columns (see
+    :class:`SessionRecord`) and keys stay O(N) in compact integer dtypes.
     """
     if not 0.0 <= cut_and_choose_fraction < 1.0:
         raise DomainError(f"cut-and-choose fraction {cut_and_choose_fraction} "
                           "outside [0, 1)")
-    if isinstance(rng, np.random.Generator):
-        base = int(rng.integers(0, 1 << 62))
-    else:
-        base = int(rng)
+    base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
+        else int(rng)
+    if base < 0:
+        raise DomainError(f"session seed {base} is negative")
+    key = np.random.SeedSequence(base).generate_state(2, np.uint64)
     sampler = RoundSampler(attack, params)
-    n = attack.n
-    ctrl_rank = {j: pos for pos, j in enumerate(schedule.ctrl_indices)}
+    n, d, num = attack.n, attack.d, schedule.num_rounds
+    theta = np.ones(num, dtype=np.int8)
+    a, ghz = np.full((2, num), -1, dtype=np.int8)
+    b, c = np.full((2, num), -1, dtype=np.min_scalar_type(-d))  # -1 .. d - 1
+    ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
     tallies = TallyCounts(n=n)
-    outcomes: list[RoundOutcome] = []
-    key_a: list[int] = []
-    key_b: list[int] = []
-    for j in range(1, schedule.num_rounds + 1):
-        g = np.random.default_rng([base, j])
-        pos = ctrl_rank.get(j)
-        if pos is not None:
-            kind = "ghz" if pos % 2 == 0 else "ztest"
-            out = _sample_with(sampler, 0, g, kind)
-            if kind == "ghz":
-                tallies.ghz_total += 1
-                tallies.ghz_pass += out.ghz_pass
-            else:
-                tallies.z_ctrl_counts[out.alice_bit, out.alice_t] += 1
-        else:
-            out = _sample_with(sampler, 1, g)
-            if g.random() < cut_and_choose_fraction:
-                tallies.sift_joint_counts[out.alice_bit, out.bob_bits] += 1
-                tallies.sift_total += 1
-            else:
-                key_a.append(out.alice_bit)
-                key_b.append(out.bob_bits)
-        outcomes.append(out)
-    raw_a = np.array(key_a, dtype=np.uint8)
-    if key_b:
-        b_idx = np.array(key_b, dtype=np.int64)
-        shifts = np.arange(n - 1, -1, -1)
-        raw_b = ((b_idx[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
-    else:
-        raw_b = np.zeros((n, 0), dtype=np.uint8)
-    return SessionRecord(params=params, outcomes=tuple(outcomes), tallies=tallies,
-                         raw_key_alice=raw_a, raw_key_bobs=raw_b)
+    key_a, key_b = [a[:0]], [b[:0]]  # typed and never empty, for concatenate
+    for start in range(0, num, _CHUNK):
+        stop = min(start + _CHUNK, num)
+        u = _round_uniforms(key, start, stop - start)
+        th, ca, cb, cc, cg = (col[start:stop] for col in (theta, a, b, c, ghz))
+        k0, k1 = np.searchsorted(ctrl, (start, stop))
+        at = ctrl[k0:k1] - start
+        th[at] = 0
+        ghz_at, z_at = at[k0 % 2::2], at[1 - k0 % 2::2]  # even schedule positions
+        passed = sampler.draw_ghz(u[ghz_at, 0])
+        cg[ghz_at] = passed
+        az = sampler.draw_ztest(u[z_at, 0])
+        ca[z_at], cc[z_at] = np.divmod(az, d)
+        sift = np.flatnonzero(th)
+        ab, cc[sift] = np.divmod(sampler.draw_sift(u[sift, 0]), d)
+        ca[sift], cb[sift] = np.divmod(ab, d)
+        disclosed = u[sift, 1] < cut_and_choose_fraction
+        tallies += TallyCounts(
+            n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
+            z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
+            sift_joint_counts=np.bincount(ab[disclosed], minlength=2 * d).reshape(2, d),
+            sift_total=int(disclosed.sum()))
+        kept = sift[~disclosed]
+        key_a.append(ca[kept])
+        key_b.append(cb[kept])
+    bits = np.concatenate(key_b)
+    shifts = np.arange(n - 1, -1, -1, dtype=bits.dtype)
+    raw_b = ((bits[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    return SessionRecord(params=params, theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
+                         tallies=tallies,
+                         raw_key_alice=np.concatenate(key_a).astype(np.uint8),
+                         raw_key_bobs=raw_b)

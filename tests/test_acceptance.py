@@ -68,10 +68,11 @@ def test_a1_soundness_identity_attack():
             t = rec.tallies
             assert t.ghz_total > 0
             assert t.ghz_pass == t.ghz_total, "a GHZ test failed"
-            vec = {0: 0, 1: (1 << n) - 1}
-            for out in rec.outcomes:
-                if out.theta == 1:
-                    assert out.bob_bits == out.alice_t == vec[out.alice_bit]
+            sift = rec.theta == 1
+            assert sift.any() and np.isin(rec.a[sift], (0, 1)).all()
+            vec = np.where(rec.a[sift] == 1, (1 << n) - 1, 0)
+            assert np.array_equal(rec.b[sift], vec), "receivers' string"
+            assert np.array_equal(rec.c[sift], vec), "returned string"
             for i in range(n):
                 assert np.array_equal(rec.raw_key_alice, rec.raw_key_bobs[i]), \
                     f"receiver {i} key disagrees"

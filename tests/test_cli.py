@@ -155,8 +155,10 @@ class TestSimulate:
                 "--rounds", "2000", "--seed", "11", "--ctrl-count", "200",
                 "--out", str(tmp_path / "t.txt"))
         _, out1 = run_cli(capsys, *args)
+        snap1 = (tmp_path / "t.txt").read_bytes()
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+        assert (tmp_path / "t.txt").read_bytes() == snap1
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -210,6 +212,11 @@ class TestCleanExits:
         err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
                              "--attack-file", str(path))
         assert "bad.attack:2: cannot parse" in err
+
+    def test_negative_seed(self, capsys, tmp_path):
+        err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
+                             "--seed", "-1", "--out", str(tmp_path / "t.txt"))
+        assert "session seed -1 is negative" in err
 
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

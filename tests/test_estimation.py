@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sqcka.attacks import (DepolarizingParams, depolarizing_attack,
                            eve_catalogue)
@@ -21,7 +22,7 @@ from sqcka.estimation import (
     tally_to_text,
 )
 from sqcka.protocol import round_statistics
-from sqcka.qmath import DomainError, ValidationError
+from sqcka.qmath import CapacityError, DomainError, ValidationError
 
 
 class TestHoeffding:
@@ -235,3 +236,30 @@ class TestTallies:
         for bad_n in ("0", "-1"):
             with pytest.raises(ValidationError, match="line 1: n="):
                 tally_from_text(f"tally n {bad_n}\n")
+
+    @pytest.mark.parametrize("n", [22, 64, 10**6])
+    def test_oversized_n_is_capacity_error(self, n):
+        with pytest.raises(CapacityError, match=f"tally n={n}"):
+            TallyCounts(n=n)
+        with pytest.raises(CapacityError, match=f"line 2: tally n={n}"):
+            tally_from_text(f"ghz pass 0\ntally n {n}\n")
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 50), st.integers(0, 50),
+        st.lists(st.integers(0, 1000), min_size=2 << n, max_size=2 << n),
+        st.lists(st.integers(0, 1000), min_size=2 << n, max_size=2 << n))))
+    def test_text_round_trip_property(self, case):
+        n, passed, failed, z, sift = case
+        d = 1 << n
+        t = TallyCounts(n=n, ghz_pass=passed, ghz_total=passed + failed,
+                        z_ctrl_counts=np.reshape(z, (2, d)),
+                        sift_joint_counts=np.reshape(sift, (2, d)),
+                        sift_total=sum(sift))
+        text = tally_to_text(t)
+        back = tally_from_text(text)
+        assert (back.n, back.ghz_pass, back.ghz_total, back.sift_total) == \
+            (t.n, t.ghz_pass, t.ghz_total, t.sift_total)
+        np.testing.assert_array_equal(back.z_ctrl_counts, t.z_ctrl_counts)
+        np.testing.assert_array_equal(back.sift_joint_counts, t.sift_joint_counts)
+        assert tally_to_text(back) == text

@@ -220,33 +220,37 @@ class TestSampling:
     def test_identity_sift_is_deterministic(self):
         sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            out = protocol._sample_with(sampler, 1, rng)
-            assert out.bob_bits == out.alice_t
-            assert out.bob_bits in (0, 3)
-            assert out.alice_bit == (0 if out.bob_bits == 0 else 1)
+        ab, c = np.divmod(sampler.draw_sift(rng.random(20)), 4)
+        a, b = np.divmod(ab, 4)
+        np.testing.assert_array_equal(b, c)
+        assert set(b.tolist()) <= {0, 3}
+        np.testing.assert_array_equal(a, np.where(b == 0, 0, 1))
 
     def test_identity_ctrl_always_passes(self):
         sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            assert protocol._sample_with(sampler, 0, rng).ghz_pass == 1
+        assert sampler.draw_ghz(rng.random(20)).all()
 
     def test_ctrl_ztest_outcome_fields(self):
         sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
         rng = np.random.default_rng(3)
-        out = protocol._sample_with(sampler, 0, rng, ctrl_kind="ztest")
-        assert out.theta == 0 and out.ghz_pass is None
-        assert out.alice_bit in (0, 1) and out.alice_t in (0, 3)
-        with pytest.raises(DomainError):
-            protocol._sample_with(sampler, 0, rng, ctrl_kind="bogus")
+        a, c = np.divmod(sampler.draw_ztest(rng.random(20)), 4)
+        assert set(a.tolist()) <= {0, 1} and set(c.tolist()) <= {0, 3}
+        # in a session, Z-test rounds fill a and c only
+        sched = ThetaSchedule(num_rounds=6, ctrl_indices=(1, 2, 3, 4))
+        rec = run_session(ProtocolParams(n=2), identity_attack(2), sched, 3, 0.1)
+        z = np.array([1, 3])
+        np.testing.assert_array_equal(rec.theta[z], 0)
+        np.testing.assert_array_equal(rec.ghz_pass[z], -1)
+        np.testing.assert_array_equal(rec.b[z], -1)
+        assert set(rec.a[z].tolist()) <= {0, 1} and set(rec.c[z].tolist()) <= {0, 3}
 
     def test_ghz_sampling_within_binomial_bounds(self):
         p = DepolarizingParams(0.3, 0.0, 2)
         sampler = RoundSampler(depolarizing_attack(p))
         rng = np.random.default_rng(4)
         trials = 100_000
-        hits = sum(sampler.sample_ctrl_ghz(rng) for _ in range(trials))
+        hits = int(sampler.draw_ghz(rng.random(trials)).sum())
         target = p_ghz_analytic(p)
         sigma = math.sqrt(target * (1 - target) / trials)
         assert abs(hits / trials - target) <= 3 * sigma
@@ -261,11 +265,10 @@ class TestSampling:
         sampler = RoundSampler(atk)
         rng = np.random.default_rng(5)
         trials = 100_000
-        counts = np.zeros(probs.size)
-        for _ in range(trials):
-            a, b, c = sampler.sample_sift(rng)
-            counts[(a * 4 + b) * 4 + c] += 1
+        counts = np.bincount(sampler.draw_sift(rng.random(trials)),
+                             minlength=probs.size)
         keep = probs > 0
+        assert counts[~keep].sum() == 0
         _, pvalue = sstats.chisquare(counts[keep], probs[keep] * trials)
         assert pvalue > 0.001
 
@@ -278,12 +281,17 @@ class TestSampling:
         sampler = RoundSampler(atk)
         rng = np.random.default_rng(6)
         trials = 100_000
-        counts = np.zeros(probs.size)
-        for _ in range(trials):
-            a, c = sampler.sample_ctrl_ztest(rng)
-            counts[a * 4 + c] += 1
+        counts = np.bincount(sampler.draw_ztest(rng.random(trials)),
+                             minlength=probs.size)
         _, pvalue = sstats.chisquare(counts, probs * trials)
         assert pvalue > 0.001
+
+    def test_n_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="params n=3 != attack n=2"):
+            RoundSampler(identity_attack(2), ProtocolParams(n=3))
+        with pytest.raises(ValidationError, match="params n=3 != attack n=2"):
+            run_session(ProtocolParams(n=3), identity_attack(2),
+                        expand_theta_schedule(1, 100), 1)
 
 
 class TestSchedule:
@@ -315,12 +323,33 @@ class TestSchedule:
 
     def test_theta_lookup(self):
         s = ThetaSchedule(num_rounds=5, ctrl_indices=(2, 4))
-        assert [s.theta(j) for j in range(1, 6)] == [1, 0, 1, 0, 1]
+        rec = run_session(ProtocolParams(n=1), identity_attack(1), s, 1)
+        assert rec.theta.tolist() == [1, 0, 1, 0, 1]
 
     def test_seed_types(self):
         assert expand_theta_schedule("abc", 50, 5) == \
             expand_theta_schedule(b"abc", 50, 5)
         assert expand_theta_schedule(123, 50, 5).num_ctrl == 5
+
+    @pytest.mark.parametrize("seed,num_rounds,num_ctrl", [
+        (b"shared", 16, 4), ("k", 10_000, None), (7, 12, 12), (-3, 1000, 999),
+        (123, 50, 5), (b"x", 1, 1), (b"x", 0, 0), (2**70, 5000, 71),
+    ])
+    def test_sparse_shuffle_matches_pool(self, seed, num_rounds, num_ctrl):
+        # reference: the partial Fisher-Yates over a full arange(N) pool,
+        # which the sparse shuffle must match draw for draw
+        def pool_reference(seed, num_rounds, num_ctrl=None):
+            if num_ctrl is None:
+                num_ctrl = default_ctrl_count(num_rounds)
+            stream = protocol._XofStream(protocol._seed_bytes(seed))
+            pool = np.arange(1, num_rounds + 1, dtype=np.int64)
+            for i in range(num_ctrl):
+                j = i + stream.below(num_rounds - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            return tuple(sorted(int(x) for x in pool[:num_ctrl]))
+
+        got = expand_theta_schedule(seed, num_rounds, num_ctrl).ctrl_indices
+        assert got == pool_reference(seed, num_rounds, num_ctrl)
 
 
 class TestRunSession:
@@ -342,7 +371,15 @@ class TestRunSession:
         assert t.ghz_total == 30
         assert t.z_ctrl_counts.sum() == 30
         assert t.sift_total + rec.raw_key_alice.size == 440
-        assert len(rec.outcomes) == 500
+        for col in (rec.theta, rec.a, rec.b, rec.c, rec.ghz_pass):
+            assert col.shape == (500,)
+        ctrl = np.array(sched.ctrl_indices) - 1
+        np.testing.assert_array_equal(np.flatnonzero(rec.theta == 0), ctrl)
+        np.testing.assert_array_equal(np.flatnonzero(rec.ghz_pass >= 0), ctrl[0::2])
+        assert (rec.ghz_pass == 1).sum() == t.ghz_pass
+        sift = rec.theta == 1
+        assert (rec.b[sift] >= 0).all() and (rec.b[~sift] == -1).all()
+        assert (rec.a >= 0).sum() == 470 and (rec.c >= 0).sum() == 470
 
     def test_disagreement_rate_near_half_q(self):
         q = 0.2
@@ -371,7 +408,34 @@ class TestRunSession:
         r1 = run_session(pp, atk, sched, 42, 0.1)
         r2 = run_session(pp, atk, sched, 42, 0.1)
         np.testing.assert_array_equal(r1.raw_key_alice, r2.raw_key_alice)
-        assert r1.outcomes == r2.outcomes
+        for col in ("theta", "a", "b", "c", "ghz_pass"):
+            np.testing.assert_array_equal(getattr(r1, col), getattr(r2, col))
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4096])
+    def test_chunk_invariance(self, monkeypatch, chunk):
+        pp = ProtocolParams(n=3)
+        atk = depolarizing_attack(DepolarizingParams(0.2, 0.1, 3))
+        sched = expand_theta_schedule(b"chunks", 5000, 300)
+        ref = run_session(pp, atk, sched, 8, 0.2)
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        rec = run_session(pp, atk, sched, 8, 0.2)
+        for col in ("theta", "a", "b", "c", "ghz_pass", "raw_key_alice",
+                    "raw_key_bobs"):
+            np.testing.assert_array_equal(getattr(rec, col), getattr(ref, col))
+        assert estimation.tally_to_text(rec.tallies) == \
+            estimation.tally_to_text(ref.tallies)
+
+    def test_generator_seed(self):
+        pp = ProtocolParams(n=1)
+        sched = expand_theta_schedule(b"g", 200, 20)
+        r1 = run_session(pp, identity_attack(1), sched, np.random.default_rng(4))
+        r2 = run_session(pp, identity_attack(1), sched, np.random.default_rng(4))
+        np.testing.assert_array_equal(r1.a, r2.a)
+
+    def test_negative_seed_rejected(self):
+        sched = expand_theta_schedule(b"f", 10, 2)
+        with pytest.raises(DomainError, match="negative"):
+            run_session(ProtocolParams(n=1), identity_attack(1), sched, -1)
 
     def test_bad_fraction(self):
         pp = ProtocolParams(n=1)
