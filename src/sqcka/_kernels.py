@@ -1,9 +1,10 @@
 """Hot statevector kernels, in plain numpy.
 
 Two operations dominate the exact-simulation runtime: applying a small
-unitary to a block of subsystem axes of a large statevector, and
+operator to a block of subsystem axes of a large statevector, and
 accumulating marginal probabilities over a subset of axes.  The first is a
-``transpose`` + matrix multiplication, the second a ``reshape`` + ``sum``.
+``transpose`` + matrix multiplication, or an index gather when the operator
+is a basis permutation; the second a ``reshape`` + ``sum``.
 
 ``apply_matrix`` returns a fresh contiguous array that nothing else
 references; :class:`~sqcka.qmath.StateVector` takes over that buffer
@@ -26,13 +27,22 @@ def backend_name() -> str:
 
 def apply_matrix(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
                  matrix: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` to the ``axes`` block of a flat amplitude array."""
+    """Apply ``matrix`` to the ``axes`` block of a flat amplitude array.
+
+    A 1-D ``matrix`` is a basis permutation (block basis state j goes to
+    ``matrix[j]``), applied as the row gather ``[argsort(matrix)]``.
+    """
     dims = tuple(dims)
     nax = len(dims)
     order = list(axes) + [i for i in range(nax) if i not in axes]
     psi = amps.reshape(dims).transpose(order)
     m = matrix.shape[0]
-    out = (matrix @ psi.reshape(m, -1)).reshape([dims[i] for i in order])
+    # one expression each, so the reshaped copy of psi is freed at once
+    if matrix.ndim == 1:
+        out = psi.reshape(m, -1)[np.argsort(matrix)]
+    else:
+        out = matrix @ psi.reshape(m, -1)
+    out = out.reshape([dims[i] for i in order])
     inv = np.argsort(order)
     return np.ascontiguousarray(out.transpose(inv)).reshape(-1)
 

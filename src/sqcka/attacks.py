@@ -6,7 +6,7 @@ way out and on the way back) and is described either
 * analytically, by conditional-probability tables plus the Gram matrix of
   real overlaps among Eve's normalized post-interaction vectors, or
 * exactly, by dilated unitaries acting on the transferring register and an
-  explicit environment.
+  explicit environment, stored as basis permutations.
 
 The depolarizing channel is fully built in, in both forms.  Overlap data
 use the *global* normalization convention throughout this module: squared
@@ -22,10 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import CapacityError, DIM_CAP, DomainError, ValidationError
+from .qmath import CapacityError, DomainError, ValidationError
 
 TABLE_ATOL = 1e-12
 GRAM_PSD_ATOL = 1e-9
+
+#: Cap on the dense Gram's (2 d^2)^2 float64 entries: n <= 6, 512 MiB.
+GRAM_ENTRY_CAP = 1 << 26
+
+
+def check_attack_size(n: int) -> None:
+    """Raise :class:`CapacityError`, before any allocation, if n is too large.
+
+    The dense Gram is an attack's largest array, so its cap also bounds the
+    tables and keeps the dilations under ``DIM_CAP``.
+    """
+    if n < 1:
+        raise DomainError(f"need at least one receiving party, got n={n}")
+    # (2 d^2)^2 = 2^(4n + 2) entries; comparing exponents builds no huge integer
+    if 4 * n + 2 > GRAM_ENTRY_CAP.bit_length() - 1:
+        raise CapacityError(f"an attack for n={n} needs a dense Gram of 2^{4 * n + 2} "
+                            "entries, over GRAM_ENTRY_CAP = 2^26 (n <= 6)")
 
 
 @dataclass(frozen=True)
@@ -96,6 +113,11 @@ class ConditionalChannelTable:
     def n(self) -> int:
         return self.d.bit_length() - 1
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Branch weights p(b|a) p'(b'|a,b), shape (2, d, d) indexed [a, b, b']."""
+        return self.forward[:, :, None] * self.backward
+
 
 def validate_gram(gram: np.ndarray, d: int) -> np.ndarray:
     """Check an Eve-overlap table: symmetric, unit diagonal, PSD."""
@@ -131,6 +153,7 @@ def gram_purification(gram: np.ndarray, d: int) -> np.ndarray:
 
 def identity_gram(d: int) -> np.ndarray:
     """Orthonormal Eve vectors: identity Gram over the (a, b, b') index set."""
+    check_attack_size((d - 1).bit_length())
     k = 2 * d * d
     return np.eye(k).reshape(2, d, d, 2, d, d)
 
@@ -139,14 +162,15 @@ def identity_gram(d: int) -> np.ndarray:
 class DilatedChannel:
     """One dilated channel leg: environment registers plus a joint unitary.
 
-    ``unitary`` acts on the transferring register tensored with the
+    The unitary is ``perm``, a read-only int64 basis permutation (state j
+    goes to ``perm[j]``) of the transferring register tensored with the
     environment slots listed in ``env_targets`` (big-endian, T first).
     Slots not listed are spectators entangled only through ``env_state``.
     """
 
     env_dims: tuple[int, ...]
     env_state: np.ndarray
-    unitary: np.ndarray
+    perm: np.ndarray
     env_targets: tuple[int, ...]
 
     def __post_init__(self):
@@ -155,10 +179,10 @@ class DilatedChannel:
             raise ValidationError("environment state size does not match env_dims")
         st = st.copy()
         st.setflags(write=False)
-        u = np.asarray(self.unitary, dtype=np.complex128).copy()
-        u.setflags(write=False)
+        perm = np.array(self.perm, dtype=np.int64)
+        perm.setflags(write=False)
         object.__setattr__(self, "env_state", st)
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "env_dims", tuple(int(x) for x in self.env_dims))
         object.__setattr__(self, "env_targets", tuple(int(x) for x in self.env_targets))
 
@@ -209,6 +233,7 @@ def identity_attack(n: int) -> CollectiveAttack:
 
     All Eve vectors coincide, so the Gram is the all-ones block.
     """
+    check_attack_size(n)
     d = 1 << n
     fwd = np.zeros((2, d))
     fwd[0, 0] = 1.0
@@ -346,26 +371,21 @@ def _depolarizing_dilation(strength: float, n: int) -> DilatedChannel:
     carries sqrt(1-Q)|0> + sqrt(Q)|1> and triggers the swap.
     """
     d = 1 << n
-    if 2 * d * d > DIM_CAP:
-        raise CapacityError(f"dilation for n={n} exceeds the exact-simulation cap")
     pair = np.zeros(d * d, dtype=np.complex128)
     pair[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
     ctrl = np.array([math.sqrt(1.0 - strength), math.sqrt(strength)], dtype=np.complex128)
     env_state = np.kron(pair, ctrl)
 
-    # unitary on T x E1 x E3, big-endian (T, E1, E3)
-    m = d * d * 2
-    u = np.zeros((m, m), dtype=np.complex128)
-    for t in range(d):
-        for e1 in range(d):
-            u[(t * d + e1) * 2 + 0, (t * d + e1) * 2 + 0] = 1.0
-            u[(e1 * d + t) * 2 + 1, (t * d + e1) * 2 + 1] = 1.0
+    # permutation of T x E1 x E3, big-endian (T, E1, E3): |t, e1, 1> -> |e1, t, 1>
+    t, e1, c = np.unravel_index(np.arange(2 * d * d), (d, d, 2))
+    perm = np.where(c == 1, (e1 * d + t) * 2 + 1, (t * d + e1) * 2)
     return DilatedChannel(env_dims=(d, d, 2), env_state=env_state,
-                          unitary=u, env_targets=(0, 2))
+                          perm=perm, env_targets=(0, 2))
 
 
 def depolarizing_attack(params: DepolarizingParams) -> CollectiveAttack:
     """Depolarizing collective attack with both dilated and analytic forms."""
+    check_attack_size(params.n)
     return CollectiveAttack(
         n=params.n,
         tables=depolarizing_tables(params),
@@ -462,6 +482,7 @@ def load_attack_file(path) -> CollectiveAttack:
     if len(rows["FORWARD"]) != 2 * d:
         raise ValidationError(f"{path}: FORWARD must list all 2*{d} entries, "
                               f"got {len(rows['FORWARD'])}")
+    check_attack_size((d - 1).bit_length())
     fwd = np.zeros((2, d))
     for idx, (_, p) in rows["FORWARD"].items():
         fwd[idx] = p

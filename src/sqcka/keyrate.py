@@ -291,14 +291,6 @@ def pairing_maximize(weights: np.ndarray, gram: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def depolarizing_weights(params: DepolarizingParams) -> np.ndarray:
-    """Branch weights p(b|a) p'(b'|b) of the depolarizing round, per sender bit."""
-    from .attacks import depolarizing_tables
-
-    tab = depolarizing_tables(params)
-    return np.einsum("ab,abc->abc", tab.forward, tab.backward)
-
-
 def depolarizing_entropy_lower(params: DepolarizingParams, mode: str) -> float:
     """Closed-form entropy lower bound for the depolarizing channel.
 
@@ -345,7 +337,7 @@ def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport
 # ---------------------------------------------------------------------------
 
 
-def exact_entropy_oracle(attack: CollectiveAttack, n: int | None = None) -> float:
+def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     """Exact S(A|E) of the key-round state, by explicit eigendecomposition.
 
     Embeds Eve vectors consistent with the attack Gram (eigendecomposition
@@ -353,8 +345,6 @@ def exact_entropy_oracle(attack: CollectiveAttack, n: int | None = None) -> floa
     block by block, and evaluates the conditional entropy directly.  This
     is the independent reference the pairing bound is checked against.
     """
-    if n is not None and n != attack.n:
-        raise ValidationError(f"attack is for n={attack.n}, oracle asked for n={n}")
     if not attack.has_analytic:
         raise ValidationError("oracle needs the analytic attack form")
     d = attack.d
@@ -362,8 +352,7 @@ def exact_entropy_oracle(attack: CollectiveAttack, n: int | None = None) -> floa
     k = vecs.shape[0]
     if 2 * k > ORACLE_DIM_CAP:
         raise CapacityError(f"oracle state dim {2 * k} exceeds {ORACLE_DIM_CAP}")
-    weights = np.einsum("ab,abc->abc", attack.tables.forward,
-                        attack.tables.backward) / 2.0
+    weights = attack.tables.weights / 2.0
     rho = np.zeros((2 * k, 2 * k), dtype=np.complex128)
     for a in range(2):
         va = vecs[:, a * d * d:(a + 1) * d * d]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
 from .attacks import CollectiveAttack, gram_purification
 from .estimation import TallyCounts
 from .qmath import (
@@ -146,59 +145,17 @@ def prepare_ghz(num_qubits: int, x: int, y) -> StateVector:
     return StateVector(amps)
 
 
-def bob_operation(theta_bit: int, n: int) -> np.ndarray:
-    """Receivers' joint action on T x B as a unitary matrix.
+def bob_operation(n: int) -> np.ndarray:
+    """Receivers' measure-and-resend copy (SIFT rounds) on T x B, as a permutation.
 
-    Theta = 0: identity (reflection).  Theta = 1: for every string b, copy
-    |b>_T into the memory register by the involution |0...0>_B <-> |b>_B,
-    which extends the measure-and-resend copy to a full unitary.
+    For every string t on T, the involution |0...0>_B <-> |t>_B copies |t>_T
+    into the blank memory register and extends the copy to a full unitary.
+    Returned as ``perm`` over the big-endian (T, B) index: basis state j goes
+    to ``perm[j]``.  (In CTRL rounds the receivers reflect: no operation.)
     """
     d = 1 << n
-    if theta_bit == 0:
-        return np.eye(d * d, dtype=np.complex128)
-    u = np.zeros((d * d, d * d), dtype=np.complex128)
-    for t in range(d):
-        for bb in range(d):
-            if bb == 0:
-                src = t
-            elif bb == t:
-                src = 0
-            else:
-                src = bb
-            u[t * d + src, t * d + bb] = 1.0
-    return u
-
-
-def _sender_slices(state: StateVector, layout: RegisterLayout) -> np.ndarray:
-    """Amplitudes reshaped with (A, T) moved to the front axes."""
-    psi = state.amps.reshape(layout.dims)
-    return np.moveaxis(psi, (layout.axis("A"), layout.axis("T")), (0, 1))
-
-
-def alice_ghz_projection(state: StateVector, layout: RegisterLayout
-                         ) -> tuple[float, StateVector | None]:
-    """Project (A, T) onto the all-zero GHZ-type state; CTRL-round test.
-
-    Returns the pass probability and the renormalized post-state (None when
-    the branch weight is numerically zero).
-    """
-    d = layout.dims[layout.axis("T")]
-    psi = _sender_slices(state, layout)
-    branch = (psi[0, 0] + psi[1, d - 1]) * SQRT_HALF
-    p = float(np.vdot(branch, branch).real)
-    p = min(max(p, 0.0), 1.0)
-    if p <= qmath.NULL_PROB:
-        return p, None
-    post = np.zeros_like(psi)
-    post[0, 0] = branch * (SQRT_HALF / math.sqrt(p))
-    post[1, d - 1] = branch * (SQRT_HALF / math.sqrt(p))
-    post = np.moveaxis(post, (0, 1), (layout.axis("A"), layout.axis("T")))
-    return p, StateVector(post.reshape(-1))
-
-
-def alice_z_measurement(state: StateVector, layout: RegisterLayout) -> np.ndarray:
-    """Joint Z-basis distribution p(a, c) over the sender qubit and T."""
-    return subsystem_probabilities(state, layout, ("A", "T"))
+    t, b = np.divmod(np.arange(d * d), d)
+    return t * d + np.where(b == 0, t, np.where(b == t, 0, b))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +189,11 @@ def _dilated_round_state(attack: CollectiveAttack, theta: int
     psi = tensor_all(parts)
 
     fwd_targets = ("T",) + tuple(fwd_labels[i] for i in fwd.env_targets)
-    psi = apply_on_subsystems(fwd.unitary, psi, layout, fwd_targets)
+    psi = apply_on_subsystems(fwd.perm, psi, layout, fwd_targets)
     if theta == 1:
-        psi = apply_on_subsystems(bob_operation(1, n), psi, layout, ("T", "B"))
+        psi = apply_on_subsystems(bob_operation(n), psi, layout, ("T", "B"))
     bwd_targets = ("T",) + tuple(bwd_labels[i] for i in bwd.env_targets)
-    psi = apply_on_subsystems(bwd.unitary, psi, layout, bwd_targets)
+    psi = apply_on_subsystems(bwd.perm, psi, layout, bwd_targets)
     return psi, layout
 
 
@@ -251,8 +208,7 @@ def _embedded_round_state(attack: CollectiveAttack, theta: int
     m = gram_purification(attack.gram, d)  # (K, 2 d^2)
     k = m.shape[0]
     vecs = np.ascontiguousarray(m.T).reshape(2, d, d, k)
-    coef = np.sqrt(np.einsum("ab,abc->abc", attack.tables.forward,
-                             attack.tables.backward)) * SQRT_HALF
+    coef = np.sqrt(attack.tables.weights) * SQRT_HALF
     if theta == 1:
         amps = np.einsum("abc,abck->acbk", coef, vecs)
         layout = RegisterLayout([("A", 2), ("T", d), ("B", d), ("EV", k)])
@@ -287,7 +243,8 @@ def statistics_from_state(state: StateVector, layout: RegisterLayout,
                                   pb=joint.sum(axis=(0, 2)),
                                   cross_overlap=float(cross.real))
     ctrl_az = subsystem_probabilities(state, layout, ("A", "T"))
-    psi = _sender_slices(state, layout)
+    psi = np.moveaxis(state.amps.reshape(layout.dims),
+                      (layout.axis("A"), layout.axis("T")), (0, 1))
     branch = (psi[0, 0] + psi[1, d - 1]) * SQRT_HALF
     p_ghz = float(np.vdot(branch, branch).real)
     re_tilde = 2.0 * float(np.vdot(psi[0, 0], psi[1, d - 1]).real)
@@ -328,7 +285,7 @@ def forward_conditionals_exact(attack: CollectiveAttack) -> np.ndarray:
     labels = _env_labels("E", fwd.env_dims)
     layout = RegisterLayout([("A", 2), ("T", d)] + list(zip(labels, fwd.env_dims)))
     psi = tensor_all([prepare_ghz(n + 1, 0, "0" * n), StateVector(fwd.env_state)])
-    psi = apply_on_subsystems(fwd.unitary, psi, layout,
+    psi = apply_on_subsystems(fwd.perm, psi, layout,
                               ("T",) + tuple(labels[i] for i in fwd.env_targets))
     return 2.0 * subsystem_probabilities(psi, layout, ("A", "T"))
 
@@ -349,7 +306,7 @@ def backward_conditionals_exact(attack: CollectiveAttack) -> np.ndarray:
     out = np.zeros((d, d))
     for b in range(d):
         psi = tensor_all([basis_state(d, b), StateVector(bwd.env_state)])
-        psi = apply_on_subsystems(bwd.unitary, psi, layout, targets)
+        psi = apply_on_subsystems(bwd.perm, psi, layout, targets)
         out[b] = subsystem_probabilities(psi, layout, ("T",))
     return out
 
@@ -382,11 +339,10 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
     if theta not in (0, 1):
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     n, d = attack.n, attack.d
-    fwd = attack.tables.forward
-    bwd = attack.tables.backward
+    weights = attack.tables.weights
     gram = attack.gram
     if theta == 1:
-        joint = np.einsum("ab,abc->abc", fwd, bwd) / 2.0
+        joint = weights / 2.0
         az = joint.sum(axis=1)
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
@@ -396,7 +352,7 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
                                   pb=joint.sum(axis=(0, 2)),
                                   cross_overlap=float(cross))
     # reflection branch: coherent over b inside Eve's register
-    amp = np.sqrt(np.einsum("ab,abc->abc", fwd, bwd))  # (2, d, d) over (a, b, c)
+    amp = np.sqrt(weights)  # (2, d, d) over (a, b, c)
     q_ac = np.zeros((2, d))
     for a in range(2):
         g4 = gram[a, :, :, a, :, :]  # (b, c, b', c')

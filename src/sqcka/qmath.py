@@ -1,7 +1,8 @@
 """Exact complex linear algebra and entropy kernels for composite systems.
 
-Everything is dense, double precision, and read-only after construction;
-operations are pure functions, safe to call from parallel workers.
+Everything is dense, double precision, and read-only after construction
+(a basis permutation is stored as its integer index vector); operations are
+pure functions, safe to call from parallel workers.
 :class:`StateVector` takes over the buffer it is given without copying it
 (it keeps a read-only view), so a caller that keeps writing to that buffer
 changes the state.  The exact-simulation size is capped at
@@ -286,21 +287,32 @@ def tensor_all(states: Sequence[StateVector]) -> StateVector:
     return out
 
 
-def _check_unitary(U: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
-    U = np.asarray(U, dtype=np.complex128)
+def _check_operator(U, dim: int, atol: float = UNITARY_ATOL) -> np.ndarray:
+    """``U`` as a checked unitary matrix or basis permutation on ``dim`` states."""
+    U = np.asarray(U)
+    if U.ndim == 1:
+        if not np.array_equal(np.sort(U), np.arange(dim)):
+            raise ValidationError(f"permutation of {U.size} entries does not list "
+                                  f"each target index 0..{dim - 1} once")
+        return U
+    U = U.astype(np.complex128, copy=False)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValidationError(f"operator must be square, got {U.shape}")
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
     if dev > atol:
         raise ValidationError(f"operator is not unitary within {atol} (dev {dev:.3e})")
+    if U.shape[0] != dim:
+        raise ValidationError(f"unitary dim {U.shape[0]} != target dim {dim}")
     return U
 
 
 def apply_on_subsystems(U, state: StateVector, layout: RegisterLayout,
                         targets: Iterable[str]) -> StateVector:
-    """Apply unitary ``U`` to the target registers, identity elsewhere.
+    """Apply ``U`` to the target registers, identity elsewhere.
 
-    ``U`` must be indexed big-endian over the targets in *layout order*.
+    ``U`` is a unitary matrix, or a basis permutation: a 1-D integer array
+    ``perm`` with U = sum_j |perm[j]><j|, applied by an index gather.
+    Either is indexed big-endian over the targets in *layout order*.
     """
     if layout.total_dim != state.dim:
         raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
@@ -308,9 +320,7 @@ def apply_on_subsystems(U, state: StateVector, layout: RegisterLayout,
     if not axes:
         raise LayoutError("no target registers given")
     tdim = math.prod(layout.dims[ax] for ax in axes)
-    U = _check_unitary(U)
-    if U.shape[0] != tdim:
-        raise ValidationError(f"unitary dim {U.shape[0]} != target dim {tdim}")
+    U = _check_operator(U, tdim)
     out = _kernels.apply_matrix(state.amps, layout.dims, axes, U)
     return StateVector(out, normalized=state.normalized)
 

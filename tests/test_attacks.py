@@ -217,7 +217,7 @@ class TestDilation:
         amp /= np.linalg.norm(amp)
         rho_in = np.outer(amp, amp.conj())
         psi = qmath.tensor(qmath.StateVector(amp), qmath.StateVector(fwd.env_state))
-        psi = qmath.apply_on_subsystems(fwd.unitary, psi, lay, ("T", "E1", "E3"))
+        psi = qmath.apply_on_subsystems(fwd.perm, psi, lay, ("T", "E1", "E3"))
         rho_out = qmath.partial_trace(qmath.density_from_state(psi), lay, ("T",))
         expected = (1 - q) * rho_in + q / d * np.eye(d)
         np.testing.assert_allclose(rho_out.entries, expected, atol=1e-12)
@@ -228,7 +228,7 @@ class TestDilation:
         fwd = atk.forward_dilation
         lay = qmath.RegisterLayout([("T", d), ("E1", d), ("E2", d), ("E3", 2)])
         psi = qmath.tensor(qmath.basis_state(d, 0), qmath.StateVector(fwd.env_state))
-        psi = qmath.apply_on_subsystems(fwd.unitary, psi, lay, ("T", "E1", "E3"))
+        psi = qmath.apply_on_subsystems(fwd.perm, psi, lay, ("T", "E1", "E3"))
         rho = qmath.partial_trace(qmath.density_from_state(psi), lay, ("T",))
         np.testing.assert_allclose(rho.entries, np.eye(d) / d, atol=1e-12)
 
@@ -244,6 +244,23 @@ class TestDilation:
         got = protocol.backward_conditionals_exact(atk)
         np.testing.assert_allclose(got, atk.tables.backward[0], atol=1e-12)
         np.testing.assert_allclose(got, atk.tables.backward[1], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perm_matches_dense_loop_reference(self, n):
+        d = 1 << n
+        # the dense controlled-swap the dilation was once built as, kept verbatim
+        m = d * d * 2
+        u = np.zeros((m, m), dtype=np.complex128)
+        for t in range(d):
+            for e1 in range(d):
+                u[(t * d + e1) * 2 + 0, (t * d + e1) * 2 + 0] = 1.0
+                u[(e1 * d + t) * 2 + 1, (t * d + e1) * 2 + 1] = 1.0
+        atk = depolarizing_attack(DepolarizingParams(0.2, 0.3, n))
+        for leg in (atk.forward_dilation, atk.backward_dilation):
+            assert leg.perm.dtype == np.int64 and not leg.perm.flags.writeable
+            dense = np.zeros((m, m))
+            dense[leg.perm, np.arange(m)] = 1.0
+            np.testing.assert_array_equal(dense, u)
 
 
 class TestCrossFormConsistency:
@@ -349,6 +366,41 @@ class TestAttackFiles:
             "1 0 0 1\n1 0 1 0\n1 1 0 0\n1 1 1 1\n")
         atk = load_attack_file(path)
         assert atk.n == 1
+
+
+class TestSizeCap:
+    """Attacks are size-checked before anything is allocated."""
+
+    def test_largest_dense_gram_passes(self):
+        # n = 6: a (2 * 4^6)^2 = 2^26-entry Gram, 512 MiB; only the check runs
+        assert (2 * 4 ** 6) ** 2 == attacks.GRAM_ENTRY_CAP
+        attacks.check_attack_size(6)
+
+    @pytest.mark.parametrize("n", [7, 22, 64, 10 ** 9])
+    def test_over_cap_is_capacity_error(self, n):
+        with pytest.raises(qmath.CapacityError, match=f"n={n} "):
+            attacks.check_attack_size(n)
+
+    def test_constructors_check_first(self):
+        with pytest.raises(qmath.CapacityError):
+            identity_attack(7)
+        with pytest.raises(qmath.CapacityError):
+            depolarizing_attack(DepolarizingParams(0.1, 0.2, 64))
+        with pytest.raises(qmath.CapacityError):
+            identity_gram(1 << 22)
+
+    def test_oversized_attack_file(self, tmp_path):
+        path = tmp_path / "big.attack"
+        d = 1 << 7
+        path.write_text("FORWARD\n" + "".join(f"{a} {b} {1.0 / d!r}\n"
+                                              for a in range(2) for b in range(d)))
+        with pytest.raises(qmath.CapacityError, match="n=7 "):
+            load_attack_file(path)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_receiver_is_domain_error(self, n):
+        with pytest.raises(DomainError, match="receiving party"):
+            identity_attack(n)
 
 
 class TestAttackAssembly:

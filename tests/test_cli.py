@@ -218,6 +218,19 @@ class TestCleanExits:
                              "--seed", "-1", "--out", str(tmp_path / "t.txt"))
         assert "session seed -1 is negative" in err
 
+    @pytest.mark.parametrize("n", [7, 22, 64])
+    @pytest.mark.parametrize("q", ["0", "0.1"], ids=["identity", "depolarizing"])
+    def test_oversized_n(self, capsys, tmp_path, n, q):
+        err = self.run_error(capsys, "simulate", "--n", str(n), "--q", q,
+                             "--rounds", "10", "--out", str(tmp_path / "t.txt"))
+        assert f"an attack for n={n} needs a dense Gram" in err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_no_receiver(self, capsys, tmp_path):
+        err = self.run_error(capsys, "simulate", "--n", "-1", "--rounds", "10",
+                             "--out", str(tmp_path / "t.txt"))
+        assert "need at least one receiving party, got n=-1" in err
+
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 1\nqq = 1\n")

@@ -1,8 +1,10 @@
 """Statevector kernels against dense references built from plain linear algebra.
 
 ``apply_matrix`` is checked against the full operator (``np.kron`` with the
-identity, conjugated by the axis permutation); ``axis_probabilities``
-against a direct ``reshape(dims)`` + ``sum`` of the squared amplitudes.
+identity, conjugated by the axis permutation), for unitary matrices and for
+basis permutations (the dense reference has ``P[perm[j], j] = 1``);
+``axis_probabilities`` against a direct ``reshape(dims)`` + ``sum`` of the
+squared amplitudes.
 """
 
 import numpy as np
@@ -49,12 +51,39 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("dims,axes", CASES)
-def test_apply_matrix_backends_agree(dims, axes):
-    """The kernel and the dense-operator reference give the same state."""
+def random_cycle(rng, m):
+    """A random permutation made of one m-cycle: no involution when m > 2."""
+    cyc = rng.permutation(m)
+    perm = np.empty(m, dtype=np.int64)
+    perm[cyc] = np.roll(cyc, -1)
+    return perm
+
+
+# explicit ids keep the unitary cases' ids independent of the added kind
+APPLY_CASES = (
+    [pytest.param(dims, axes, "unitary", id=f"dims{i}-axes{i}")
+     for i, (dims, axes) in enumerate(CASES)]
+    + [pytest.param(dims, axes, "perm", id=f"perm-dims{i}-axes{i}")
+       for i, (dims, axes) in enumerate(CASES)])
+
+
+@pytest.mark.parametrize("dims,axes,kind", APPLY_CASES)
+def test_apply_matrix_backends_agree(dims, axes, kind):
+    """The kernel and the dense-operator reference give the same state.
+
+    The permutations are single cycles; on the unsorted-axes case (2, 0)
+    that is an 8-cycle, which no involution confuses with its inverse, so
+    it pins both the gather's direction and the axis order.
+    """
     rng = np.random.default_rng(hash((dims, axes)) % 2 ** 31)
     amps, mat = random_case(rng, dims, axes)
-    out = _kernels.apply_matrix(amps, dims, axes, mat)
+    if kind == "perm":
+        perm = random_cycle(rng, mat.shape[0])
+        mat = np.zeros(mat.shape)
+        mat[perm, np.arange(perm.size)] = 1.0
+        out = _kernels.apply_matrix(amps, dims, axes, perm)
+    else:
+        out = _kernels.apply_matrix(amps, dims, axes, mat)
     np.testing.assert_allclose(out, dense_operator(dims, axes, mat) @ amps, atol=1e-13)
 
 

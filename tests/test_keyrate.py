@@ -17,6 +17,7 @@ from sqcka.attacks import (
     DepolarizingParams,
     attack_from_tables,
     depolarizing_attack,
+    depolarizing_tables,
     identity_attack,
 )
 from sqcka.keyrate import (
@@ -26,7 +27,6 @@ from sqcka.keyrate import (
     complement_plan,
     depolarizing_entropy_lower,
     depolarizing_keyrate,
-    depolarizing_weights,
     exact_entropy_oracle,
     identity_plan,
     keyrate_lower,
@@ -118,7 +118,7 @@ class TestTheorem1Bound:
         # complement pairing on the n=3, Q=Q~=0.2 table, global convention
         params = DepolarizingParams(0.2, 0.2, 3)
         atk = depolarizing_attack(params)
-        w = depolarizing_weights(params) / 2.0  # normalize total mass to 1
+        w = depolarizing_tables(params).weights / 2.0  # normalize total mass to 1
         inp = terms_from_plan(w, atk.gram, complement_plan(8))
         bound = theorem1_entropy_bound(inp)
         assert bound == pytest.approx(0.549, abs=2e-3)
@@ -138,7 +138,7 @@ class TestPairingSearch:
     def test_complement_is_globally_optimal_for_depolarizing(self, n):
         params = DepolarizingParams(0.15, 0.25, n)
         atk = depolarizing_attack(params)
-        w = depolarizing_weights(params)
+        w = depolarizing_tables(params).weights
         plan, best = pairing_maximize(w, atk.gram, strategy="exhaustive")
         comp = terms_from_plan(w, atk.gram, complement_plan(1 << n))
         assert best == pytest.approx(theorem1_entropy_bound(comp), abs=1e-12)
@@ -221,7 +221,7 @@ class TestDepolarizingClosedForms:
         for (q, qt, n) in ((0.1, 0.2, 2), (0.3, 0.05, 3), (0.7, 0.7, 1)):
             params = DepolarizingParams(q, qt, n)
             atk = depolarizing_attack(params)
-            w = depolarizing_weights(params)
+            w = depolarizing_tables(params).weights
             bound = theorem1_entropy_bound(
                 terms_from_plan(w, atk.gram, complement_plan(1 << n)))
             assert bound == pytest.approx(
@@ -306,7 +306,3 @@ class TestExactOracle:
                                 backward_dilation=full.backward_dilation)
         with pytest.raises(ValidationError):
             exact_entropy_oracle(bare)
-
-    def test_n_mismatch(self):
-        with pytest.raises(ValidationError):
-            exact_entropy_oracle(identity_attack(2), n=3)

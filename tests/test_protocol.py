@@ -55,21 +55,43 @@ class TestPrepareGhz:
             prepare_ghz(3, 0, "0")
 
 
-class TestBobOperation:
-    def test_reflection_is_identity(self):
-        np.testing.assert_allclose(bob_operation(0, 2), np.eye(16))
+def dense_copy_reference(n):
+    """The dense copy matrix ``bob_operation`` was once built as, kept verbatim."""
+    d = 1 << n
+    u = np.zeros((d * d, d * d), dtype=np.complex128)
+    for t in range(d):
+        for bb in range(d):
+            if bb == 0:
+                src = t
+            elif bb == t:
+                src = 0
+            else:
+                src = bb
+            u[t * d + src, t * d + bb] = 1.0
+    return u
 
+
+class TestBobOperation:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_unitary(self, n):
-        u = bob_operation(1, n)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12)
+        # a permutation of all d^2 basis states, and an involution
+        perm = bob_operation(n)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(4 ** n))
+        np.testing.assert_array_equal(perm[perm], np.arange(4 ** n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_loop_reference(self, n):
+        perm = bob_operation(n)
+        dense = np.zeros((perm.size, perm.size))
+        dense[perm, np.arange(perm.size)] = 1.0
+        np.testing.assert_array_equal(dense, dense_copy_reference(n))
 
     def test_copy_action(self):
         # |10>_T |00>_B -> |10>_T |10>_B
         n, d = 2, 4
         lay = qmath.RegisterLayout([("T", d), ("B", d)])
         state = qmath.basis_state(16, lay.basis_index({"T": 2, "B": 0}))
-        out = qmath.apply_on_subsystems(bob_operation(1, n), state, lay, ("T", "B"))
+        out = qmath.apply_on_subsystems(bob_operation(n), state, lay, ("T", "B"))
         expected = qmath.basis_state(16, lay.basis_index({"T": 2, "B": 2}))
         np.testing.assert_allclose(out.amps, expected.amps)
 
@@ -78,7 +100,7 @@ class TestBobOperation:
         n = 2
         lay = qmath.RegisterLayout([("A", 2), ("T", 4), ("B", 4)])
         psi = qmath.tensor(prepare_ghz(n + 1, 0, "00"), qmath.basis_state(4, 0))
-        out = qmath.apply_on_subsystems(bob_operation(1, n), psi, lay, ("T", "B"))
+        out = qmath.apply_on_subsystems(bob_operation(n), psi, lay, ("T", "B"))
         joint = qmath.subsystem_probabilities(out, lay, ("T", "B"))
         np.testing.assert_allclose(np.diag(np.diag(joint)), joint, atol=1e-15)
         assert joint[0, 0] == pytest.approx(0.5)
@@ -86,42 +108,31 @@ class TestBobOperation:
 
 
 class TestAliceMeasurements:
+    """The sender's GHZ test and Z measurement, read off exact final states."""
+
     def test_ghz_projection_noiseless(self):
         pp = ProtocolParams(n=2)
-        state, lay, _ = run_round_exact(pp, identity_attack(2), 0)
-        p, post = protocol.alice_ghz_projection(state, lay)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        assert post is not None
+        _, _, stats = run_round_exact(pp, identity_attack(2), 0)
+        assert stats.p_ghz == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_projection_fully_depolarized(self):
         pp = ProtocolParams(n=2)
         atk = depolarizing_attack(DepolarizingParams(1.0, 0.3, 2))
-        state, lay, _ = run_round_exact(pp, atk, 0)
-        p, _ = protocol.alice_ghz_projection(state, lay)
-        assert p == pytest.approx(1.0 / 8.0, abs=1e-12)
+        _, _, stats = run_round_exact(pp, atk, 0)
+        assert stats.p_ghz == pytest.approx(1.0 / 8.0, abs=1e-12)
 
     def test_ghz_projection_reference_point(self):
         pp = ProtocolParams(n=2)
         atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 2))
-        state, lay, _ = run_round_exact(pp, atk, 0)
-        p, _ = protocol.alice_ghz_projection(state, lay)
-        assert p == pytest.approx(0.755, abs=1e-12)
-
-    def test_post_state_passes_again(self):
-        pp = ProtocolParams(n=1)
-        atk = depolarizing_attack(DepolarizingParams(0.4, 0.2, 1))
-        state, lay, _ = run_round_exact(pp, atk, 0)
-        _, post = protocol.alice_ghz_projection(state, lay)
-        p2, _ = protocol.alice_ghz_projection(post, lay)
-        assert p2 == pytest.approx(1.0, abs=1e-12)
+        _, _, stats = run_round_exact(pp, atk, 0)
+        assert stats.p_ghz == pytest.approx(0.755, abs=1e-12)
 
     def test_z_measurement_noiseless(self):
         pp = ProtocolParams(n=2)
-        state, lay, _ = run_round_exact(pp, identity_attack(2), 1)
-        table = protocol.alice_z_measurement(state, lay)
+        _, _, stats = run_round_exact(pp, identity_attack(2), 1)
         expected = np.zeros((2, 4))
         expected[0, 0] = expected[1, 3] = 0.5
-        np.testing.assert_allclose(table, expected, atol=1e-14)
+        np.testing.assert_allclose(stats.az_joint, expected, atol=1e-14)
 
     def test_sender_marginal_always_half(self):
         rng = np.random.default_rng(21)
@@ -130,8 +141,8 @@ class TestAliceMeasurements:
             fwd = rng.dirichlet(np.ones(4), size=2)
             bwd = rng.dirichlet(np.ones(4), size=(2, 4))
             atk = attack_from_tables(ConditionalChannelTable(fwd, bwd))
-            state, lay, stats = run_round_exact(pp, atk, 1)
-            table = protocol.alice_z_measurement(state, lay)
+            _, _, stats = run_round_exact(pp, atk, 1)
+            table = stats.az_joint
             assert abs(table.sum() - 1.0) <= 1e-12
             np.testing.assert_allclose(table.sum(axis=1), [0.5, 0.5], atol=1e-12)
             np.testing.assert_allclose(stats.pa, [0.5, 0.5], atol=1e-12)
@@ -168,7 +179,7 @@ class TestRunRoundExact:
         pp = ProtocolParams(n=2)
         state, lay, _ = run_round_exact(pp, atk, 1)
         gram_sim = eve_branch_gram_exact(state, lay)
-        w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward) / 2
+        w = atk.tables.weights / 2
         np.testing.assert_allclose(np.diag(gram_sim).real, w.ravel(), atol=1e-12)
         norms = np.sqrt(np.diag(gram_sim).real)
         unit = gram_sim.real / np.outer(norms, norms)

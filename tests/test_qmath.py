@@ -174,6 +174,22 @@ class TestApplyOnSubsystems:
         with pytest.raises(LayoutError):
             apply_on_subsystems(np.eye(2), basis_state(2, 0), lay, ("T",))
 
+    def test_permutation_matches_matrix(self):
+        lay = RegisterLayout([("A", 2), ("T", 2)])
+        perm = np.array([0, 2, 1, 3])  # swap A and T
+        out = apply_on_subsystems(perm, basis_state(4, 0b01), lay, ("A", "T"))
+        np.testing.assert_array_equal(out.amps, basis_state(4, 0b10).amps)
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 4],
+                                      [0, -1, 2, 3], [0, 1, 1, 3]],
+                             ids=["short", "long", "out-of-range", "negative",
+                                  "repeated"])
+    def test_bad_permutation_rejected(self, perm):
+        lay = RegisterLayout([("A", 2), ("T", 2)])
+        with pytest.raises(ValidationError, match=f"permutation of {len(perm)} "
+                                                  "entries does not list each"):
+            apply_on_subsystems(np.array(perm), basis_state(4, 0), lay, ("A", "T"))
+
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(11)
         lay = RegisterLayout([("A", 2), ("T", 4), ("B", 2), ("E", 3)])
