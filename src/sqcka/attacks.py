@@ -1,14 +1,13 @@
 """Collective-attack models: channel tables, Eve-overlap data, dilations.
 
 A one-round collective attack touches the transferring qubits twice (on the
-way out and on the way back) and is described either
+way out and on the way back).  It is described by conditional-probability
+tables plus the Gram matrix of real overlaps among Eve's normalized
+post-interaction vectors.  A dilation (unitaries acting on the
+transferring register and an explicit environment, stored as basis
+permutations) may realize the same channel as a cross-check.
 
-* analytically, by conditional-probability tables plus the Gram matrix of
-  real overlaps among Eve's normalized post-interaction vectors, or
-* exactly, by dilated unitaries acting on the transferring register and an
-  explicit environment, stored as basis permutations.
-
-The depolarizing channel is fully built in, in both forms.  Overlap data
+The depolarizing channel is fully built in, with its dilation.  Overlap data
 use the *global* normalization convention throughout this module: squared
 norms are branch weights of the unnormalized post-round state and sum to 1
 over all branches.  The per-branch convention used by the estimators is
@@ -189,34 +188,29 @@ class DilatedChannel:
 
 @dataclass(frozen=True)
 class CollectiveAttack:
-    """A one-round attack, in analytic (tables + gram) and/or dilated form.
+    """A one-round attack: channel tables plus the Gram of Eve's vectors.
 
-    When both forms are present they describe the same channel; the test
-    suite checks every shared statistic to 1e-10.
+    An optional dilation realizes the same channel with an explicit
+    environment; the test suite checks every statistic the two share to
+    1e-10.
     """
 
-    n: int
-    tables: ConditionalChannelTable | None = None
-    gram: np.ndarray | None = None
+    tables: ConditionalChannelTable
+    gram: np.ndarray
     forward_dilation: DilatedChannel | None = None
     backward_dilation: DilatedChannel | None = None
     label: str = "custom"
 
     def __post_init__(self):
-        if self.tables is None and self.forward_dilation is None:
-            raise ValidationError("attack needs an analytic or a dilated form")
-        if self.tables is not None and self.tables.n != self.n:
-            raise ValidationError(f"tables are for n={self.tables.n}, attack says n={self.n}")
-        if self.gram is not None:
-            object.__setattr__(self, "gram", validate_gram(self.gram, 1 << self.n))
+        object.__setattr__(self, "gram", validate_gram(self.gram, self.d))
+
+    @property
+    def n(self) -> int:
+        return self.tables.n
 
     @property
     def d(self) -> int:
-        return 1 << self.n
-
-    @property
-    def has_analytic(self) -> bool:
-        return self.tables is not None and self.gram is not None
+        return self.tables.d
 
     @property
     def has_dilation(self) -> bool:
@@ -241,8 +235,7 @@ def identity_attack(n: int) -> CollectiveAttack:
     bwd = np.zeros((2, d, d))
     bwd[:, np.arange(d), np.arange(d)] = 1.0
     gram = np.ones((2, d, d, 2, d, d))
-    return CollectiveAttack(n=n, tables=ConditionalChannelTable(fwd, bwd),
-                            gram=gram, label="identity")
+    return CollectiveAttack(ConditionalChannelTable(fwd, bwd), gram, label="identity")
 
 
 def attack_from_tables(tables: ConditionalChannelTable,
@@ -251,23 +244,7 @@ def attack_from_tables(tables: ConditionalChannelTable,
     """Assemble an analytic attack; omitted gram means orthonormal Eve vectors."""
     if gram is None:
         gram = identity_gram(tables.d)
-    return CollectiveAttack(n=tables.n, tables=tables, gram=gram, label=label)
-
-
-def depolarizing_forward_prob(b: int, a: int, params: DepolarizingParams) -> float:
-    """p(b | a): channel leaves |a...a> intact except for uniform leakage."""
-    d = params.d
-    if b == (0 if a == 0 else d - 1):
-        return 1.0 - params.q * (d - 1) / d
-    return params.q / d
-
-
-def depolarizing_backward_prob(bprime: int, b: int, params: DepolarizingParams) -> float:
-    """p'(b' | b): same form as forward with the return-leg strength."""
-    d = params.d
-    if bprime == b:
-        return 1.0 - params.qtilde * (d - 1) / d
-    return params.qtilde / d
+    return CollectiveAttack(tables, gram, label=label)
 
 
 def depolarizing_tables(params: DepolarizingParams) -> ConditionalChannelTable:
@@ -384,10 +361,9 @@ def _depolarizing_dilation(strength: float, n: int) -> DilatedChannel:
 
 
 def depolarizing_attack(params: DepolarizingParams) -> CollectiveAttack:
-    """Depolarizing collective attack with both dilated and analytic forms."""
+    """Depolarizing collective attack: tables, Gram and dilation."""
     check_attack_size(params.n)
     return CollectiveAttack(
-        n=params.n,
         tables=depolarizing_tables(params),
         gram=depolarizing_gram(params),
         forward_dilation=_depolarizing_dilation(params.q, params.n),
@@ -498,9 +474,7 @@ def load_attack_file(path) -> CollectiveAttack:
 
 
 def dump_attack_file(attack: CollectiveAttack, path) -> None:
-    """Write the analytic form of an attack in the plain-text format."""
-    if not attack.has_analytic:
-        raise ValidationError("attack has no analytic form to dump")
+    """Write an attack's tables and Gram in the plain-text format."""
     d = attack.d
     fwd = attack.tables.forward
     bwd = attack.tables.backward

@@ -272,11 +272,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str, step: float) -> list[float]:
-    if ":" in text:
-        lo, hi = (float(s) for s in text.split(":", 1))
-    else:
-        lo = hi = float(text)
+def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
+    """The grid lo, lo + step, ... <= hi of a ``value`` or ``lo:hi`` flag."""
+    try:
+        lo, hi = (float(s) for s in text.split(":", 1)) if ":" in text \
+            else (float(text),) * 2
+    except ValueError:
+        raise qmath.ValidationError(f"{flag} {text!r} is not a number or a lo:hi "
+                                    "range") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise qmath.DomainError(f"{flag} {text!r} with step {step} is not finite")
+    if lo > hi:
+        raise qmath.DomainError(f"{flag} range {text!r} has lo > hi")
     if step <= 0:
         raise qmath.DomainError(f"step {step} must be positive")
     out = []
@@ -338,10 +345,15 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        ns = tuple(int(s) for s in args.n.split(","))
+    except ValueError:
+        raise qmath.ValidationError(f"--n {args.n!r} is not a comma-separated "
+                                    "list of integers") from None
     spec = SweepSpec(
-        ns=tuple(int(s) for s in args.n.split(",")),
-        qs=tuple(_parse_range(args.q, args.q_step)),
-        qtildes=tuple(_parse_range(args.qtilde, args.q_step)),
+        ns=ns,
+        qs=tuple(_parse_range(args.q, args.q_step, "--q")),
+        qtildes=tuple(_parse_range(args.qtilde, args.q_step, "--qtilde")),
         modes=MODES if args.mode == "both" else (args.mode,),
         out=args.out,
     )
@@ -397,40 +409,21 @@ def cmd_figures(args) -> int:
                 rows.append(("10", _fmt(q), _fmt(qt), mode, _fmt(rep.r_min)))
     _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", rows)
 
-    rows = []
-    for n in FIGURE_NS:
-        for q in grid_half:
-            for mode in MODES:
-                rows.append((str(n), _fmt(q), _fmt(q), mode,
-                             _fmt(_rate(n, q, q, mode))))
-    _write_csv(outdir / "fig3.csv", "n,q,qtilde,mode,r_min", rows)
-
-    rows = []
-    for n in FIGURE_NS:
-        for qt in grid01:
-            for mode in MODES:
-                rows.append((str(n), "0", _fmt(qt), mode,
-                             _fmt(_rate(n, 0.0, qt, mode))))
-    _write_csv(outdir / "fig4a.csv", "n,q,qtilde,mode,r_min", rows)
-
-    rows = []
-    for n in FIGURE_NS:
-        for q in grid_half:
-            for mode in MODES:
-                rows.append((str(n), _fmt(q), "0", mode,
-                             _fmt(_rate(n, q, 0.0, mode))))
-    _write_csv(outdir / "fig4b.csv", "n,q,qtilde,mode,r_min", rows)
-
-    sweeps = {
-        "fig3": lambda n, mode: (lambda x: _rate(n, x, x, mode)),
-        "fig4a": lambda n, mode: (lambda x: _rate(n, 0.0, x, mode)),
-        "fig4b": lambda n, mode: (lambda x: _rate(n, x, 0.0, mode)),
+    slices = {  # figure: (grid, x -> (q, qtilde))
+        "fig3": (grid_half, lambda x: (x, x)),
+        "fig4a": (grid01, lambda x: (0.0, x)),
+        "fig4b": (grid_half, lambda x: (x, 0.0)),
     }
+    for fig, (grid, point) in slices.items():
+        rows = [(str(n), _fmt(q), _fmt(qt), mode, _fmt(_rate(n, q, qt, mode)))
+                for n in FIGURE_NS for q, qt in map(point, grid) for mode in MODES]
+        _write_csv(outdir / f"{fig}.csv", "n,q,qtilde,mode,r_min", rows)
+
     rows = []
-    for fig, make in sweeps.items():
+    for fig, (_, point) in slices.items():
         for n in FIGURE_NS:
             for mode in MODES:
-                crossing = find_rate_crossing(make(n, mode))
+                crossing = find_rate_crossing(lambda x: _rate(n, *point(x), mode))
                 rows.append((fig, str(n), mode,
                              "" if crossing is None else _fmt(crossing)))
     _write_csv(outdir / "thresholds.csv", "figure,n,mode,crossing", rows)

@@ -245,8 +245,20 @@ def _two_opt(w: np.ndarray, gram: np.ndarray, plan: PairingPlan,
                         "greedy2opt"), best, evals)
 
 
-def pairing_maximize(weights: np.ndarray, gram: np.ndarray,
-                     strategy: str = "auto") -> tuple[PairingPlan, float]:
+def _greedy_search(w: np.ndarray, g: np.ndarray) -> tuple[PairingPlan, float]:
+    """Best of the identity, complement and greedy plans, polished by capped 2-opt."""
+    d = w.shape[1]
+    candidates = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
+    scored = [(_plan_value(w, g, np.asarray(p.pi1), np.asarray(p.pi2)), p)
+              for p in candidates]
+    seed_val, seed = max(scored, key=lambda vp: vp[0])
+    plan, val, _ = _two_opt(w, g, seed, MAX_PAIRING_EVALS)
+    if val < seed_val:
+        return seed, seed_val
+    return plan, val
+
+
+def pairing_maximize(weights: np.ndarray, gram: np.ndarray) -> tuple[PairingPlan, float]:
     """Best pairing plan found and its bound value.
 
     Any plan is a valid lower bound; the exhaustive search (channel
@@ -261,29 +273,18 @@ def pairing_maximize(weights: np.ndarray, gram: np.ndarray,
         raise ValidationError("negative weights")
     d = w.shape[1]
     g = np.asarray(gram, dtype=np.float64)
-
-    if strategy not in ("auto", "exhaustive", "greedy2opt"):
-        raise DomainError(f"unknown pairing strategy {strategy!r}")
-    if strategy == "exhaustive" or (strategy == "auto" and d <= EXHAUSTIVE_DIM):
-        best_val = -math.inf
-        best = None
-        for pi1 in itertools.permutations(range(d)):
-            a1 = np.asarray(pi1)
-            for pi2 in itertools.permutations(range(d)):
-                val = _plan_value(w, g, a1, np.asarray(pi2))
-                if val > best_val:
-                    best_val = val
-                    best = PairingPlan(pi1, pi2, "exhaustive")
-        return best, best_val
-
-    candidates = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
-    scored = [(_plan_value(w, g, np.asarray(p.pi1), np.asarray(p.pi2)), p)
-              for p in candidates]
-    seed_val, seed = max(scored, key=lambda vp: vp[0])
-    plan, val, _ = _two_opt(w, g, seed, MAX_PAIRING_EVALS)
-    if val < seed_val:
-        return seed, seed_val
-    return plan, val
+    if d > EXHAUSTIVE_DIM:
+        return _greedy_search(w, g)
+    best_val = -math.inf
+    best = None
+    for pi1 in itertools.permutations(range(d)):
+        a1 = np.asarray(pi1)
+        for pi2 in itertools.permutations(range(d)):
+            val = _plan_value(w, g, a1, np.asarray(pi2))
+            if val > best_val:
+                best_val = val
+                best = PairingPlan(pi1, pi2, "exhaustive")
+    return best, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +346,6 @@ def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     block by block, and evaluates the conditional entropy directly.  This
     is the independent reference the pairing bound is checked against.
     """
-    if not attack.has_analytic:
-        raise ValidationError("oracle needs the analytic attack form")
     d = attack.d
     vecs = gram_purification(attack.gram, d)  # (K, 2 d^2)
     k = vecs.shape[0]

@@ -114,7 +114,6 @@ class ObservedStatistics:
     """
 
     theta: int
-    n: int
     pa: np.ndarray
     p_ghz: float | None = None
     ctrl_az: np.ndarray | None = None
@@ -230,7 +229,6 @@ def statistics_from_state(state: StateVector, layout: RegisterLayout,
                           theta: int) -> ObservedStatistics:
     """All round observables, read off an exact final state."""
     d = layout.dims[layout.axis("T")]
-    n = d.bit_length() - 1
     if theta == 1:
         joint = subsystem_probabilities(state, layout, ("A", "B", "T"))
         az = joint.sum(axis=1)
@@ -238,7 +236,7 @@ def statistics_from_state(state: StateVector, layout: RegisterLayout,
         psi = np.moveaxis(psi, (layout.axis("A"), layout.axis("B"), layout.axis("T")),
                           (0, 1, 2))
         cross = complex(np.vdot(psi[0, 0, 0].ravel(), psi[1, d - 1, d - 1].ravel()))
-        return ObservedStatistics(theta=1, n=n, pa=az.sum(axis=1),
+        return ObservedStatistics(theta=1, pa=az.sum(axis=1),
                                   abc_joint=joint, az_joint=az,
                                   pb=joint.sum(axis=(0, 2)),
                                   cross_overlap=float(cross.real))
@@ -248,7 +246,7 @@ def statistics_from_state(state: StateVector, layout: RegisterLayout,
     branch = (psi[0, 0] + psi[1, d - 1]) * SQRT_HALF
     p_ghz = float(np.vdot(branch, branch).real)
     re_tilde = 2.0 * float(np.vdot(psi[0, 0], psi[1, d - 1]).real)
-    return ObservedStatistics(theta=0, n=n, pa=ctrl_az.sum(axis=1),
+    return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
                               p_ghz=p_ghz, ctrl_az=ctrl_az,
                               branch_norms=2.0 * ctrl_az, re_overlap=re_tilde)
 
@@ -258,8 +256,8 @@ def run_round_exact(params: ProtocolParams, attack: CollectiveAttack, theta: int
     """Exact quantum evolution of one round: prepare, forward noise,
     receivers' action, backward noise; statistics of the final measurement.
 
-    Prefers the dilated form of the attack; otherwise synthesizes a minimal
-    purifying environment from the Eve Gram.  Raises
+    Uses the attack's dilation when it has one; otherwise synthesizes a
+    minimal purifying environment from the Eve Gram.  Raises
     :class:`~sqcka.qmath.CapacityError` when the state would exceed the cap,
     at which point callers fall back to the analytic tables.
     """
@@ -269,10 +267,8 @@ def run_round_exact(params: ProtocolParams, attack: CollectiveAttack, theta: int
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     if attack.has_dilation:
         state, layout = _dilated_round_state(attack, theta)
-    elif attack.has_analytic:
-        state, layout = _embedded_round_state(attack, theta)
     else:
-        raise ValidationError("attack has neither dilated nor analytic form")
+        state, layout = _embedded_round_state(attack, theta)
     return state, layout, statistics_from_state(state, layout, theta)
 
 
@@ -334,11 +330,9 @@ def eve_branch_gram_exact(state: StateVector, layout: RegisterLayout) -> np.ndar
 
 def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics:
     """Round observables straight from the attack tables and Eve Gram."""
-    if not attack.has_analytic:
-        raise ValidationError("analytic statistics need tables and gram")
     if theta not in (0, 1):
         raise DomainError(f"theta must be 0 or 1, got {theta}")
-    n, d = attack.n, attack.d
+    d = attack.d
     weights = attack.tables.weights
     gram = attack.gram
     if theta == 1:
@@ -347,7 +341,7 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
         cross = math.sqrt(w000 * w111) * gram[0, 0, 0, 1, d - 1, d - 1]
-        return ObservedStatistics(theta=1, n=n, pa=az.sum(axis=1),
+        return ObservedStatistics(theta=1, pa=az.sum(axis=1),
                                   abc_joint=joint, az_joint=az,
                                   pb=joint.sum(axis=(0, 2)),
                                   cross_overlap=float(cross))
@@ -368,10 +362,9 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
     re_tilde = float(s0 @ gram[0, :, 0, 1, :, d - 1] @ s1)
     p_ghz = (q_ac[0, 0] + q_ac[1, d - 1] + 2.0 * re_tilde) / 4.0
     ctrl_az = q_ac / 2.0
-    return ObservedStatistics(theta=0, n=n, pa=ctrl_az.sum(axis=1),
+    return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
                               p_ghz=float(p_ghz), ctrl_az=ctrl_az,
                               branch_norms=q_ac, re_overlap=re_tilde)
-
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +374,13 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
 
 class RoundSampler:
     """Maps arrays of uniforms in [0, 1) to outcome arrays drawn from the
-    exact per-round distributions; flat indices follow the C order of
-    ``abc_joint`` and ``ctrl_az``.
-
-    Prefers analytic statistics; falls back to one exact simulation per
-    Theta branch for dilated-only attacks.
+    attack's analytic per-round distributions; flat indices follow the C
+    order of ``abc_joint`` and ``ctrl_az``.
     """
 
-    def __init__(self, attack: CollectiveAttack,
-                 params: ProtocolParams | None = None):
-        params = params or ProtocolParams(n=attack.n)
-        if params.n != attack.n:
-            raise ValidationError(f"params n={params.n} != attack n={attack.n}")
-        if attack.has_analytic:
-            sift = round_statistics(attack, 1)
-            ctrl = round_statistics(attack, 0)
-        else:
-            _, _, sift = run_round_exact(params, attack, 1)
-            _, _, ctrl = run_round_exact(params, attack, 0)
+    def __init__(self, attack: CollectiveAttack):
+        sift = round_statistics(attack, 1)
+        ctrl = round_statistics(attack, 0)
         self.p_ghz = float(ctrl.p_ghz)
         self._sift_cum = self._cumulative(sift.abc_joint)
         self._ctrl_cum = self._cumulative(ctrl.ctrl_az)
@@ -483,8 +465,8 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
         raise DomainError(f"negative round count {num_rounds}")
     if num_ctrl is None:
         num_ctrl = default_ctrl_count(num_rounds)
-    if num_ctrl > num_rounds:
-        raise DomainError(f"num_ctrl {num_ctrl} exceeds num_rounds {num_rounds}")
+    if not 0 <= num_ctrl <= num_rounds:
+        raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds ({num_rounds})")
     stream = _XofStream(_seed_bytes(seed))
     moved: dict[int, int] = {}  # pool position -> round, where not position + 1
     chosen = []
@@ -533,12 +515,14 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     if not 0.0 <= cut_and_choose_fraction < 1.0:
         raise DomainError(f"cut-and-choose fraction {cut_and_choose_fraction} "
                           "outside [0, 1)")
+    if params.n != attack.n:
+        raise ValidationError(f"params n={params.n} != attack n={attack.n}")
     base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
         else int(rng)
     if base < 0:
         raise DomainError(f"session seed {base} is negative")
     key = np.random.SeedSequence(base).generate_state(2, np.uint64)
-    sampler = RoundSampler(attack, params)
+    sampler = RoundSampler(attack)
     n, d, num = attack.n, attack.d, schedule.num_rounds
     theta = np.ones(num, dtype=np.int8)
     a, ghz = np.full((2, num), -1, dtype=np.int8)

@@ -31,11 +31,8 @@ NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-IDEMPOTENT_ATOL = 1e-10
 #: Eigenvalues below this are treated as exact zeros inside entropies.
 EIGENVALUE_CLIP = 1e-12
-#: Projection probabilities at or below this leave no post-state.
-NULL_PROB = 1e-14
 
 _LOG2 = math.log(2.0)
 
@@ -56,10 +53,6 @@ class DomainError(ValueError):
     """A scalar or index argument lies outside its admissible range."""
 
 
-class NumericalError(ArithmeticError):
-    """A computed quantity left its mathematically guaranteed range."""
-
-
 # ---------------------------------------------------------------------------
 # bit-string index helpers
 # ---------------------------------------------------------------------------
@@ -74,12 +67,6 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
             raise DomainError(f"bit value {b!r} is not 0/1")
         idx = (idx << 1) | v
     return idx
-
-
-def index_to_bits(index: int, width: int) -> str:
-    if not 0 <= index < (1 << width):
-        raise DomainError(f"index {index} does not fit in {width} bits")
-    return format(index, f"0{width}b")
 
 
 def complement_index(index: int, width: int) -> int:
@@ -140,21 +127,12 @@ class RegisterLayout:
         """Axes of the given labels, sorted into layout order."""
         return tuple(sorted(self.axis(lab) for lab in labels))
 
-    def dim_of(self, labels: Iterable[str]) -> int:
-        return math.prod(self._dims[ax] for ax in self.axes_of(labels))
-
     def restrict(self, labels: Iterable[str]) -> "RegisterLayout":
         keep = set(labels)
         for lab in keep:
             self.axis(lab)
         return RegisterLayout((lab, d) for lab, d in zip(self._labels, self._dims)
                               if lab in keep)
-
-    def without(self, labels: Iterable[str]) -> "RegisterLayout":
-        drop = set(labels)
-        for lab in drop:
-            self.axis(lab)
-        return self.restrict(l for l in self._labels if l not in drop)
 
     def basis_index(self, values: dict[str, int]) -> int:
         """Flat index of a computational basis state given per-register values."""
@@ -171,13 +149,6 @@ class RegisterLayout:
     def __repr__(self) -> str:
         body = ", ".join(f"{lab}:{d}" for lab, d in zip(self._labels, self._dims))
         return f"RegisterLayout({body})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RegisterLayout)
-                and self._labels == other._labels and self._dims == other._dims)
-
-    def __hash__(self):
-        return hash((self._labels, self._dims))
 
 
 def _frozen_complex(data, dim_hint: str) -> np.ndarray:
@@ -376,28 +347,6 @@ def partial_trace(rho: DensityOperator, layout: RegisterLayout,
     return DensityOperator(red.reshape(d, d), check=False)
 
 
-def project(state: StateVector, projector) -> tuple[float, StateVector | None]:
-    """Born probability and renormalized post-state for an idempotent operator.
-
-    Returns ``(prob, None)`` when the branch weight is numerically zero.
-    """
-    P = projector.entries if isinstance(projector, DensityOperator) else \
-        np.asarray(projector, dtype=np.complex128)
-    if P.shape != (state.dim, state.dim):
-        raise ValidationError(f"projector shape {P.shape} != state dim {state.dim}")
-    dev = np.max(np.abs(P @ P - P))
-    if dev > IDEMPOTENT_ATOL:
-        raise ValidationError(f"projector is not idempotent within {IDEMPOTENT_ATOL}")
-    branch = P @ state.amps
-    prob = float(np.vdot(state.amps, branch).real)
-    if prob < -1e-10:
-        raise NumericalError(f"projection probability {prob} < 0")
-    prob = min(max(prob, 0.0), 1.0)
-    if prob <= NULL_PROB:
-        return prob, None
-    return prob, StateVector(branch / math.sqrt(prob))
-
-
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
     """Shannon entropy (bits) of a spectrum, clipping values below the cutoff."""
     w = np.asarray(eigenvalues, dtype=np.float64)
@@ -424,30 +373,6 @@ def conditional_entropy(rho: DensityOperator, layout: RegisterLayout,
     s_ae = von_neumann_entropy(rho)
     s_e = von_neumann_entropy(partial_trace(rho, layout, e))
     return s_ae - s_e
-
-
-def reduced_spectrum(state: StateVector, layout: RegisterLayout,
-                     keep: Iterable[str]) -> np.ndarray:
-    """Nonzero spectrum of the reduced state on ``keep``, from a pure state.
-
-    Uses the smaller Gram side (eigenvalues of M M^dag equal those of
-    M^dag M), so huge kept dimensions stay cheap as long as the complement
-    is small.
-    """
-    keep_axes = layout.axes_of(keep)
-    if not keep_axes:
-        raise DomainError("keep set must be non-empty")
-    dims = layout.dims
-    order = list(keep_axes) + [i for i in range(len(dims)) if i not in keep_axes]
-    mat = state.amps.reshape(dims).transpose(order)
-    dk = math.prod(dims[i] for i in keep_axes)
-    mat = mat.reshape(dk, -1)
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    w = np.linalg.eigvalsh(gram)
-    return w[w > EIGENVALUE_CLIP]
 
 
 def binary_entropy(x: float) -> float:

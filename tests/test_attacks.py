@@ -1,9 +1,12 @@
 """Attack-model tests: closed forms, catalogue identities, dilation behavior."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sqcka import attacks, protocol, qmath
 from sqcka.attacks import (
@@ -12,8 +15,6 @@ from sqcka.attacks import (
     DepolarizingParams,
     attack_from_tables,
     depolarizing_attack,
-    depolarizing_backward_prob,
-    depolarizing_forward_prob,
     depolarizing_gram,
     depolarizing_tables,
     dump_attack_file,
@@ -45,10 +46,10 @@ class TestParams:
 
 class TestConditionalProbabilities:
     def test_forward_values(self):
-        p = DepolarizingParams(0.2, 0.0, 2)
-        assert depolarizing_forward_prob(0, 0, p) == pytest.approx(0.85)
-        assert depolarizing_forward_prob(2, 0, p) == pytest.approx(0.05)
-        assert depolarizing_forward_prob(3, 1, p) == pytest.approx(0.85)
+        fwd = depolarizing_tables(DepolarizingParams(0.2, 0.0, 2)).forward
+        assert fwd[0, 0] == pytest.approx(0.85)
+        assert fwd[0, 2] == pytest.approx(0.05)
+        assert fwd[1, 3] == pytest.approx(0.85)
 
     def test_forward_noiseless_is_delta(self):
         p = DepolarizingParams(0.0, 0.3, 2)
@@ -57,9 +58,10 @@ class TestConditionalProbabilities:
         np.testing.assert_allclose(tab[1], [0, 0, 0, 1], atol=1e-15)
 
     def test_backward_values(self):
-        p = DepolarizingParams(0.0, 0.4, 1)
-        assert depolarizing_backward_prob(1, 1, p) == pytest.approx(0.8)
-        assert depolarizing_backward_prob(0, 1, p) == pytest.approx(0.2)
+        bwd = depolarizing_tables(DepolarizingParams(0.0, 0.4, 1)).backward
+        for a in range(2):
+            assert bwd[a, 1, 1] == pytest.approx(0.8)
+            assert bwd[a, 1, 0] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("q,qt,n", [(0.0, 0.0, 1), (0.3, 0.6, 2), (1.0, 0.5, 3)])
     def test_rows_sum_to_one(self, q, qt, n):
@@ -297,6 +299,27 @@ class TestAttackFiles:
                                    atol=1e-15)
         np.testing.assert_allclose(back.gram, atk.gram, atol=1e-15)
 
+    @given(st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_property(self, n, seed):
+        # random tables and a dense Gram come back bit for bit
+        rng = np.random.default_rng(seed)
+        d = 1 << n
+        tables = ConditionalChannelTable(rng.dirichlet(np.ones(d), size=2),
+                                         rng.dirichlet(np.ones(d), size=(2, d)))
+        vecs = rng.normal(size=(2 * d * d, int(rng.integers(2, 2 * d * d + 1))))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        flat = vecs @ vecs.T
+        gram = ((flat + flat.T) / 2).reshape(2, d, d, 2, d, d)
+        atk = attack_from_tables(tables, gram)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "random.attack"
+            dump_attack_file(atk, path)
+            back = load_attack_file(path)
+        assert back.n == n
+        np.testing.assert_array_equal(back.tables.forward, atk.tables.forward)
+        np.testing.assert_array_equal(back.tables.backward, atk.tables.backward)
+        np.testing.assert_array_equal(back.gram, atk.gram)
+
     def test_gram_defaults_to_orthonormal(self, tmp_path):
         path = tmp_path / "plain.attack"
         path.write_text(
@@ -404,11 +427,14 @@ class TestSizeCap:
 
 
 class TestAttackAssembly:
-    def test_needs_some_form(self):
-        with pytest.raises(ValidationError):
-            CollectiveAttack(n=1)
+    def test_n_and_d_follow_tables(self):
+        atk = CollectiveAttack(depolarizing_tables(DepolarizingParams(0.1, 0.1, 2)),
+                               identity_gram(4))
+        assert (atk.n, atk.d) == (2, 4)
+        assert not atk.has_dilation
 
     def test_n_mismatch_rejected(self):
+        # a Gram for n=3 does not fit tables for n=2
         tab = depolarizing_tables(DepolarizingParams(0.1, 0.1, 2))
-        with pytest.raises(ValidationError):
-            CollectiveAttack(n=3, tables=tab, gram=identity_gram(4))
+        with pytest.raises(ValidationError, match="gram must have shape"):
+            CollectiveAttack(tab, identity_gram(8))

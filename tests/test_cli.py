@@ -4,6 +4,7 @@ import pytest
 
 from sqcka import cli
 from sqcka.cli import _parse_range, find_rate_crossing, main
+from sqcka.qmath import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -19,8 +20,15 @@ class TestParseRange:
     def test_range_inclusive(self):
         assert _parse_range("0:0.2", 0.1) == [0.0, 0.1, 0.2]
 
-    def test_empty(self):
-        assert _parse_range("0.5:0.1", 0.1) == []
+    def test_reversed_range_rejected(self):
+        with pytest.raises(DomainError, match="lo > hi"):
+            _parse_range("0.5:0.1", 0.1)
+
+    @pytest.mark.parametrize("text,step", [("nan", 0.1), ("0:inf", 0.1),
+                                           ("0:1", float("nan"))])
+    def test_non_finite_rejected(self, text, step):
+        with pytest.raises(DomainError, match="not finite"):
+            _parse_range(text, step)
 
 
 class TestVerify:
@@ -57,11 +65,6 @@ class TestSweep:
                          "0.2", "--q-step", "0.1", "--mode", "theorem_exact")
         row = out.strip().splitlines()[1].split(",")
         assert row[4] == "0.755"
-
-    def test_empty_range_header_only(self, capsys):
-        _, out = run_cli(capsys, "sweep", "--n", "2", "--q", "0.5:0.1",
-                         "--qtilde", "0", "--q-step", "0.1")
-        assert out.strip() == cli.SWEEP_HEADER
 
     def test_deterministic_output(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -242,3 +245,16 @@ class TestCleanExits:
         cfg.write_text("rounds = many\n")
         err = self.run_error(capsys, "simulate", "--config", str(cfg))
         assert "run.cfg:1: bad rounds" in err
+
+    @pytest.mark.parametrize("argv,msg", [
+        (("sweep", "--n", "3,x"), "--n '3,x' is not a comma-separated list"),
+        (("sweep", "--q", "abc"), "--q 'abc' is not a number or a lo:hi range"),
+        (("sweep", "--q", "0.5:0.1"), "--q range '0.5:0.1' has lo > hi"),
+        (("simulate", "--ctrl-count", "-1", "--rounds", "10"),
+         "num_ctrl -1 outside 0..num_rounds"),
+    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count"])
+    def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
+        monkeypatch.chdir(tmp_path)
+        err = self.run_error(capsys, *argv)
+        assert msg in err
+        assert not (tmp_path / "tallies.txt").exists()

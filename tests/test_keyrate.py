@@ -139,7 +139,8 @@ class TestPairingSearch:
         params = DepolarizingParams(0.15, 0.25, n)
         atk = depolarizing_attack(params)
         w = depolarizing_tables(params).weights
-        plan, best = pairing_maximize(w, atk.gram, strategy="exhaustive")
+        plan, best = pairing_maximize(w, atk.gram)
+        assert plan.strategy == "exhaustive"  # d <= EXHAUSTIVE_DIM
         comp = terms_from_plan(w, atk.gram, complement_plan(1 << n))
         assert best == pytest.approx(theorem1_entropy_bound(comp), abs=1e-12)
         assert best == pytest.approx(
@@ -163,8 +164,9 @@ class TestPairingSearch:
         w /= w.sum(axis=(1, 2), keepdims=True)
         gram = np.array(np.eye(32).reshape(2, 4, 4, 2, 4, 4))
         gram[0, 1, 2, 1, 3, 0] = gram[1, 3, 0, 0, 1, 2] = 0.9
-        _, best_x = pairing_maximize(w, gram, strategy="exhaustive")
-        _, best_g = pairing_maximize(w, gram, strategy="greedy2opt")
+        plan_x, best_x = pairing_maximize(w, gram)
+        assert plan_x.strategy == "exhaustive"
+        _, best_g = keyrate._greedy_search(w, gram)
         assert best_g == pytest.approx(best_x, abs=1e-10)
 
     def test_every_plan_is_a_lower_bound(self):
@@ -178,10 +180,6 @@ class TestPairingSearch:
                     plan = PairingPlan(pi1, pi2)
                     bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
                     assert bound <= oracle + 1e-9
-
-    def test_bad_strategy(self):
-        with pytest.raises(DomainError):
-            pairing_maximize(np.ones((2, 2, 2)) / 4, None, strategy="anneal")
 
 
 class TestDepolarizingClosedForms:
@@ -298,11 +296,3 @@ class TestExactOracle:
                 assert bound <= oracle + 1e-9
             _, best = pairing_maximize(w, atk.gram)
             assert best <= oracle + 1e-9
-
-    def test_requires_analytic_form(self):
-        full = depolarizing_attack(DepolarizingParams(0.1, 0.1, 1))
-        from sqcka.attacks import CollectiveAttack
-        bare = CollectiveAttack(n=1, forward_dilation=full.forward_dilation,
-                                backward_dilation=full.backward_dilation)
-        with pytest.raises(ValidationError):
-            exact_entropy_oracle(bare)

@@ -229,7 +229,7 @@ class TestRunRoundExact:
 
 class TestSampling:
     def test_identity_sift_is_deterministic(self):
-        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
+        sampler = RoundSampler(identity_attack(2))
         rng = np.random.default_rng(1)
         ab, c = np.divmod(sampler.draw_sift(rng.random(20)), 4)
         a, b = np.divmod(ab, 4)
@@ -238,12 +238,12 @@ class TestSampling:
         np.testing.assert_array_equal(a, np.where(b == 0, 0, 1))
 
     def test_identity_ctrl_always_passes(self):
-        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
+        sampler = RoundSampler(identity_attack(2))
         rng = np.random.default_rng(2)
         assert sampler.draw_ghz(rng.random(20)).all()
 
     def test_ctrl_ztest_outcome_fields(self):
-        sampler = RoundSampler(identity_attack(2), ProtocolParams(n=2))
+        sampler = RoundSampler(identity_attack(2))
         rng = np.random.default_rng(3)
         a, c = np.divmod(sampler.draw_ztest(rng.random(20)), 4)
         assert set(a.tolist()) <= {0, 1} and set(c.tolist()) <= {0, 3}
@@ -299,8 +299,6 @@ class TestSampling:
 
     def test_n_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="params n=3 != attack n=2"):
-            RoundSampler(identity_attack(2), ProtocolParams(n=3))
-        with pytest.raises(ValidationError, match="params n=3 != attack n=2"):
             run_session(ProtocolParams(n=3), identity_attack(2),
                         expand_theta_schedule(1, 100), 1)
 
@@ -331,6 +329,8 @@ class TestSchedule:
     def test_too_many_ctrl(self):
         with pytest.raises(DomainError):
             expand_theta_schedule(b"x", 4, 5)
+        with pytest.raises(DomainError, match="num_ctrl -1 outside"):
+            expand_theta_schedule(b"x", 4, -1)
 
     def test_theta_lookup(self):
         s = ThetaSchedule(num_rounds=5, ctrl_indices=(2, 4))

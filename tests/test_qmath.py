@@ -27,10 +27,7 @@ from sqcka.qmath import (
     complement_index,
     conditional_entropy,
     density_from_state,
-    index_to_bits,
     partial_trace,
-    project,
-    reduced_spectrum,
     tensor,
     von_neumann_entropy,
 )
@@ -49,7 +46,6 @@ def random_state(rng, dim):
 class TestBitHelpers:
     def test_round_trip(self):
         assert bits_to_index("011") == 3
-        assert index_to_bits(3, 3) == "011"
         assert bits_to_index((1, 0)) == 2
 
     def test_complement(self):
@@ -59,8 +55,6 @@ class TestBitHelpers:
     def test_bad_bits(self):
         with pytest.raises(DomainError):
             bits_to_index("012")
-        with pytest.raises(DomainError):
-            index_to_bits(8, 3)
 
 
 class TestRegisterLayout:
@@ -71,7 +65,6 @@ class TestRegisterLayout:
         assert lay.basis_index({"A": 1, "T": 0, "B": 0}) == 16
         assert lay.basis_index({"A": 0, "T": 3, "B": 2}) == 14
         assert lay.axes_of(("B", "A")) == (0, 2)
-        assert lay.dim_of(("A", "B")) == 8
 
     def test_errors(self):
         with pytest.raises(LayoutError):
@@ -85,7 +78,6 @@ class TestRegisterLayout:
     def test_restrict_keeps_order(self):
         lay = RegisterLayout([("A", 2), ("T", 4), ("B", 4)])
         assert lay.restrict(("B", "A")).labels == ("A", "B")
-        assert lay.without(("T",)).labels == ("A", "B")
 
 
 class TestStateVector:
@@ -269,27 +261,6 @@ class TestPartialTrace:
         np.testing.assert_allclose(rho_ae.entries, full, atol=1e-14)
 
 
-class TestProject:
-    def test_half_probability(self):
-        plus = StateVector(np.array([1, 1]) / math.sqrt(2))
-        p, post = project(plus, np.diag([1.0, 0.0]))
-        assert p == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(post.amps, [1, 0], atol=1e-12)
-
-    def test_full_overlap(self):
-        bell = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
-        p, post = project(bell, np.outer(bell.amps, bell.amps.conj()))
-        assert p == pytest.approx(1.0, abs=1e-12)
-
-    def test_null_branch(self):
-        p, post = project(basis_state(2, 0), np.diag([0.0, 1.0]))
-        assert p == 0.0 and post is None
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValidationError):
-            project(basis_state(2, 0), np.diag([0.5, 0.5]))
-
-
 class TestEntropies:
     def test_maximally_mixed_qubit(self):
         rho = DensityOperator(np.eye(2) / 2)
@@ -323,16 +294,6 @@ class TestEntropies:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_reduced_spectrum_matches_partial_trace(self):
-        rng = np.random.default_rng(9)
-        lay = RegisterLayout([("A", 2), ("E", 4), ("T", 3)])
-        s = random_state(rng, 24)
-        spec = reduced_spectrum(s, lay, ("A", "E"))
-        red = partial_trace(density_from_state(s), lay, ("A", "E"))
-        ref = np.sort(np.linalg.eigvalsh(red.entries))
-        ref = ref[ref > 1e-12]
-        np.testing.assert_allclose(np.sort(spec), ref, atol=1e-12)
 
 
 class TestConditionalEntropy:
