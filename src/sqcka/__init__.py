@@ -23,7 +23,6 @@ from .estimation import (
 )
 from .keyrate import (
     KeyRateReport,
-    PairedTerm,
     PairingPlan,
     depolarizing_entropy_lower,
     depolarizing_keyrate,

@@ -91,6 +91,8 @@ class ConditionalChannelTable:
         if bwd.shape != (2, d, d):
             raise ValidationError(f"backward table must be (2, {d}, {d}), got {bwd.shape}")
         for name, tab in (("forward", fwd), ("backward", bwd)):
+            if not np.isfinite(tab).all():
+                raise ValidationError(f"{name} table has non-finite entries")
             if tab.min() < -TABLE_ATOL:
                 raise ValidationError(f"{name} table has negative entries")
             sums = tab.sum(axis=-1)
@@ -119,10 +121,12 @@ class ConditionalChannelTable:
 
 
 def validate_gram(gram: np.ndarray, d: int) -> np.ndarray:
-    """Check an Eve-overlap table: symmetric, unit diagonal, PSD."""
+    """Check an Eve-overlap table: finite, symmetric, unit diagonal, PSD."""
     g = np.asarray(gram, dtype=np.float64)
     if g.shape != (2, d, d, 2, d, d):
         raise ValidationError(f"gram must have shape (2,{d},{d})^2, got {g.shape}")
+    if not math.isfinite(g.sum()):  # a sum, so no temporary of the Gram's size
+        raise ValidationError("gram has non-finite entries")
     flat = g.reshape(2 * d * d, 2 * d * d)
     if np.max(np.abs(flat - flat.T)) > 1e-12:
         raise ValidationError("gram is not symmetric")
@@ -310,15 +314,14 @@ class EveVectorCatalogue:
 def eve_catalogue(params: DepolarizingParams) -> EveVectorCatalogue:
     """Branch norms of the depolarizing round, global convention."""
     q, qt, n = params.q, params.qtilde, params.n
-    half_d = 2.0 ** (n + 1)
-    half_d2 = 2.0 ** (2 * n + 1)
-    mixed = (q * (1 - qt) + (1 - q) * qt) / half_d
-    tail = q * qt / half_d2
+    # x / 2^k as ldexp(x, -k): the same value, and no overflow at large n
+    mixed = math.ldexp(q * (1 - qt) + (1 - q) * qt, -(n + 1))
+    tail = math.ldexp(q * qt, -(2 * n + 1))
     return EveVectorCatalogue(
         n=n,
         norm_aaa=(1 - q) * (1 - qt) / 2.0 + mixed + tail,
-        norm_aac=(1 - q) * qt / half_d + tail,
-        norm_abb=q * (1 - qt) / half_d + tail,
+        norm_aac=math.ldexp((1 - q) * qt, -(n + 1)) + tail,
+        norm_abb=math.ldexp(q * (1 - qt), -(n + 1)) + tail,
         norm_abc=tail,
         cross_overlap=(1 - q) * (1 - qt) / 2.0,
     )
@@ -374,7 +377,7 @@ def depolarizing_attack(params: DepolarizingParams) -> CollectiveAttack:
 
 def p_ghz_analytic(params: DepolarizingParams) -> float:
     """Probability that a reflected round still projects onto the GHZ state."""
-    return 1.0 - params.q_ghz * (1.0 - 1.0 / 2.0 ** (params.n + 1))
+    return 1.0 - params.q_ghz * (1.0 - math.ldexp(1.0, -(params.n + 1)))
 
 
 def joint_az_analytic(a: int, c: int, params: DepolarizingParams,
@@ -394,7 +397,7 @@ def joint_az_analytic(a: int, c: int, params: DepolarizingParams,
         strength = params.qtilde
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    p = strength / (2.0 * d)
+    p = math.ldexp(strength, -(params.n + 1))  # strength / (2 d)
     if c == va:
         p += (1.0 - strength) / 2.0
     return p
@@ -440,6 +443,8 @@ def load_attack_file(path) -> CollectiveAttack:
                 val = float(parts[-1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: cannot parse {line!r} ({exc})")
+            if not math.isfinite(val):
+                raise ValidationError(f"{path}:{lineno}: value {parts[-1]!r} is not finite")
             if section == "GRAM":
                 idx = min(idx, idx[3:] + idx[:3])
             if idx in rows[section]:

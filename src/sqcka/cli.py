@@ -46,6 +46,9 @@ FIGURE_NS = (3, 5, 7)
 FIGURE_STEP = 0.005
 BISECT_TOL = 1e-4
 
+#: Cap on the points of one strength grid and on the rows of one sweep.
+GRID_CAP = 10 ** 6
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
@@ -286,6 +289,9 @@ def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
         raise qmath.DomainError(f"{flag} range {text!r} has lo > hi")
     if step <= 0:
         raise qmath.DomainError(f"step {step} must be positive")
+    if (hi - lo) / step >= GRID_CAP:
+        raise qmath.CapacityError(f"{flag} {text!r} with step {step} has over "
+                                  f"GRID_CAP = {GRID_CAP} points")
     out = []
     k = 0
     while True:
@@ -319,6 +325,10 @@ class SweepSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise qmath.DomainError(f"unknown mode {mode!r}")
+        rows = len(self.ns) * len(self.qs) * len(self.qtildes) * len(self.modes)
+        if rows > GRID_CAP:
+            raise qmath.CapacityError(f"the sweep has {rows} rows, over "
+                                      f"GRID_CAP = {GRID_CAP}")
 
 
 def _sweep_rows(spec: SweepSpec):

@@ -2,9 +2,11 @@
 
 The bound pairs each of Eve's post-round branches tagged to sender bit 0
 with one tagged to bit 1 (a pairing plan); every plan yields a valid lower
-bound on S(A|E), so the search over plans only tightens it.  For the
-depolarizing channel everything collapses to a closed form in the all-equal
-branch weight and the branch overlap.
+bound on S(A|E), so the search over plans only tightens it.  The bound of
+one plan is written once, in ``_plan_value``: the pairing search calls it
+directly, and ``theorem1_entropy_bound(terms_from_plan(...))`` is its
+checked public entry.  For the depolarizing channel everything collapses to
+a closed form in the all-equal branch weight and the branch overlap.
 
 Two closed-form modes are first class and emitted side by side:
 
@@ -43,7 +45,7 @@ from .qmath import (
 
 MODES = ("paper_literal", "theorem_exact")
 
-#: Cauchy-Schwarz slack when validating paired terms.
+#: Slack of the non-negative weight and Cauchy-Schwarz checks on paired terms.
 CS_ATOL = 1e-12
 
 #: Cap on the 2-opt pairing search (bound evaluations).
@@ -54,41 +56,6 @@ EXHAUSTIVE_DIM = 4
 
 #: Cap on the oracle eigenproblem dimension.
 ORACLE_DIM_CAP = 4096
-
-
-@dataclass(frozen=True)
-class PairedTerm:
-    """One matched pair of Eve branches: weights and their raw Re overlap.
-
-    ``re_overlap`` refers to the *unnormalized* pair, so Cauchy-Schwarz
-    bounds it by sqrt(q0 q1).
-    """
-
-    q0: float
-    q1: float
-    re_overlap: float
-
-    def __post_init__(self):
-        if self.q0 < -CS_ATOL or self.q1 < -CS_ATOL:
-            raise ValidationError(f"negative weights ({self.q0}, {self.q1})")
-        lim = math.sqrt(max(self.q0, 0.0) * max(self.q1, 0.0))
-        if abs(self.re_overlap) > lim + CS_ATOL:
-            raise ValidationError(
-                f"|Re overlap| {abs(self.re_overlap):.6g} exceeds sqrt(q0*q1) {lim:.6g}")
-
-
-@dataclass(frozen=True)
-class EntropyBoundInput:
-    """Paired terms plus the total normalization of the underlying state."""
-
-    normalization: float
-    terms: tuple[PairedTerm, ...]
-
-    def __post_init__(self):
-        mass = sum(t.q0 + t.q1 for t in self.terms)
-        if abs(mass - self.normalization) > 1e-12 * max(1.0, self.normalization):
-            raise ValidationError(
-                f"term mass {mass!r} != declared normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +72,22 @@ class PairingPlan:
                 raise ValidationError(f"{name} is not a permutation: {pi}")
 
 
-def identity_plan(d: int, strategy: str = "identity") -> PairingPlan:
-    return PairingPlan(tuple(range(d)), tuple(range(d)), strategy)
+def identity_plan(d: int) -> PairingPlan:
+    return PairingPlan(tuple(range(d)), tuple(range(d)), "identity")
 
 
-def complement_plan(d: int, strategy: str = "complement") -> PairingPlan:
+def complement_plan(d: int) -> PairingPlan:
     rev = tuple(i ^ (d - 1) for i in range(d))
-    return PairingPlan(rev, rev, strategy)
+    return PairingPlan(rev, rev, "complement")
+
+
+@dataclass(frozen=True)
+class EntropyBoundInput:
+    """A checked weight table, Eve's Gram, and the plan that pairs them."""
+
+    weights: np.ndarray
+    gram: np.ndarray
+    plan: PairingPlan
 
 
 @dataclass(frozen=True)
@@ -123,26 +99,6 @@ class KeyRateReport:
     r_min: float
     mode: str
     params: dict = field(default_factory=dict)
-
-
-def lambda_term(term: PairedTerm) -> float:
-    """Largest eigenvalue fraction of the paired two-branch block."""
-    s = term.q0 + term.q1
-    if s <= 0.0:
-        raise DomainError("lambda of a zero-weight pair is undefined")
-    root = math.sqrt((term.q0 - term.q1) ** 2 + 4.0 * term.re_overlap ** 2)
-    return min(max(0.5 * (1.0 + root / s), 0.5), 1.0)
-
-
-def theorem1_entropy_bound(inp: EntropyBoundInput) -> float:
-    """Entropy lower bound from paired branches, in bits (raw, unclamped)."""
-    total = 0.0
-    for t in inp.terms:
-        s = t.q0 + t.q1
-        if s <= 0.0:
-            continue
-        total += s * (binary_entropy(t.q0 / s) - binary_entropy(lambda_term(t)))
-    return total / inp.normalization
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +124,12 @@ def _cross_gram_at(gram: np.ndarray, pi1: np.ndarray, pi2: np.ndarray) -> np.nda
 
 def _plan_value(w: np.ndarray, gram: np.ndarray, pi1: np.ndarray,
                 pi2: np.ndarray) -> float:
+    """The Theorem-1 bound of one plan on non-negative weights, in bits.
+
+    Branch (0, b, b') pairs with (1, pi1[b], pi2[b']); a pair of weight
+    s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the largest eigenvalue
+    fraction of its block, and the sum is divided by the total weight.
+    """
     q0 = w[0]
     q1 = w[1][pi1][:, pi2]
     re = np.sqrt(q0 * q1) * _cross_gram_at(gram, pi1, pi2)
@@ -182,26 +144,44 @@ def _plan_value(w: np.ndarray, gram: np.ndarray, pi1: np.ndarray,
     return float(val.sum() / w.sum())
 
 
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """A finite (2, d, d) weight table >= -``CS_ATOL`` with mass, clamped to >= 0."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 3 or w.shape[0] != 2 or w.shape[1] != w.shape[2] or not w.size:
+        raise ValidationError(f"weights must be (2, d, d), got {w.shape}")
+    if not (np.isfinite(w).all() and w.min() >= -CS_ATOL):
+        raise ValidationError("weights must be finite and non-negative")
+    w = np.clip(w, 0.0, None)
+    if not w.sum() > 0.0:
+        raise ValidationError("weights have zero total mass")
+    return w
+
+
 def terms_from_plan(weights: np.ndarray, gram: np.ndarray,
                     plan: PairingPlan) -> EntropyBoundInput:
-    """Assemble the paired terms a plan induces on a weight table.
+    """Check a weight table, Gram and plan for :func:`theorem1_entropy_bound`.
 
     ``weights[a, b, b']`` are the branch weights p(b|a) p'(b'|ab); any
-    overall normalization is carried through.
+    overall normalization is carried through.  Every paired overlap must
+    satisfy Cauchy-Schwarz, |Re| <= sqrt(q0 q1) + ``CS_ATOL``.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = _checked_weights(weights)
     d = w.shape[1]
-    pi1 = np.asarray(plan.pi1)
-    pi2 = np.asarray(plan.pi2)
-    g = _cross_gram_at(np.asarray(gram, dtype=np.float64), pi1, pi2)
-    terms = []
-    for b in range(d):
-        for bp in range(d):
-            q0 = float(w[0, b, bp])
-            q1 = float(w[1, pi1[b], pi2[bp]])
-            re = math.sqrt(max(q0, 0.0) * max(q1, 0.0)) * float(g[b, bp])
-            terms.append(PairedTerm(q0, q1, re))
-    return EntropyBoundInput(normalization=float(w.sum()), terms=tuple(terms))
+    g = np.asarray(gram, dtype=np.float64)
+    if g.shape != (2, d, d) * 2 or len(plan.pi1) != d or len(plan.pi2) != d:
+        raise ValidationError(f"gram {g.shape} or plan does not fit d = {d} weights")
+    pi1, pi2 = np.asarray(plan.pi1), np.asarray(plan.pi2)
+    lim = np.sqrt(w[0] * w[1][pi1][:, pi2])
+    excess = float(np.max(np.abs(lim * _cross_gram_at(g, pi1, pi2)) - lim))
+    if not excess <= CS_ATOL:
+        raise ValidationError(f"a paired |Re overlap| exceeds sqrt(q0*q1) by {excess:.6g}")
+    return EntropyBoundInput(w, g, plan)
+
+
+def theorem1_entropy_bound(inp: EntropyBoundInput) -> float:
+    """Entropy lower bound of one checked plan, in bits (raw, unclamped)."""
+    return _plan_value(inp.weights, inp.gram, np.asarray(inp.plan.pi1),
+                       np.asarray(inp.plan.pi2))
 
 
 def _greedy_plan(w: np.ndarray) -> PairingPlan:
@@ -249,28 +229,21 @@ def _greedy_search(w: np.ndarray, g: np.ndarray) -> tuple[PairingPlan, float]:
     """Best of the identity, complement and greedy plans, polished by capped 2-opt."""
     d = w.shape[1]
     candidates = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
-    scored = [(_plan_value(w, g, np.asarray(p.pi1), np.asarray(p.pi2)), p)
-              for p in candidates]
-    seed_val, seed = max(scored, key=lambda vp: vp[0])
-    plan, val, _ = _two_opt(w, g, seed, MAX_PAIRING_EVALS)
-    if val < seed_val:
-        return seed, seed_val
-    return plan, val
+    seed = max(candidates,
+               key=lambda p: _plan_value(w, g, np.asarray(p.pi1), np.asarray(p.pi2)))
+    return _two_opt(w, g, seed, MAX_PAIRING_EVALS)[:2]
 
 
 def pairing_maximize(weights: np.ndarray, gram: np.ndarray) -> tuple[PairingPlan, float]:
     """Best pairing plan found and its bound value.
 
     Any plan is a valid lower bound; the exhaustive search (channel
-    dimension <= 4) is globally optimal, larger dimensions seed the
-    complement pairing and polish with capped 2-opt.  The result never
-    falls below the identity plan.
+    dimension <= 4) is globally optimal, larger dimensions seed with the
+    best of the identity, complement and greedy plans and polish with
+    capped 2-opt.  The result never falls below the identity plan.  The
+    weights are checked and clamped once, here, as in :func:`terms_from_plan`.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 3 or w.shape[0] != 2 or w.shape[1] != w.shape[2]:
-        raise ValidationError(f"weights must be (2, d, d), got {w.shape}")
-    if w.min() < -1e-12:
-        raise ValidationError("negative weights")
+    w = _checked_weights(weights)
     d = w.shape[1]
     g = np.asarray(gram, dtype=np.float64)
     if d > EXHAUSTIVE_DIM:
@@ -302,7 +275,8 @@ def depolarizing_entropy_lower(params: DepolarizingParams, mode: str) -> float:
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     cat = eve_catalogue(params)
-    lam = 0.5 * (1.0 + cat.cross_overlap / cat.norm_aaa)
+    # norm_aaa >= cross_overlap, and it is 0 only by underflow at huge n
+    lam = 0.5 * (1.0 + cat.cross_overlap / cat.norm_aaa) if cat.norm_aaa else 0.5
     literal = cat.norm_aaa * (1.0 - binary_entropy(min(lam, 1.0)))
     return literal if mode == "paper_literal" else 2.0 * literal
 

@@ -47,6 +47,9 @@ from .qmath import (
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+#: Cap on a session's round count: its outcome columns take ~5 bytes a round.
+ROUNDS_CAP = 10 ** 8
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -408,6 +411,12 @@ class RoundSampler:
 # ---------------------------------------------------------------------------
 
 
+def check_rounds(num_rounds: int) -> None:
+    """Raise :class:`CapacityError`, before any allocation, past ``ROUNDS_CAP``."""
+    if num_rounds > ROUNDS_CAP:
+        raise CapacityError(f"{num_rounds} rounds exceed ROUNDS_CAP = {ROUNDS_CAP}")
+
+
 def default_ctrl_count(num_rounds: int) -> int:
     """Default CTRL budget: ceil(sqrt(N)) rounds."""
     return math.isqrt(max(num_rounds, 0) - 1) + 1 if num_rounds > 0 else 0
@@ -463,6 +472,7 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     """
     if num_rounds < 0:
         raise DomainError(f"negative round count {num_rounds}")
+    check_rounds(num_rounds)
     if num_ctrl is None:
         num_ctrl = default_ctrl_count(num_rounds)
     if not 0 <= num_ctrl <= num_rounds:
@@ -517,6 +527,7 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
                           "outside [0, 1)")
     if params.n != attack.n:
         raise ValidationError(f"params n={params.n} != attack n={attack.n}")
+    check_rounds(schedule.num_rounds)
     base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
         else int(rng)
     if base < 0:

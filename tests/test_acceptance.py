@@ -13,11 +13,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import random_table_attack
 from sqcka import estimation, keyrate, protocol
 from sqcka.attacks import (
-    ConditionalChannelTable,
     DepolarizingParams,
-    attack_from_tables,
     depolarizing_attack,
     eve_catalogue,
     identity_attack,
@@ -128,15 +127,12 @@ def test_a2_dilation_matches_closed_forms():
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
 
 
-def _random_table_attack(rng, n):
-    d = 1 << n
-    fwd = rng.dirichlet(np.ones(d), size=2)
-    bwd = rng.dirichlet(np.ones(d), size=(2, d))
-    dim = 2 * d * d
-    vecs = rng.normal(size=(dim, int(rng.integers(2, dim + 1))))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
-    return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram)
+def _plan_bound(w, gram, plan):
+    """The checked entry's bound, asserted equal to the search's evaluator."""
+    bound = theorem1_entropy_bound(terms_from_plan(w, gram, plan))
+    assert bound == keyrate._plan_value(w, gram, np.asarray(plan.pi1),
+                                        np.asarray(plan.pi2))
+    return bound
 
 
 def test_a3_bound_never_exceeds_oracle():
@@ -150,15 +146,12 @@ def test_a3_bound_never_exceeds_oracle():
                 params = DepolarizingParams(q, qt, n)
                 atk = depolarizing_attack(params)
                 oracle = exact_entropy_oracle(atk)
-                w = np.einsum("ab,abc->abc", atk.tables.forward,
-                              atk.tables.backward)
+                w = atk.tables.weights
                 plans = [identity_plan(d), complement_plan(d)]
                 best_plan, best = pairing_maximize(w, atk.gram)
                 plans.append(best_plan)
                 for plan in plans:
-                    bound = theorem1_entropy_bound(
-                        terms_from_plan(w, atk.gram, plan))
-                    worst = max(worst, bound - oracle)
+                    worst = max(worst, _plan_bound(w, atk.gram, plan) - oracle)
                 worst = max(worst, best - oracle)
                 worst = max(worst,
                             depolarizing_entropy_lower(params, "theorem_exact")
@@ -167,25 +160,22 @@ def test_a3_bound_never_exceeds_oracle():
         for k in range(100):
             n = 1 + k % 2
             d = 1 << n
-            atk = _random_table_attack(rng, n)
+            atk = random_table_attack(rng, n)
             oracle = exact_entropy_oracle(atk)
-            w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward)
+            w = atk.tables.weights
             plans = [identity_plan(d), complement_plan(d)]
             perm = tuple(rng.permutation(d))
             plans.append(keyrate.PairingPlan(perm, tuple(rng.permutation(d))))
             _, best = pairing_maximize(w, atk.gram)
             for plan in plans:
-                bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
-                worst = max(worst, bound - oracle)
+                worst = max(worst, _plan_bound(w, atk.gram, plan) - oracle)
             worst = max(worst, best - oracle)
         assert worst <= 1e-9, f"bound exceeded oracle by {worst:.3e}"
 
         # noiseless saturation at 1 bit
         atk0 = identity_attack(2)
         oracle0 = exact_entropy_oracle(atk0)
-        w0 = np.einsum("ab,abc->abc", atk0.tables.forward, atk0.tables.backward)
-        bound0 = theorem1_entropy_bound(
-            terms_from_plan(w0, atk0.gram, complement_plan(4)))
+        bound0 = _plan_bound(atk0.tables.weights, atk0.gram, complement_plan(4))
         assert abs(oracle0 - 1.0) <= 1e-10, f"oracle {oracle0!r}"
         assert abs(bound0 - 1.0) <= 1e-10, f"bound {bound0!r}"
 

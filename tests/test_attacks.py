@@ -69,6 +69,15 @@ class TestConditionalProbabilities:
         np.testing.assert_allclose(tab.forward.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(tab.backward.sum(axis=2), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("table", ["forward", "backward"])
+    def test_non_finite_rejected(self, table, bad):
+        tab = depolarizing_tables(DepolarizingParams(0.1, 0.2, 1))
+        fwd, bwd = np.array(tab.forward), np.array(tab.backward)
+        (fwd if table == "forward" else bwd)[1, 0] = bad
+        with pytest.raises(ValidationError, match=f"{table} table has non-finite"):
+            ConditionalChannelTable(fwd, bwd)
+
     def test_non_stochastic_rejected(self):
         fwd = np.array([[0.5, 0.4], [0.0, 1.0]])
         bwd = np.zeros((2, 2, 2))
@@ -138,6 +147,15 @@ class TestPGhzAnalytic:
         assert p_ghz_analytic(DepolarizingParams(1.0, 0.7, n)) == \
             pytest.approx(0.5 ** (n + 1), abs=1e-12)
 
+    def test_huge_n_is_finite(self):
+        # 2^(n + 1) and 2^(2n + 1) overflow a float here; the closed forms do not
+        for q, qt in ((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)):
+            params = DepolarizingParams(q, qt, 2000)
+            cat = eve_catalogue(params)
+            assert math.isfinite(p_ghz_analytic(params))
+            assert math.isfinite(joint_az_analytic(0, 1, params))
+            assert all(math.isfinite(v) for v in cat.norms.values())
+
 
 class TestJointAz:
     def test_modes_agree_at_zero_forward(self):
@@ -196,6 +214,13 @@ class TestGramValidation:
         g = np.array(identity_gram(2))
         g[0, 0, 0, 0, 0, 0] = 0.9
         with pytest.raises(ValidationError, match="diagonal"):
+            validate_gram(g, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = np.array(identity_gram(2))
+        g[0, 0, 0, 1, 1, 1] = g[1, 1, 1, 0, 0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
             validate_gram(g, 2)
 
     def test_depolarizing_gram_valid(self):
@@ -379,6 +404,19 @@ class TestAttackFiles:
         path = tmp_path / "dup.attack"
         path.write_text(self.PLAIN.replace(old, new, 1))
         with pytest.raises(ValidationError, match=r"dup\.attack:\d+: duplicate"):
+            load_attack_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("0 0 0.9\n", "0 0 {}\n", 2),
+        ("0 0 0 1\n", "0 0 0 {}\n", 7),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 1 1 1 {}\n", 16),
+    ], ids=["forward", "backward", "gram"])
+    def test_non_finite_value_rejected(self, tmp_path, old, new, lineno, value):
+        path = tmp_path / "nf.attack"
+        path.write_text(self.PLAIN.replace(old, new.format(value), 1))
+        with pytest.raises(ValidationError,
+                           match=rf"nf\.attack:{lineno}: value '{value}' is not finite"):
             load_attack_file(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):

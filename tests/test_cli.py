@@ -1,10 +1,12 @@
 """Command-line front-end tests: exit codes, CSV schemas, determinism."""
 
+import math
+
 import pytest
 
 from sqcka import cli
 from sqcka.cli import _parse_range, find_rate_crossing, main
-from sqcka.qmath import DomainError
+from sqcka.qmath import CapacityError, DomainError
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +31,13 @@ class TestParseRange:
     def test_non_finite_rejected(self, text, step):
         with pytest.raises(DomainError, match="not finite"):
             _parse_range(text, step)
+
+    def test_grid_cap_checked_before_building(self):
+        # 1e-10 would build 10^10 points; with 5e-324, (hi - lo) / step is inf
+        for step in (1e-10, 5e-324):
+            with pytest.raises(CapacityError, match="GRID_CAP"):
+                _parse_range("0:1", step, "--q")
+        assert len(_parse_range("0:1", 1.0 / (cli.GRID_CAP - 1))) == cli.GRID_CAP
 
 
 class TestVerify:
@@ -73,6 +82,20 @@ class TestSweep:
         main(["sweep", "--n", "2,3", "--q", "0:0.2", "--qtilde", "0:0.2",
               "--q-step", "0.1", "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_huge_n_rows_are_finite(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--n", "2000", "--q", "0:1",
+                            "--qtilde", "0:1", "--q-step", "0.5")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 18
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(",")[4:])
+
+    def test_sweep_rows_capped(self, capsys):
+        code = main(["sweep", "--q", "0:1", "--qtilde", "0:1", "--q-step", "1e-4"])
+        assert code == 2
+        assert "rows, over GRID_CAP" in capsys.readouterr().err
 
     def test_row_order(self, capsys):
         _, out = run_cli(capsys, "sweep", "--n", "3,2", "--q", "0:0.1",
@@ -252,7 +275,10 @@ class TestCleanExits:
         (("sweep", "--q", "0.5:0.1"), "--q range '0.5:0.1' has lo > hi"),
         (("simulate", "--ctrl-count", "-1", "--rounds", "10"),
          "num_ctrl -1 outside 0..num_rounds"),
-    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count"])
+        (("sweep", "--q", "0:1", "--q-step", "1e-10"), "over GRID_CAP"),
+        (("simulate", "--rounds", "1000000000000", "--ctrl-count", "10"),
+         "exceed ROUNDS_CAP"),
+    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "rounds"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_table_attack
 from sqcka import keyrate, protocol, qmath
 from sqcka.attacks import (
-    ConditionalChannelTable,
     DepolarizingParams,
     attack_from_tables,
     depolarizing_attack,
@@ -21,8 +21,6 @@ from sqcka.attacks import (
     identity_attack,
 )
 from sqcka.keyrate import (
-    EntropyBoundInput,
-    PairedTerm,
     PairingPlan,
     complement_plan,
     depolarizing_entropy_lower,
@@ -30,7 +28,6 @@ from sqcka.keyrate import (
     exact_entropy_oracle,
     identity_plan,
     keyrate_lower,
-    lambda_term,
     pairing_maximize,
     qbob,
     terms_from_plan,
@@ -59,60 +56,132 @@ def entropy_from_sift_state(state, layout):
     return s_ae - s_e
 
 
-def random_table_attack(rng, n, dense_gram=True):
-    d = 1 << n
-    fwd = rng.dirichlet(np.ones(d), size=2)
-    bwd = rng.dirichlet(np.ones(d), size=(2, d))
-    if dense_gram:
-        dim = 2 * d * d
-        vecs = rng.normal(size=(dim, rng.integers(2, dim + 1)))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
-    else:
-        gram = None
-    return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram)
+def paired_bound(*pairs):
+    """Bound of the identity plan on a d = 2 table holding the given pairs.
+
+    Each pair is (q0, q1, re): the weights of branches (0, b, b') and
+    (1, b, b') and their raw Re overlap; cells past the pairs have weight 0.
+    """
+    w = np.zeros((2, 2, 2))
+    gram = np.eye(8).reshape(2, 2, 2, 2, 2, 2)
+    for k, (q0, q1, re) in enumerate(pairs):
+        b, bp = divmod(k, 2)
+        w[:, b, bp] = q0, q1
+        g = re / math.sqrt(q0 * q1) if re else 0.0
+        gram[0, b, bp, 1, b, bp] = gram[1, b, bp, 0, b, bp] = g
+    return theorem1_entropy_bound(terms_from_plan(w, gram, identity_plan(2)))
+
+
+def scalar_bound(w, gram, plan):
+    """Reference: the Theorem-1 bound by a Python loop over the paired branches."""
+    total = 0.0
+    for b, bp in itertools.product(range(w.shape[1]), repeat=2):
+        c, cp = plan.pi1[b], plan.pi2[bp]
+        q0, q1 = w[0, b, bp], w[1, c, cp]
+        s = q0 + q1
+        if s > 0.0:
+            re = math.sqrt(q0 * q1) * gram[0, b, bp, 1, c, cp]
+            lam = min(0.5 * (1.0 + math.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / s), 1.0)
+            total += s * (qmath.binary_entropy(q0 / s) - qmath.binary_entropy(lam))
+    return total / w.sum()
 
 
 class TestLambdaTerm:
+    """The largest eigenvalue fraction lam of one paired block, read off the
+    bound of a single pair of weights (q, q): 1 - h(lam)."""
+
     def test_noiseless_pair_saturates(self):
-        assert lambda_term(PairedTerm(0.5, 0.5, 0.5)) == pytest.approx(1.0)
+        assert paired_bound((0.5, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)  # lam = 1
 
     def test_orthogonal_symmetric_pair(self):
-        assert lambda_term(PairedTerm(0.3, 0.3, 0.0)) == pytest.approx(0.5)
+        assert paired_bound((0.3, 0.3, 0.0)) == pytest.approx(0.0, abs=1e-12)  # lam = 1/2
 
     def test_depolarizing_reference_values(self):
         # n=2, Q=0.1, Q~=0.2 all-equal pair in the global convention
-        lam = lambda_term(PairedTerm(0.79 / 2, 0.79 / 2, 0.36))
-        assert lam == pytest.approx(0.5 * (1 + 0.72 / 0.79), abs=1e-12)
+        bound = paired_bound((0.79 / 2, 0.79 / 2, 0.36))
+        lam = 0.5 * (1 + 0.72 / 0.79)
         assert lam == pytest.approx(0.9557, abs=1e-4)
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(DomainError):
-            lambda_term(PairedTerm(0.0, 0.0, 0.0))
+        assert bound == pytest.approx(1.0 - qmath.binary_entropy(lam), abs=1e-12)
 
     def test_cauchy_schwarz_enforced(self):
-        with pytest.raises(ValidationError):
-            PairedTerm(0.25, 0.25, 0.3)
+        with pytest.raises(ValidationError, match="sqrt"):
+            paired_bound((0.25, 0.25, 0.3))
 
 
 class TestTheorem1Bound:
     def test_decoupled_eavesdropper_gives_one_bit(self):
-        inp = EntropyBoundInput(1.0, (PairedTerm(0.5, 0.5, 0.5),))
-        assert theorem1_entropy_bound(inp) == pytest.approx(1.0, abs=1e-12)
+        assert paired_bound((0.5, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_symmetric_terms_give_zero(self):
-        terms = tuple(PairedTerm(0.25, 0.25, 0.0) for _ in range(2))
-        assert theorem1_entropy_bound(EntropyBoundInput(1.0, terms)) == \
+        assert paired_bound((0.25, 0.25, 0.0), (0.25, 0.25, 0.0)) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_zero_weight_terms_skip(self):
-        inp = EntropyBoundInput(1.0, (PairedTerm(0.5, 0.5, 0.5),
-                                      PairedTerm(0.0, 0.0, 0.0)))
-        assert theorem1_entropy_bound(inp) == pytest.approx(1.0, abs=1e-12)
+        assert paired_bound((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)) == \
+            pytest.approx(1.0, abs=1e-12)
+        w = np.zeros((2, 2, 2))
+        w[:, 0, 0] = 0.5
+        ones = np.ones((2, 2, 2, 2, 2, 2))
+        bound = theorem1_entropy_bound(terms_from_plan(w, ones, complement_plan(2)))
+        assert bound == pytest.approx(0.0, abs=1e-12)  # (0,0,0) pairs with a 0
 
-    def test_normalization_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            EntropyBoundInput(2.0, (PairedTerm(0.5, 0.5, 0.0),))
+    def test_normalization_is_the_total_weight(self):
+        # scaling every weight leaves the bound unchanged
+        one = paired_bound((0.5, 0.5, 0.5), (0.25, 0.25, 0.0))
+        assert paired_bound((1.0, 1.0, 1.0), (0.5, 0.5, 0.0)) == \
+            pytest.approx(one, abs=1e-12)
+        assert one == pytest.approx(1.0 / 1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("bad,match", [
+        (-1e-9, "non-negative"), (math.nan, "finite"), (math.inf, "finite")])
+    def test_bad_weights_rejected(self, bad, match):
+        w = np.full((2, 2, 2), 0.125)
+        w[1, 1, 0] = bad
+        for call in (lambda: terms_from_plan(w, np.ones((2, 2, 2) * 2),
+                                             identity_plan(2)),
+                     lambda: pairing_maximize(w, np.ones((2, 2, 2) * 2))):
+            with pytest.raises(ValidationError, match=match):
+                call()
+
+    def test_shapes_checked(self):
+        w = np.full((2, 2, 2), 0.125)
+        with pytest.raises(ValidationError, match="weights must be"):
+            terms_from_plan(w[:, :1], np.ones((2, 2, 2) * 2), identity_plan(2))
+        with pytest.raises(ValidationError, match="does not fit d = 2"):
+            terms_from_plan(w, np.ones((2, 4, 4) * 2), identity_plan(2))
+        with pytest.raises(ValidationError, match="does not fit d = 2"):
+            terms_from_plan(w, np.ones((2, 2, 2) * 2), identity_plan(4))
+        with pytest.raises(ValidationError, match="zero total mass"):
+            terms_from_plan(0 * w, np.ones((2, 2, 2) * 2), identity_plan(2))
+
+    def test_tiny_negative_weights_clamped(self):
+        # within -1e-12 a weight counts as 0: no sqrt of a negative product
+        w = np.full((2, 2, 2), 0.125)
+        w[0, 1, 1] = -1e-13
+        gram = np.ones((2, 2, 2) * 2)
+        clamped = np.clip(w, 0.0, None)
+        with np.errstate(invalid="raise"):
+            inp = terms_from_plan(w, gram, identity_plan(2))
+            _, best = pairing_maximize(w, gram)
+        assert (inp.weights >= 0).all()
+        assert theorem1_entropy_bound(inp) == theorem1_entropy_bound(
+            terms_from_plan(clamped, gram, identity_plan(2)))
+        assert best == pairing_maximize(clamped, gram)[1]
+
+    def test_matches_scalar_reference(self):
+        # summation order differs, so agreement is to rounding, not exact
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 3):
+            d = 1 << n
+            for _ in range(4):
+                atk = random_table_attack(rng, n)
+                w = atk.tables.weights
+                plans = [identity_plan(d), complement_plan(d),
+                         PairingPlan(tuple(rng.permutation(d)), tuple(rng.permutation(d)))]
+                for plan in plans:
+                    bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
+                    assert bound == pytest.approx(scalar_bound(w, atk.gram, plan),
+                                                  abs=1e-12)
 
     def test_depolarizing_reference_value(self):
         # complement pairing on the n=3, Q=Q~=0.2 table, global convention
@@ -129,7 +198,7 @@ class TestTheorem1Bound:
 class TestPairingSearch:
     def test_identity_attack_identity_plan(self):
         atk = identity_attack(2)
-        w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward)
+        w = atk.tables.weights
         plan, val = pairing_maximize(w, atk.gram)
         assert val == pytest.approx(1.0, abs=1e-12)
         assert val <= exact_entropy_oracle(atk) + 1e-9
@@ -150,7 +219,7 @@ class TestPairingSearch:
         rng = np.random.default_rng(31)
         for _ in range(10):
             atk = random_table_attack(rng, 2)
-            w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward)
+            w = atk.tables.weights
             _, best = pairing_maximize(w, atk.gram)
             ident = theorem1_entropy_bound(
                 terms_from_plan(w, atk.gram, identity_plan(4)))
@@ -174,7 +243,7 @@ class TestPairingSearch:
         for _ in range(5):
             atk = random_table_attack(rng, 1)
             oracle = exact_entropy_oracle(atk)
-            w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward)
+            w = atk.tables.weights
             for pi1 in itertools.permutations(range(2)):
                 for pi2 in itertools.permutations(range(2)):
                     plan = PairingPlan(pi1, pi2)
@@ -290,7 +359,7 @@ class TestExactOracle:
             n = int(rng.integers(1, 3))
             atk = random_table_attack(rng, n)
             oracle = exact_entropy_oracle(atk)
-            w = np.einsum("ab,abc->abc", atk.tables.forward, atk.tables.backward)
+            w = atk.tables.weights
             for plan in (identity_plan(1 << n), complement_plan(1 << n)):
                 bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
                 assert bound <= oracle + 1e-9

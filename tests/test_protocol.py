@@ -332,6 +332,16 @@ class TestSchedule:
         with pytest.raises(DomainError, match="num_ctrl -1 outside"):
             expand_theta_schedule(b"x", 4, -1)
 
+    def test_rounds_cap_checked_before_expanding(self):
+        # the cap is checked first: 10 CTRL rounds would be cheap to draw
+        with pytest.raises(qmath.CapacityError, match="ROUNDS_CAP"):
+            expand_theta_schedule(b"x", 10 ** 12, 10)
+        with pytest.raises(qmath.CapacityError, match="ROUNDS_CAP"):
+            run_session(ProtocolParams(n=1), identity_attack(1),
+                        ThetaSchedule(num_rounds=protocol.ROUNDS_CAP + 1,
+                                      ctrl_indices=(1,)), 1)
+        assert expand_theta_schedule(b"x", protocol.ROUNDS_CAP, 2).num_ctrl == 2
+
     def test_theta_lookup(self):
         s = ThetaSchedule(num_rounds=5, ctrl_indices=(2, 4))
         rec = run_session(ProtocolParams(n=1), identity_attack(1), s, 1)
