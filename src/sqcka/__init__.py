@@ -5,6 +5,7 @@ from .attacks import (
     CollectiveAttack,
     ConditionalChannelTable,
     DepolarizingParams,
+    EveGram,
     EveVectorCatalogue,
     depolarizing_attack,
     eve_catalogue,

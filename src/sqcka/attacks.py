@@ -3,9 +3,16 @@
 A one-round collective attack touches the transferring qubits twice (on the
 way out and on the way back).  It is described by conditional-probability
 tables plus the Gram matrix of real overlaps among Eve's normalized
-post-interaction vectors.  A dilation (unitaries acting on the
-transferring register and an explicit environment, stored as basis
-permutations) may realize the same channel as a cross-check.
+post-interaction vectors, one vector per branch (a, b, b').  A dilation
+(unitaries acting on the transferring register and an explicit environment,
+stored as basis permutations) may realize the same channel as a cross-check.
+
+The Gram is an :class:`EveGram`: the identity plus a few dense blocks, with
+the vectors of different blocks orthogonal.  A dense (2, d, d, 2, d, d)
+array, or the GRAM rows of a file, is split into the connected components
+of its non-zero overlaps between distinct branches; ``np.asarray(gram)``
+gives the dense form back for small d.  Both built-in attacks store one
+2 x 2 block, so attacks reach n = 10 (``check_attack_size``).
 
 The depolarizing channel is fully built in, with its dilation.  Overlap data
 use the *global* normalization convention throughout this module: squared
@@ -18,30 +25,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qmath import CapacityError, DomainError, ValidationError
+from .qmath import DIM_CAP, CapacityError, DomainError, ValidationError
 
 TABLE_ATOL = 1e-12
 GRAM_PSD_ATOL = 1e-9
 
-#: Cap on the dense Gram's (2 d^2)^2 float64 entries: n <= 6, 512 MiB.
-GRAM_ENTRY_CAP = 1 << 26
+#: Cap on the float64 entries an Eve Gram stores in its blocks (128 MiB).
+GRAM_ENTRY_CAP = 1 << 24
 
 
 def check_attack_size(n: int) -> None:
     """Raise :class:`CapacityError`, before any allocation, if n is too large.
 
-    The dense Gram is an attack's largest array, so its cap also bounds the
-    tables and keeps the dilations under ``DIM_CAP``.
+    The backward table, with 2 d^2 entries, is an attack's largest array;
+    it is capped at ``DIM_CAP`` (n <= 10), which also bounds the weights
+    and the session sampler's tables.
     """
     if n < 1:
         raise DomainError(f"need at least one receiving party, got n={n}")
-    # (2 d^2)^2 = 2^(4n + 2) entries; comparing exponents builds no huge integer
-    if 4 * n + 2 > GRAM_ENTRY_CAP.bit_length() - 1:
-        raise CapacityError(f"an attack for n={n} needs a dense Gram of 2^{4 * n + 2} "
-                            "entries, over GRAM_ENTRY_CAP = 2^26 (n <= 6)")
+    # 2 d^2 = 2^(2n + 1) entries; comparing exponents builds no huge integer
+    if 2 * n + 1 > DIM_CAP.bit_length() - 1:
+        raise CapacityError(f"an attack for n={n} needs tables of 2^{2 * n + 1} "
+                            "entries, over DIM_CAP = 2^22 (n <= 10)")
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,7 @@ class ConditionalChannelTable:
             if tab.min() < -TABLE_ATOL:
                 raise ValidationError(f"{name} table has negative entries")
             sums = tab.sum(axis=-1)
-            if np.max(np.abs(sums - 1.0)) > 1e-12 * d:
+            if np.max(np.abs(sums - 1.0)) > TABLE_ATOL * d:
                 raise ValidationError(f"{name} rows do not sum to 1 (max dev "
                                       f"{np.max(np.abs(sums - 1.0)):.3e})")
         fwd = np.clip(fwd, 0.0, None)
@@ -120,45 +129,223 @@ class ConditionalChannelTable:
         return self.forward[:, :, None] * self.backward
 
 
-def validate_gram(gram: np.ndarray, d: int) -> np.ndarray:
-    """Check an Eve-overlap table: finite, symmetric, unit diagonal, PSD."""
-    g = np.asarray(gram, dtype=np.float64)
-    if g.shape != (2, d, d, 2, d, d):
-        raise ValidationError(f"gram must have shape (2,{d},{d})^2, got {g.shape}")
-    if not math.isfinite(g.sum()):  # a sum, so no temporary of the Gram's size
+@dataclass(frozen=True, eq=False)
+class EveGram:
+    """Gram of Eve's unit vectors over the 2 d^2 branches (a, b, b'), by blocks.
+
+    Branch (a, b, b') has the flat index (a d + b) d + b'.  The Gram is the
+    identity except on ``members``, which lists the branches of each block
+    in turn, ascending within a block; ``sizes`` holds the block sizes and
+    ``values`` the blocks, row-major, one after another.  Branches in
+    different blocks, or outside every block, are orthogonal.
+    """
+
+    d: int
+    members: np.ndarray
+    sizes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        members = np.asarray(self.members, dtype=np.int64).reshape(-1).view()
+        sizes = np.asarray(self.sizes, dtype=np.int64).reshape(-1).view()
+        values = np.asarray(self.values, dtype=np.float64).reshape(-1).view()
+        if (sizes.min(initial=1) < 1 or sizes.sum() != members.size
+                or (sizes ** 2).sum() != values.size):
+            raise ValidationError("gram blocks do not match their sizes")
+        if members.size and (members.min() < 0 or members.max() >= 2 * self.d ** 2):
+            raise ValidationError("gram blocks must hold branches below 2 d^2")
+        seen = np.zeros(2 * self.d ** 2, dtype=bool)
+        seen[members] = True
+        if np.count_nonzero(seen) != members.size:
+            raise ValidationError("gram blocks must hold distinct branches")
+        for name, arr in (("members", members), ("sizes", sizes), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (2, self.d, self.d) * 2
+
+    @cached_property
+    def _starts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each block starts in ``members`` and in ``values``."""
+        k2 = self.sizes ** 2
+        return np.cumsum(self.sizes) - self.sizes, np.cumsum(k2) - k2
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored entry: flat branch indices x, y and the value G[x, y]."""
+        blk = np.repeat(np.arange(self.sizes.size), self.sizes ** 2)
+        row, col = np.divmod(np.arange(self.values.size) - self._starts[1][blk],
+                             self.sizes[blk])
+        first = self._starts[0][blk]
+        return self.members[first + row], self.members[first + col], self.values
+
+    def stacks(self):
+        """For each block size k in turn: the members (m, k) and the blocks
+        (m, k, k) of the m blocks of that size."""
+        starts, offsets = self._starts
+        for k in sorted(set(self.sizes.tolist())):
+            sel = np.flatnonzero(self.sizes == k)
+            members = self.members[starts[sel, None] + np.arange(k)]
+            blocks = self.values[offsets[sel, None] + np.arange(k * k)]
+            yield members, blocks.reshape(-1, k, k)
+
+    @cached_property
+    def _cross_keys(self) -> tuple[np.ndarray, ...]:
+        """For :meth:`cross`: the block of each sender-bit-0 branch, shape
+        (d, d), and where its row starts in ``values``; the block of each
+        bit-1 branch, flat over (c, c'), and its column in the block; then
+        ``values`` with a 0 appended.  A branch outside every block is a
+        block of its own."""
+        n = 2 * self.d ** 2
+        blk = np.repeat(np.arange(self.sizes.size), self.sizes)
+        pos = np.arange(self.members.size) - self._starts[0][blk]
+        block = -1 - np.arange(n)
+        row = np.zeros(n, dtype=np.int64)
+        col = np.zeros(n, dtype=np.int64)
+        block[self.members] = blk
+        row[self.members] = self._starts[1][blk] + pos * self.sizes[blk]
+        col[self.members] = pos
+        half = n // 2
+        return (block[:half].reshape(self.d, self.d), row[:half].reshape(self.d, self.d),
+                block[half:], col[half:], np.append(self.values, 0.0))
+
+    def cross(self, partner: np.ndarray) -> np.ndarray:
+        """G[(0, b, b'), (1, c, c')] for all (b, b'), where the bit-1 branch
+        paired with (0, b, b') has c d + c' = ``partner[b, b']``."""
+        block0, row0, block1, col1, padded = self._cross_keys
+        return padded[np.where(block0 == block1[partner], row0 + col1[partner], -1)]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense (2, d, d, 2, d, d) Gram, for small d."""
+        n = 2 * self.d ** 2
+        if n * n > GRAM_ENTRY_CAP:
+            raise CapacityError(f"a dense gram for d={self.d} has {n * n} entries, "
+                                f"over GRAM_ENTRY_CAP = {GRAM_ENTRY_CAP}")
+        out = np.eye(n)
+        x, y, v = self.entries()
+        out[x, y] = v
+        return out.reshape(self.shape).astype(dtype or np.float64, copy=False)
+
+
+def _check_gram_entries(count: int) -> None:
+    if count > GRAM_ENTRY_CAP:
+        raise CapacityError(f"the gram's blocks need {count} entries, over "
+                            f"GRAM_ENTRY_CAP = {GRAM_ENTRY_CAP}")
+
+
+def _component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for edges u - v."""
+    label = np.arange(count)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, u, label[v])
+        np.minimum.at(low, v, label[u])
+        low = low[low]  # each label stays a node of the component, never larger
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _gram_from_entries(d: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> EveGram:
+    """The Gram that is the identity except for the entries G[i, j] = v.
+
+    ``i`` and ``j`` are flat branch indices; a symmetric Gram lists (i, j)
+    and (j, i).  The blocks are the connected components of the listed
+    entries, and their size is checked before any block is allocated.
+    """
+    touched = np.zeros(2 * d * d, dtype=bool)
+    touched[i] = touched[j] = True
+    nodes = np.flatnonzero(touched)
+    at = np.zeros(touched.size, dtype=np.int64)
+    at[nodes] = np.arange(nodes.size)
+    ni, nj = at[i], at[j]
+    _, comp = np.unique(_component_labels(nodes.size, ni, nj), return_inverse=True)
+    sizes = np.bincount(comp)
+    k2 = sizes ** 2
+    _check_gram_entries(int(k2.sum()))
+    order = np.argsort(comp, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    pos -= (np.cumsum(sizes) - sizes)[comp]
+    offsets = np.cumsum(k2) - k2
+    values = np.zeros(int(k2.sum()))
+    values[offsets[comp] + pos * (sizes[comp] + 1)] = 1.0
+    values[offsets[comp[ni]] + pos[ni] * sizes[comp[ni]] + pos[nj]] = v
+    return EveGram(d, nodes[order], sizes, values)
+
+
+def as_gram(gram, d: int) -> EveGram:
+    """``gram`` as an :class:`EveGram` for d-dimensional strings.
+
+    A dense (2, d, d, 2, d, d) array is split into the connected components
+    of its entries that differ from the identity's.
+    """
+    shape = np.shape(gram)
+    if shape != (2, d, d) * 2:
+        raise ValidationError(f"gram must have shape (2,{d},{d})^2, got {shape}")
+    if isinstance(gram, EveGram):
+        return gram
+    flat = np.asarray(gram, dtype=np.float64).reshape(2 * d * d, 2 * d * d)
+    listed = flat != 0.0
+    np.fill_diagonal(listed, flat.diagonal() != 1.0)
+    _check_gram_entries(int(np.count_nonzero(listed)))
+    i, j = np.nonzero(listed)
+    return _gram_from_entries(d, i, j, flat[i, j])
+
+
+def validate_gram(gram, d: int) -> EveGram:
+    """Check an Eve-overlap Gram block by block: finite, symmetric, unit
+    diagonal, PSD.  A dense array is split first (:func:`as_gram`)."""
+    g = as_gram(gram, d)
+    if not np.isfinite(g.values).all():
         raise ValidationError("gram has non-finite entries")
-    flat = g.reshape(2 * d * d, 2 * d * d)
-    if np.max(np.abs(flat - flat.T)) > 1e-12:
+    stacks = [blocks for _, blocks in g.stacks()]
+    if any(np.max(np.abs(b - b.transpose(0, 2, 1))) > 1e-12 for b in stacks):
         raise ValidationError("gram is not symmetric")
-    if np.max(np.abs(np.diag(flat) - 1.0)) > 1e-12:
+    if any(np.max(np.abs(np.diagonal(b, axis1=1, axis2=2) - 1.0)) > 1e-12
+           for b in stacks):
         raise ValidationError("gram diagonal is not all ones")
-    lo = float(np.linalg.eigvalsh(flat).min())
+    lo = min((float(np.linalg.eigvalsh(b).min()) for b in stacks), default=0.0)
     if lo < -GRAM_PSD_ATOL:
         raise ValidationError(f"gram is not PSD within {GRAM_PSD_ATOL} (min eig {lo:.3e})")
-    g = g.copy()
-    g.setflags(write=False)
     return g
 
 
-def gram_purification(gram: np.ndarray, d: int) -> np.ndarray:
+def gram_purification(gram: EveGram) -> np.ndarray:
     """Eve vectors realizing a Gram, one per column; shape (K, 2 d^2).
 
-    Rows are sqrt(w) u^H over the eigenpairs of the flattened Gram with
-    w > 1e-12, so ``m^H m`` reproduces the Gram.
+    Block-diagonal: each branch outside every block has a unit vector of its
+    own, and each block adds rows sqrt(w) u^T over its eigenpairs with
+    w > 1e-12, so ``m.T @ m`` reproduces the Gram.  Raises
+    :class:`CapacityError` before m is allocated if it exceeds ``DIM_CAP``.
     """
-    flat = np.asarray(gram).reshape(2 * d * d, 2 * d * d)
-    w, u = np.linalg.eigh(flat)
-    if w.min() < -GRAM_PSD_ATOL:
-        raise ValidationError(f"gram is not PSD (min eig {w.min():.3e})")
-    keep = w > 1e-12
-    return np.sqrt(w[keep])[:, None] * u[:, keep].conj().T
+    n = 2 * gram.d ** 2
+    outside = np.ones(n, dtype=bool)
+    outside[gram.members] = False
+    alone = np.flatnonzero(outside)
+    parts = []
+    for members, blocks in gram.stacks():
+        w, u = np.linalg.eigh(blocks)
+        blk, eig = np.nonzero(w > 1e-12)
+        parts.append((members[blk], np.sqrt(w[blk, eig])[:, None] * u[blk, :, eig]))
+    rows = alone.size + sum(len(cols) for cols, _ in parts)
+    if rows * n > DIM_CAP:
+        raise CapacityError(f"a purification of {rows} vectors over {n} branches "
+                            f"exceeds cap {DIM_CAP}")
+    m = np.zeros((rows, n))
+    m[np.arange(alone.size), alone] = 1.0
+    start = alone.size
+    for cols, vecs in parts:
+        m[start + np.arange(len(cols))[:, None], cols] = vecs
+        start += len(cols)
+    return m
 
 
-def identity_gram(d: int) -> np.ndarray:
-    """Orthonormal Eve vectors: identity Gram over the (a, b, b') index set."""
+def identity_gram(d: int) -> EveGram:
+    """Orthonormal Eve vectors: the identity Gram over the (a, b, b') branches."""
     check_attack_size((d - 1).bit_length())
-    k = 2 * d * d
-    return np.eye(k).reshape(2, d, d, 2, d, d)
+    return EveGram(d, (), (), ())
 
 
 @dataclass(frozen=True)
@@ -194,13 +381,14 @@ class DilatedChannel:
 class CollectiveAttack:
     """A one-round attack: channel tables plus the Gram of Eve's vectors.
 
-    An optional dilation realizes the same channel with an explicit
-    environment; the test suite checks every statistic the two share to
-    1e-10.
+    ``gram`` may be given as an :class:`EveGram` or as a dense array; it is
+    stored as a checked :class:`EveGram`.  An optional dilation realizes the
+    same channel with an explicit environment; the test suite checks every
+    statistic the two share to 1e-10.
     """
 
     tables: ConditionalChannelTable
-    gram: np.ndarray
+    gram: EveGram
     forward_dilation: DilatedChannel | None = None
     backward_dilation: DilatedChannel | None = None
     label: str = "custom"
@@ -229,7 +417,9 @@ class CollectiveAttack:
 def identity_attack(n: int) -> CollectiveAttack:
     """The noiseless baseline: channel acts as identity, Eve learns nothing.
 
-    All Eve vectors coincide, so the Gram is the all-ones block.
+    All Eve vectors coincide.  Only the branches (0, 0, 0) and
+    (1, d-1, d-1) have weight, and a zero-weight branch's vector enters no
+    output, so the Gram stores just their overlap 1.
     """
     check_attack_size(n)
     d = 1 << n
@@ -238,12 +428,12 @@ def identity_attack(n: int) -> CollectiveAttack:
     fwd[1, d - 1] = 1.0
     bwd = np.zeros((2, d, d))
     bwd[:, np.arange(d), np.arange(d)] = 1.0
-    gram = np.ones((2, d, d, 2, d, d))
+    gram = EveGram(d, (0, 2 * d * d - 1), (2,), np.ones(4))
     return CollectiveAttack(ConditionalChannelTable(fwd, bwd), gram, label="identity")
 
 
 def attack_from_tables(tables: ConditionalChannelTable,
-                       gram: np.ndarray | None = None,
+                       gram: EveGram | np.ndarray | None = None,
                        label: str = "custom") -> CollectiveAttack:
     """Assemble an analytic attack; omitted gram means orthonormal Eve vectors."""
     if gram is None:
@@ -327,21 +517,17 @@ def eve_catalogue(params: DepolarizingParams) -> EveVectorCatalogue:
     )
 
 
-def depolarizing_gram(params: DepolarizingParams) -> np.ndarray:
+def depolarizing_gram(params: DepolarizingParams) -> EveGram:
     """Unit-vector Gram of the depolarizing attack over (a, b, b') indices.
 
     Identity except for the two all-equal branches, whose normalized
-    overlap is the catalogue cross overlap divided by the branch norm.
+    overlap is the catalogue cross overlap divided by the branch norm: one
+    2 x 2 block.
     """
     d = params.d
     cat = eve_catalogue(params)
-    g = identity_gram(d)
-    g = np.array(g)
     val = cat.cross_overlap / cat.norm_aaa
-    g[0, 0, 0, 1, d - 1, d - 1] = val
-    g[1, d - 1, d - 1, 0, 0, 0] = val
-    g.setflags(write=False)
-    return g
+    return EveGram(d, (0, 2 * d * d - 1), (2,), (1.0, val, val, 1.0))
 
 
 def _depolarizing_dilation(strength: float, n: int) -> DilatedChannel:
@@ -411,6 +597,12 @@ def joint_az_analytic(a: int, c: int, params: DepolarizingParams,
 _SECTIONS = {"FORWARD": 2, "BACKWARD": 3, "GRAM": 6}
 
 
+def _at(path, linenos) -> str:
+    """``path:line``, or ``path:first-last`` for several lines."""
+    lo, hi = min(linenos), max(linenos)
+    return f"{path}:{lo}" if lo == hi else f"{path}:{lo}-{hi}"
+
+
 def load_attack_file(path) -> CollectiveAttack:
     """Parse a plain-text attack definition.
 
@@ -419,13 +611,18 @@ def load_attack_file(path) -> CollectiveAttack:
     ``a b bprime a2 c cprime re_value``); ``#`` starts a comment.  The
     channel dimension is inferred from the FORWARD section, which must be
     complete.  Omitted GRAM entries default to orthonormal Eve vectors
-    (identity Gram); the diagonal may be omitted.  Out-of-range indices and
-    repeated rows (a GRAM row and its mirror count as one) are rejected
-    with the ``path:line`` of the offending row.
+    (identity Gram); the diagonal may be omitted.  The Gram's blocks are the
+    connected components of the GRAM rows.  Every error names the
+    ``path:line`` (or line range) it concerns: malformed, out-of-range,
+    negative or repeated rows (a GRAM row and its mirror count as one), an
+    incomplete FORWARD section, a distribution that does not sum to 1, and
+    GRAM rows that form no valid Gram.
     """
     rows: dict[str, dict[tuple[int, ...], tuple[int, float]]] = {
         name: {} for name in _SECTIONS}
+    headers: dict[str, int] = {}
     section = None
+    lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -434,6 +631,7 @@ def load_attack_file(path) -> CollectiveAttack:
             upper = line.upper()
             if upper in _SECTIONS:
                 section = upper
+                headers.setdefault(section, lineno)
                 continue
             parts = line.split()
             try:
@@ -445,46 +643,71 @@ def load_attack_file(path) -> CollectiveAttack:
                 raise ValidationError(f"{path}:{lineno}: cannot parse {line!r} ({exc})")
             if not math.isfinite(val):
                 raise ValidationError(f"{path}:{lineno}: value {parts[-1]!r} is not finite")
+            if section != "GRAM" and val < -TABLE_ATOL:
+                raise ValidationError(f"{path}:{lineno}: probability {val!r} is negative")
             if section == "GRAM":
+                if idx[:3] == idx[3:] and abs(val - 1.0) > 1e-12:
+                    raise ValidationError(f"{path}:{lineno}: diagonal GRAM entry "
+                                          f"{val!r} is not 1")
                 idx = min(idx, idx[3:] + idx[:3])
             if idx in rows[section]:
                 raise ValidationError(f"{path}:{lineno}: duplicate {section} row, "
                                       f"first given on line {rows[section][idx][0]}")
             rows[section][idx] = (lineno, val)
     if not rows["FORWARD"]:
-        raise ValidationError(f"{path}: missing FORWARD section")
+        raise ValidationError(f"{path}:{lineno}: missing FORWARD section")
     d = max(2, max(b for _, b in rows["FORWARD"]) + 1)
     limits = (2, d, d, 2, d, d)
     for table in rows.values():
-        for idx, (lineno, _) in table.items():
+        for idx, (line_at, _) in table.items():
             if not all(0 <= i < m for i, m in zip(idx, limits)):
-                raise ValidationError(f"{path}:{lineno}: index {idx} outside "
+                raise ValidationError(f"{path}:{line_at}: index {idx} outside "
                                       f"{limits[:len(idx)]}")
-    if len(rows["FORWARD"]) != 2 * d:
-        raise ValidationError(f"{path}: FORWARD must list all 2*{d} entries, "
-                              f"got {len(rows['FORWARD'])}")
+    if len(rows["FORWARD"]) != 2 * d or d & (d - 1):
+        raise ValidationError(f"{path}:{headers['FORWARD']}: FORWARD must list all "
+                              f"2*d entries for a power of two d, got "
+                              f"{len(rows['FORWARD'])} with strings up to {d - 1}")
     check_attack_size((d - 1).bit_length())
     fwd = np.zeros((2, d))
-    for idx, (_, p) in rows["FORWARD"].items():
-        fwd[idx] = p
     bwd = np.zeros((2, d, d))
-    for idx, (_, p) in rows["BACKWARD"].items():
-        bwd[idx] = p
+    for name, tab in (("FORWARD", fwd), ("BACKWARD", bwd)):
+        for idx, (_, p) in rows[name].items():
+            tab[idx] = p
+        dev = np.abs(tab.sum(axis=-1) - 1.0)
+        if dev.max() > TABLE_ATOL * d:
+            row = np.unravel_index(np.argmax(dev), dev.shape)
+            at = [ln for idx, (ln, _) in rows[name].items() if idx[:-1] == row]
+            raise ValidationError(f"{_at(path, at or [headers.get(name, lineno)])}: "
+                                  f"{name} row {tuple(int(x) for x in row)} sums to "
+                                  f"{float(tab[row].sum())!r}, not 1")
     tables = ConditionalChannelTable(fwd, bwd)
-    gram = np.array(identity_gram(d))
-    for idx, (_, val) in rows["GRAM"].items():
-        gram[idx] = val
-        gram[idx[3:] + idx[:3]] = val
-    return attack_from_tables(tables, gram, label="file")
+    keys = np.array(list(rows["GRAM"]), dtype=np.int64).reshape(-1, 6)
+    vals = np.array([v for _, v in rows["GRAM"].values()])
+    i = np.ravel_multi_index(tuple(keys[:, :3].T), (2, d, d))
+    j = np.ravel_multi_index(tuple(keys[:, 3:].T), (2, d, d))
+    keep = np.where(i == j, vals != 1.0, vals != 0.0)
+    i, j, vals = i[keep], j[keep], vals[keep]
+    gram = _gram_from_entries(d, np.concatenate([i, j]), np.concatenate([j, i]),
+                              np.concatenate([vals, vals]))
+    try:
+        return attack_from_tables(tables, gram, label="file")
+    except ValidationError as exc:
+        at = [ln for ln, _ in rows["GRAM"].values()]
+        raise ValidationError(f"{_at(path, at or [lineno])}: {exc}") from None
 
 
 def dump_attack_file(attack: CollectiveAttack, path) -> None:
-    """Write an attack's tables and Gram in the plain-text format."""
+    """Write an attack's tables and the Gram entries it stores, in the
+    plain-text format; :func:`load_attack_file` reads it back bit for bit."""
     d = attack.d
     fwd = attack.tables.forward
     bwd = attack.tables.backward
-    gram = attack.gram
-    eye = identity_gram(d)
+    x, y, v = attack.gram.entries()
+    keep = np.where(x == y, v != 1.0, (x < y) & (v != 0.0))
+    x, y, v = x[keep], y[keep], v[keep]
+    order = np.lexsort((y, x))
+    idx = np.column_stack(np.unravel_index(x[order], (2, d, d))
+                          + np.unravel_index(y[order], (2, d, d)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# collective attack, n={attack.n}\n")
         fh.write("FORWARD\n")
@@ -497,13 +720,5 @@ def dump_attack_file(attack: CollectiveAttack, path) -> None:
                 for bp in range(d):
                     fh.write(f"{a} {b} {bp} {float(bwd[a, b, bp])!r}\n")
         fh.write("GRAM\n")
-        diff = np.argwhere(np.abs(gram - eye) > 0)
-        seen = set()
-        for idx in diff:
-            a, b, bp, a2, c, cp = (int(x) for x in idx)
-            key = ((a, b, bp), (a2, c, cp))
-            if (key[1], key[0]) in seen:
-                continue
-            seen.add(key)
-            fh.write(f"{a} {b} {bp} {a2} {c} {cp} "
-                     f"{float(gram[a, b, bp, a2, c, cp])!r}\n")
+        for row, val in zip(idx, v[order]):
+            fh.write(" ".join(str(int(i)) for i in row) + f" {float(val)!r}\n")

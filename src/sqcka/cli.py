@@ -17,7 +17,9 @@ Custom attacks are plain-text files with ``#`` comments and three sections::
     GRAM                # rows: a b bprime a2 c cprime re_value (optional)
 
 Strings are integer indices (big-endian bits).  Omitted GRAM entries
-default to orthonormal eavesdropper vectors.
+default to orthonormal eavesdropper vectors; the listed ones are the edges
+of a graph whose connected components become the blocks of the attack's
+``EveGram``.  Attacks are built for n <= 10.
 """
 
 from __future__ import annotations

@@ -200,10 +200,14 @@ def tally_to_text(tallies: TallyCounts) -> str:
 
 _TALLY_SCALARS = ("tally n", "ghz pass", "ghz total", "sift total")
 
+#: Cap on one snapshot count, so that no sum of counts overflows int64.
+COUNT_CAP = 1 << 40
+
 
 def tally_from_text(text: str) -> TallyCounts:
     """Parse :func:`tally_to_text` output; errors name the offending line."""
     entries: dict[object, tuple[int, int]] = {}  # key -> (line number, count)
+    lineno = 1
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,22 +231,33 @@ def tally_from_text(text: str) -> TallyCounts:
             raise ValidationError(f"line {lineno}: unknown category {cat!r}")
         if key in entries:
             raise ValidationError(f"line {lineno}: duplicates line {entries[key][0]}")
+        if key != "tally n" and not 0 <= count <= COUNT_CAP:
+            raise ValidationError(f"line {lineno}: count {count} outside 0..{COUNT_CAP}")
         entries[key] = (lineno, count)
     if "tally n" not in entries:
-        raise ValidationError("missing 'tally n' line")
-    lineno, n = entries["tally n"]
+        raise ValidationError(f"line {lineno}: no 'tally n' line in the snapshot")
+    n_line, n = entries["tally n"]
     if n < 1:
-        raise ValidationError(f"line {lineno}: n={n} is not >= 1")
-    d = _counter_dim(n, f"line {lineno}: ")
+        raise ValidationError(f"line {n_line}: n={n} is not >= 1")
+    d = _counter_dim(n, f"line {n_line}: ")
     tables = {"zctrl": np.zeros((2, d), dtype=np.int64),
               "sift": np.zeros((2, d), dtype=np.int64)}
-    for key, (lineno, count) in entries.items():
+    for key, (at, count) in entries.items():
         if isinstance(key, tuple):
             cat, a, c = key
             if not (0 <= a < 2 and 0 <= c < d):
-                raise ValidationError(f"line {lineno}: index {a},{c} outside 2 x {d}")
+                raise ValidationError(f"line {at}: index {a},{c} outside 2 x {d}")
             tables[cat][a, c] = count
-    scalar = {k: entries[k][1] if k in entries else 0 for k in _TALLY_SCALARS}
-    return TallyCounts(n=n, ghz_pass=scalar["ghz pass"], ghz_total=scalar["ghz total"],
+    scalar = {k: entries.get(k, (lineno, 0)) for k in _TALLY_SCALARS}
+    if scalar["ghz pass"][1] > scalar["ghz total"][1]:
+        at = max(scalar["ghz pass"][0], scalar["ghz total"][0])
+        raise ValidationError(f"line {at}: ghz pass exceeds ghz total")
+    sift_sum = int(tables["sift"].sum())
+    if sift_sum != scalar["sift total"][1]:
+        raise ValidationError(f"line {scalar['sift total'][0]}: sift counts sum to "
+                              f"{sift_sum}, not the sift total "
+                              f"{scalar['sift total'][1]}")
+    return TallyCounts(n=n, ghz_pass=scalar["ghz pass"][1],
+                       ghz_total=scalar["ghz total"][1],
                        z_ctrl_counts=tables["zctrl"], sift_joint_counts=tables["sift"],
-                       sift_total=scalar["sift total"])
+                       sift_total=scalar["sift total"][1])

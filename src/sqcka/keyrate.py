@@ -30,17 +30,16 @@ import numpy as np
 from .attacks import (
     CollectiveAttack,
     DepolarizingParams,
+    EveGram,
+    as_gram,
     eve_catalogue,
-    gram_purification,
 )
 from .qmath import (
     CapacityError,
-    DensityOperator,
     DomainError,
-    RegisterLayout,
     ValidationError,
     binary_entropy,
-    conditional_entropy,
+    entropy_of_spectrum,
 )
 
 MODES = ("paper_literal", "theorem_exact")
@@ -54,7 +53,7 @@ MAX_PAIRING_EVALS = 10_000
 #: Exhaustive pairing search is feasible up to this channel dimension.
 EXHAUSTIVE_DIM = 4
 
-#: Cap on the oracle eigenproblem dimension.
+#: Cap on the state dimension, 2 x block size, of one Gram block in the oracle.
 ORACLE_DIM_CAP = 4096
 
 
@@ -86,7 +85,7 @@ class EntropyBoundInput:
     """A checked weight table, Eve's Gram, and the plan that pairs them."""
 
     weights: np.ndarray
-    gram: np.ndarray
+    gram: EveGram
     plan: PairingPlan
 
 
@@ -115,14 +114,12 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross_gram_at(gram: np.ndarray, pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
-    d = pi1.size
-    g4 = gram[0, :, :, 1, :, :]
-    rows = np.arange(d)
-    return g4[rows[:, None], rows[None, :], pi1[:, None], pi2[None, :]]
+def _partners(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
+    """Flat (c, c') index of the bit-1 branch paired with each (0, b, b')."""
+    return pi1[:, None] * pi1.size + pi2
 
 
-def _plan_value(w: np.ndarray, gram: np.ndarray, pi1: np.ndarray,
+def _plan_value(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
                 pi2: np.ndarray) -> float:
     """The Theorem-1 bound of one plan on non-negative weights, in bits.
 
@@ -130,9 +127,10 @@ def _plan_value(w: np.ndarray, gram: np.ndarray, pi1: np.ndarray,
     s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the largest eigenvalue
     fraction of its block, and the sum is divided by the total weight.
     """
+    partner = _partners(pi1, pi2)
     q0 = w[0]
-    q1 = w[1][pi1][:, pi2]
-    re = np.sqrt(q0 * q1) * _cross_gram_at(gram, pi1, pi2)
+    q1 = w[1].reshape(-1)[partner]
+    re = np.sqrt(q0 * q1) * gram.cross(partner)
     s = q0 + q1
     live = s > 0.0
     lam = np.full_like(s, 0.5)
@@ -157,22 +155,24 @@ def _checked_weights(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def terms_from_plan(weights: np.ndarray, gram: np.ndarray,
+def terms_from_plan(weights: np.ndarray, gram: EveGram | np.ndarray,
                     plan: PairingPlan) -> EntropyBoundInput:
     """Check a weight table, Gram and plan for :func:`theorem1_entropy_bound`.
 
     ``weights[a, b, b']`` are the branch weights p(b|a) p'(b'|ab); any
-    overall normalization is carried through.  Every paired overlap must
-    satisfy Cauchy-Schwarz, |Re| <= sqrt(q0 q1) + ``CS_ATOL``.
+    overall normalization is carried through.  A dense Gram is split into
+    an :class:`EveGram`.  Every paired overlap must satisfy Cauchy-Schwarz,
+    |Re| <= sqrt(q0 q1) + ``CS_ATOL``.
     """
     w = _checked_weights(weights)
     d = w.shape[1]
-    g = np.asarray(gram, dtype=np.float64)
-    if g.shape != (2, d, d) * 2 or len(plan.pi1) != d or len(plan.pi2) != d:
-        raise ValidationError(f"gram {g.shape} or plan does not fit d = {d} weights")
-    pi1, pi2 = np.asarray(plan.pi1), np.asarray(plan.pi2)
-    lim = np.sqrt(w[0] * w[1][pi1][:, pi2])
-    excess = float(np.max(np.abs(lim * _cross_gram_at(g, pi1, pi2)) - lim))
+    shape = np.shape(gram)
+    if shape != (2, d, d) * 2 or len(plan.pi1) != d or len(plan.pi2) != d:
+        raise ValidationError(f"gram {shape} or plan does not fit d = {d} weights")
+    g = as_gram(gram, d)
+    partner = _partners(np.asarray(plan.pi1), np.asarray(plan.pi2))
+    lim = np.sqrt(w[0] * w[1].reshape(-1)[partner])
+    excess = float(np.max(np.abs(lim * g.cross(partner)) - lim))
     if not excess <= CS_ATOL:
         raise ValidationError(f"a paired |Re overlap| exceeds sqrt(q0*q1) by {excess:.6g}")
     return EntropyBoundInput(w, g, plan)
@@ -198,7 +198,7 @@ def _greedy_plan(w: np.ndarray) -> PairingPlan:
                        "greedy")
 
 
-def _two_opt(w: np.ndarray, gram: np.ndarray, plan: PairingPlan,
+def _two_opt(w: np.ndarray, gram: EveGram, plan: PairingPlan,
              budget: int) -> tuple[PairingPlan, float, int]:
     pi1 = np.asarray(plan.pi1).copy()
     pi2 = np.asarray(plan.pi2).copy()
@@ -225,7 +225,7 @@ def _two_opt(w: np.ndarray, gram: np.ndarray, plan: PairingPlan,
                         "greedy2opt"), best, evals)
 
 
-def _greedy_search(w: np.ndarray, g: np.ndarray) -> tuple[PairingPlan, float]:
+def _greedy_search(w: np.ndarray, g: EveGram) -> tuple[PairingPlan, float]:
     """Best of the identity, complement and greedy plans, polished by capped 2-opt."""
     d = w.shape[1]
     candidates = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
@@ -234,7 +234,8 @@ def _greedy_search(w: np.ndarray, g: np.ndarray) -> tuple[PairingPlan, float]:
     return _two_opt(w, g, seed, MAX_PAIRING_EVALS)[:2]
 
 
-def pairing_maximize(weights: np.ndarray, gram: np.ndarray) -> tuple[PairingPlan, float]:
+def pairing_maximize(weights: np.ndarray,
+                     gram: EveGram | np.ndarray) -> tuple[PairingPlan, float]:
     """Best pairing plan found and its bound value.
 
     Any plan is a valid lower bound; the exhaustive search (channel
@@ -245,7 +246,7 @@ def pairing_maximize(weights: np.ndarray, gram: np.ndarray) -> tuple[PairingPlan
     """
     w = _checked_weights(weights)
     d = w.shape[1]
-    g = np.asarray(gram, dtype=np.float64)
+    g = as_gram(gram, d)
     if d > EXHAUSTIVE_DIM:
         return _greedy_search(w, g)
     best_val = -math.inf
@@ -313,23 +314,29 @@ def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport
 
 
 def exact_entropy_oracle(attack: CollectiveAttack) -> float:
-    """Exact S(A|E) of the key-round state, by explicit eigendecomposition.
+    """Exact S(A|E) of the key-round state, one Gram block at a time.
 
-    Embeds Eve vectors consistent with the attack Gram (eigendecomposition
-    of the Gram is a purification), builds the classical-quantum state
-    block by block, and evaluates the conditional entropy directly.  This
-    is the independent reference the pairing bound is checked against.
+    Eve's vectors in different blocks are orthogonal, so rho_E and rho_AE
+    are direct sums over the blocks and S(A|E) = sum_c [S(AE_c) - S(E_c)],
+    with the entropies of unnormalized operators; a branch outside every
+    block adds 0, because its vector alone tells Eve the sender bit.  With
+    D the block's branch weights, rho_E,c has the non-zero spectrum of
+    D^1/2 G_c D^1/2, and rho_AE,c that of the same matrix with the overlaps
+    between sender bits removed.  So every eigenproblem has the block's
+    size, and the size is checked before any is solved.  This is the
+    independent reference the pairing bound is checked against.
     """
-    d = attack.d
-    vecs = gram_purification(attack.gram, d)  # (K, 2 d^2)
-    k = vecs.shape[0]
-    if 2 * k > ORACLE_DIM_CAP:
-        raise CapacityError(f"oracle state dim {2 * k} exceeds {ORACLE_DIM_CAP}")
-    weights = attack.tables.weights / 2.0
-    rho = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    for a in range(2):
-        va = vecs[:, a * d * d:(a + 1) * d * d]
-        block = (va * weights[a].reshape(-1)) @ va.conj().T
-        rho[a * k:(a + 1) * k, a * k:(a + 1) * k] = block
-    layout = RegisterLayout([("A", 2), ("E", k)])
-    return conditional_entropy(DensityOperator(rho), layout, ("A",), ("E",))
+    gram = attack.gram
+    dim = 2 * int(gram.sizes.max(initial=0))
+    if dim > ORACLE_DIM_CAP:
+        raise CapacityError(f"oracle state dim {dim} exceeds {ORACLE_DIM_CAP}")
+    weights = attack.tables.weights.reshape(-1) / 2.0
+    total = 0.0
+    for members, blocks in gram.stacks():
+        amp = np.sqrt(weights[members])
+        rho_e = amp[:, :, None] * blocks * amp[:, None, :]
+        bit = members >= attack.d ** 2
+        rho_ae = rho_e * (bit[:, :, None] == bit[:, None, :])
+        total += (entropy_of_spectrum(np.linalg.eigvalsh(rho_ae))
+                  - entropy_of_spectrum(np.linalg.eigvalsh(rho_e)))
+    return total

@@ -207,7 +207,7 @@ CTRL_CONSISTENCY_ATOL = 1e-9
 def _embedded_round_state(attack: CollectiveAttack, theta: int
                           ) -> tuple[StateVector, RegisterLayout]:
     n, d = attack.n, attack.d
-    m = gram_purification(attack.gram, d)  # (K, 2 d^2)
+    m = gram_purification(attack.gram)  # (K, 2 d^2)
     k = m.shape[0]
     vecs = np.ascontiguousarray(m.T).reshape(2, d, d, k)
     coef = np.sqrt(attack.tables.weights) * SQRT_HALF
@@ -332,37 +332,41 @@ def eve_branch_gram_exact(state: StateVector, layout: RegisterLayout) -> np.ndar
 
 
 def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics:
-    """Round observables straight from the attack tables and Eve Gram."""
+    """Round observables straight from the attack tables and Eve Gram.
+
+    Each overlap term is a diagonal term (a branch with itself) plus a sum
+    over the off-diagonal entries the Gram stores.
+    """
     if theta not in (0, 1):
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     d = attack.d
     weights = attack.tables.weights
-    gram = attack.gram
+    x, y, g = attack.gram.entries()
+    last = 2 * d * d - 1  # the branch (1, d-1, d-1)
     if theta == 1:
         joint = weights / 2.0
         az = joint.sum(axis=1)
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
-        cross = math.sqrt(w000 * w111) * gram[0, 0, 0, 1, d - 1, d - 1]
+        cross = math.sqrt(w000 * w111) * g[(x == 0) & (y == last)].sum()
         return ObservedStatistics(theta=1, pa=az.sum(axis=1),
                                   abc_joint=joint, az_joint=az,
                                   pb=joint.sum(axis=(0, 2)),
                                   cross_overlap=float(cross))
-    # reflection branch: coherent over b inside Eve's register
-    amp = np.sqrt(weights)  # (2, d, d) over (a, b, c)
-    q_ac = np.zeros((2, d))
-    for a in range(2):
-        g4 = gram[a, :, :, a, :, :]  # (b, c, b', c')
-        g_diag = np.diagonal(g4, axis1=1, axis2=3)  # (b, b', c)
-        q_ac[a] = np.einsum("bc,pc,bpc->c", amp[a], amp[a], g_diag)
+    # reflection branch: coherent over b inside Eve's register, so q_ac also
+    # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c
+    flat = weights.reshape(-1)
+    term = np.sqrt(flat[x] * flat[y]) * g
+    (ax, _, cx), (ay, _, cy) = (np.unravel_index(i, (2, d, d)) for i in (x, y))
+    q_ac = weights.sum(axis=1)
+    pair = (x != y) & (ax == ay) & (cx == cy)
+    np.add.at(q_ac, (ax[pair], cx[pair]), term[pair])
     mass_dev = float(np.max(np.abs(q_ac.sum(axis=1) - 1.0)))
     if mass_dev > CTRL_CONSISTENCY_ATOL:
         raise ValidationError(
             f"tables and gram admit no unitary round: reflected branch mass "
             f"deviates from 1 by {mass_dev:.3e}")
-    s0 = amp[0, :, 0]
-    s1 = amp[1, :, d - 1]
-    re_tilde = float(s0 @ gram[0, :, 0, 1, :, d - 1] @ s1)
+    re_tilde = float(term[(ax == 0) & (cx == 0) & (ay == 1) & (cy == d - 1)].sum())
     p_ghz = (q_ac[0, 0] + q_ac[1, d - 1] + 2.0 * re_tilde) / 4.0
     ctrl_az = q_ac / 2.0
     return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
@@ -566,8 +570,9 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
         key_a.append(ca[kept])
         key_b.append(cb[kept])
     bits = np.concatenate(key_b)
-    shifts = np.arange(n - 1, -1, -1, dtype=bits.dtype)
-    raw_b = ((bits[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    raw_b = np.empty((n, bits.size), dtype=np.uint8)
+    for i in range(n):  # row by row: the temporaries stay one key long
+        raw_b[i] = (bits >> (n - 1 - i)) & 1
     return SessionRecord(params=params, theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
                          tallies=tallies,
                          raw_key_alice=np.concatenate(key_a).astype(np.uint8),

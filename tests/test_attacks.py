@@ -91,7 +91,11 @@ class TestIdentityAttack:
         atk = identity_attack(2)
         np.testing.assert_allclose(atk.tables.forward[0], [1, 0, 0, 0])
         np.testing.assert_allclose(atk.tables.forward[1], [0, 0, 0, 1])
-        assert (atk.gram == 1.0).all()
+        # Eve's vectors coincide: the Gram stores the overlap 1 of the two
+        # branches of non-zero weight, (0, 0, 0) and (1, 3, 3), and no other
+        weighted = atk.tables.weights.reshape(-1) > 0
+        np.testing.assert_array_equal(atk.gram.members, np.flatnonzero(weighted))
+        np.testing.assert_array_equal(atk.gram.values, np.ones(4))
 
     def test_p_ghz_through_protocol(self):
         pp = protocol.ProtocolParams(n=2)
@@ -419,6 +423,22 @@ class TestAttackFiles:
                            match=rf"nf\.attack:{lineno}: value '{value}' is not finite"):
             load_attack_file(path)
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("0 1 0.1\n", "0 1 -0.1\n", r"3: probability -0\.1 is negative"),
+        ("0 1 0.1\n", "0 1 0.2\n", r"2-3: FORWARD row \(0,\) sums to 1\.1"),
+        ("0 0 0 1\n", "", r"7: BACKWARD row \(0, 0\) sums to 0\.0"),
+        ("0 1 0.1\n", "", r"1: FORWARD must list all 2\*d entries"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n0 0 0 1 1 1 0.5\n0 0 0 0 1 1 0.9\n"
+                      "0 1 1 1 1 1 0.9\n", r"16-18: gram is not PSD"),
+        ("1 1 1 1\n", "1 1 1 1\nGRAM\n1 1 1 1 1 1 0.5\n", r"16: diagonal GRAM entry"),
+    ], ids=["negative", "forward-sum", "backward-sum", "forward-missing", "not-psd",
+            "diagonal"])
+    def test_table_and_gram_errors_name_their_lines(self, tmp_path, old, new, where):
+        path = tmp_path / "bad.attack"
+        path.write_text(self.PLAIN.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=r"bad\.attack:" + where):
+            load_attack_file(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.attack"
         path.write_text(
@@ -433,18 +453,26 @@ class TestSizeCap:
     """Attacks are size-checked before anything is allocated."""
 
     def test_largest_dense_gram_passes(self):
-        # n = 6: a (2 * 4^6)^2 = 2^26-entry Gram, 512 MiB; only the check runs
-        assert (2 * 4 ** 6) ** 2 == attacks.GRAM_ENTRY_CAP
-        attacks.check_attack_size(6)
+        # a dense Gram is only a view for small d: n = 5 has (2 * 4^5)^2 =
+        # 2^22 entries, under GRAM_ENTRY_CAP; n = 6 (2^26) is refused
+        assert np.asarray(identity_gram(32)).shape == (2, 32, 32) * 2
+        assert (2 * 4 ** 6) ** 2 > attacks.GRAM_ENTRY_CAP
+        with pytest.raises(qmath.CapacityError, match="GRAM_ENTRY_CAP"):
+            np.asarray(identity_gram(64))
 
-    @pytest.mark.parametrize("n", [7, 22, 64, 10 ** 9])
+    def test_largest_attack_passes(self):
+        # the backward table has 2 * 4^n entries: 2^21 at n = 10, 2^23 at n = 11
+        assert 2 * 4 ** 10 <= qmath.DIM_CAP < 2 * 4 ** 11
+        attacks.check_attack_size(10)
+
+    @pytest.mark.parametrize("n", [11, 22, 64, 10 ** 9])
     def test_over_cap_is_capacity_error(self, n):
         with pytest.raises(qmath.CapacityError, match=f"n={n} "):
             attacks.check_attack_size(n)
 
     def test_constructors_check_first(self):
         with pytest.raises(qmath.CapacityError):
-            identity_attack(7)
+            identity_attack(11)
         with pytest.raises(qmath.CapacityError):
             depolarizing_attack(DepolarizingParams(0.1, 0.2, 64))
         with pytest.raises(qmath.CapacityError):
@@ -452,10 +480,10 @@ class TestSizeCap:
 
     def test_oversized_attack_file(self, tmp_path):
         path = tmp_path / "big.attack"
-        d = 1 << 7
+        d = 1 << 11
         path.write_text("FORWARD\n" + "".join(f"{a} {b} {1.0 / d!r}\n"
                                               for a in range(2) for b in range(d)))
-        with pytest.raises(qmath.CapacityError, match="n=7 "):
+        with pytest.raises(qmath.CapacityError, match="n=11 "):
             load_attack_file(path)
 
     @pytest.mark.parametrize("n", [0, -1])

@@ -244,12 +244,12 @@ class TestCleanExits:
                              "--seed", "-1", "--out", str(tmp_path / "t.txt"))
         assert "session seed -1 is negative" in err
 
-    @pytest.mark.parametrize("n", [7, 22, 64])
+    @pytest.mark.parametrize("n", [11, 22, 64])
     @pytest.mark.parametrize("q", ["0", "0.1"], ids=["identity", "depolarizing"])
     def test_oversized_n(self, capsys, tmp_path, n, q):
         err = self.run_error(capsys, "simulate", "--n", str(n), "--q", q,
                              "--rounds", "10", "--out", str(tmp_path / "t.txt"))
-        assert f"an attack for n={n} needs a dense Gram" in err
+        assert f"an attack for n={n} needs tables of 2^{2 * n + 1} entries" in err
         assert not (tmp_path / "t.txt").exists()
 
     def test_no_receiver(self, capsys, tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_table_attack
-from sqcka import keyrate, protocol, qmath
+from sqcka import attacks, keyrate, protocol, qmath
 from sqcka.attacks import (
     DepolarizingParams,
     attack_from_tables,
@@ -74,6 +74,7 @@ def paired_bound(*pairs):
 
 def scalar_bound(w, gram, plan):
     """Reference: the Theorem-1 bound by a Python loop over the paired branches."""
+    gram = np.asarray(gram)
     total = 0.0
     for b, bp in itertools.product(range(w.shape[1]), repeat=2):
         c, cp = plan.pi1[b], plan.pi2[bp]
@@ -235,7 +236,7 @@ class TestPairingSearch:
         gram[0, 1, 2, 1, 3, 0] = gram[1, 3, 0, 0, 1, 2] = 0.9
         plan_x, best_x = pairing_maximize(w, gram)
         assert plan_x.strategy == "exhaustive"
-        _, best_g = keyrate._greedy_search(w, gram)
+        _, best_g = keyrate._greedy_search(w, attacks.as_gram(gram, 4))
         assert best_g == pytest.approx(best_x, abs=1e-10)
 
     def test_every_plan_is_a_lower_bound(self):

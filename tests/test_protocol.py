@@ -183,7 +183,8 @@ class TestRunRoundExact:
         np.testing.assert_allclose(np.diag(gram_sim).real, w.ravel(), atol=1e-12)
         norms = np.sqrt(np.diag(gram_sim).real)
         unit = gram_sim.real / np.outer(norms, norms)
-        np.testing.assert_allclose(unit, atk.gram.reshape(32, 32), atol=1e-10)
+        np.testing.assert_allclose(unit, np.asarray(atk.gram).reshape(32, 32),
+                                   atol=1e-10)
 
     def test_embedded_matches_analytic_for_table_attack(self):
         rng = np.random.default_rng(22)
