@@ -14,7 +14,8 @@ of its non-zero overlaps between distinct branches; ``np.asarray(gram)``
 gives the dense form back for small d.  Both built-in attacks store one
 2 x 2 block, so attacks reach n = 10 (``check_attack_size``).
 
-The depolarizing channel is fully built in, with its dilation.  Overlap data
+The depolarizing channel is fully built in, with its dilation up to n = 7
+(past that no exact route can hold a dilated state).  Overlap data
 use the *global* normalization convention throughout this module: squared
 norms are branch weights of the unnormalized post-round state and sum to 1
 over all branches.  The per-branch convention used by the estimators is
@@ -29,7 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .qmath import DIM_CAP, CapacityError, DomainError, ValidationError
+from .qmath import (
+    DIM_CAP,
+    CapacityError,
+    DomainError,
+    ValidationError,
+    float_or_array,
+    unit_interval,
+)
 
 TABLE_ATOL = 1e-12
 GRAM_PSD_ATOL = 1e-9
@@ -55,18 +63,24 @@ def check_attack_size(n: int) -> None:
 
 @dataclass(frozen=True)
 class DepolarizingParams:
-    """Forward/backward depolarizing strengths for n transferring qubits."""
+    """Forward/backward depolarizing strengths for n transferring qubits.
 
-    q: float
-    qtilde: float
-    n: int
+    The closed forms (``eve_catalogue``, ``p_ghz_analytic`` and the rates in
+    ``keyrate``) also take arrays here, broadcast against each other, and
+    return arrays of their shape; an attack needs scalars.
+    """
+
+    q: float | np.ndarray
+    qtilde: float | np.ndarray
+    n: int | np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        if np.any(np.asarray(self.n) < 1):
             raise DomainError(f"need at least one receiving party, got n={self.n}")
-        for name, v in (("q", self.q), ("qtilde", self.qtilde)):
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name}={v} outside [0, 1]")
+        for name in ("q", "qtilde"):
+            arr = unit_interval(getattr(self, name), f"{name}=")
+            if arr.ndim:
+                object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
@@ -459,14 +473,15 @@ class EveVectorCatalogue:
     receiving parties and c the string returning to the sender; they fall
     into four families by the pattern of coincidences among (vec a, b, c).
     Only the two all-equal branches overlap; the rest are orthogonal.
+    Built from array parameters, every field is an array of their shape.
     """
 
-    n: int
-    norm_aaa: float
-    norm_aac: float
-    norm_abb: float
-    norm_abc: float
-    cross_overlap: float
+    n: int | np.ndarray
+    norm_aaa: float | np.ndarray
+    norm_aac: float | np.ndarray
+    norm_abb: float | np.ndarray
+    norm_abc: float | np.ndarray
+    cross_overlap: float | np.ndarray
 
     @property
     def d(self) -> int:
@@ -501,20 +516,30 @@ class EveVectorCatalogue:
         return self.norms[self.family_of(a, b, c)]
 
 
+#: Exponents past this give ldexp(x, -k) = 0 for every |x| <= 1.
+_LDEXP_EXP_CAP = 1100
+
+
+def _over_pow2(x, k):
+    """x / 2^k as ``np.ldexp(x, -k)``: the same value, and no overflow.
+
+    k is capped first, so a Python int too large for a C long still works.
+    """
+    k = np.asarray(k, dtype=object)
+    return np.ldexp(x, -np.where(k > _LDEXP_EXP_CAP, _LDEXP_EXP_CAP, k).astype(np.int64))
+
+
 def eve_catalogue(params: DepolarizingParams) -> EveVectorCatalogue:
     """Branch norms of the depolarizing round, global convention."""
     q, qt, n = params.q, params.qtilde, params.n
-    # x / 2^k as ldexp(x, -k): the same value, and no overflow at large n
-    mixed = math.ldexp(q * (1 - qt) + (1 - q) * qt, -(n + 1))
-    tail = math.ldexp(q * qt, -(2 * n + 1))
-    return EveVectorCatalogue(
-        n=n,
-        norm_aaa=(1 - q) * (1 - qt) / 2.0 + mixed + tail,
-        norm_aac=math.ldexp((1 - q) * qt, -(n + 1)) + tail,
-        norm_abb=math.ldexp(q * (1 - qt), -(n + 1)) + tail,
-        norm_abc=tail,
-        cross_overlap=(1 - q) * (1 - qt) / 2.0,
-    )
+    mixed = _over_pow2(q * (1 - qt) + (1 - q) * qt, n + 1)
+    tail = _over_pow2(q * qt, 2 * n + 1)
+    norms = ((1 - q) * (1 - qt) / 2.0 + mixed + tail,
+             _over_pow2((1 - q) * qt, n + 1) + tail,
+             _over_pow2(q * (1 - qt), n + 1) + tail,
+             tail,
+             (1 - q) * (1 - qt) / 2.0)
+    return EveVectorCatalogue(n, *map(float_or_array, norms))
 
 
 def depolarizing_gram(params: DepolarizingParams) -> EveGram:
@@ -550,20 +575,28 @@ def _depolarizing_dilation(strength: float, n: int) -> DilatedChannel:
 
 
 def depolarizing_attack(params: DepolarizingParams) -> CollectiveAttack:
-    """Depolarizing collective attack: tables, Gram and dilation."""
+    """Depolarizing collective attack: tables, Gram and, up to n = 7, dilation.
+
+    The smallest dilated state an exact route builds, the return leg's
+    T x Et with 2 d^3 amplitudes, must fit ``DIM_CAP``; past that (n >= 8)
+    no route could use the dilations, so none is built.
+    """
     check_attack_size(params.n)
+    dilations = {}
+    if 2 * params.d ** 3 <= DIM_CAP:
+        dilations = {"forward_dilation": _depolarizing_dilation(params.q, params.n),
+                     "backward_dilation": _depolarizing_dilation(params.qtilde, params.n)}
     return CollectiveAttack(
         tables=depolarizing_tables(params),
         gram=depolarizing_gram(params),
-        forward_dilation=_depolarizing_dilation(params.q, params.n),
-        backward_dilation=_depolarizing_dilation(params.qtilde, params.n),
         label=f"depolarizing(q={params.q:g}, qtilde={params.qtilde:g})",
+        **dilations,
     )
 
 
-def p_ghz_analytic(params: DepolarizingParams) -> float:
+def p_ghz_analytic(params: DepolarizingParams) -> float | np.ndarray:
     """Probability that a reflected round still projects onto the GHZ state."""
-    return 1.0 - params.q_ghz * (1.0 - math.ldexp(1.0, -(params.n + 1)))
+    return float_or_array(1.0 - params.q_ghz * (1.0 - _over_pow2(1.0, params.n + 1)))
 
 
 def joint_az_analytic(a: int, c: int, params: DepolarizingParams,

@@ -9,6 +9,8 @@ Commands::
 
 Outputs are deterministic: identical arguments and seed give byte-identical
 CSV files and reports.  Numbers are printed with 9 significant digits.
+``sweep`` and ``figures`` evaluate the closed-form rates over whole
+(Q, Q~) grids, one array call per (n, mode), and format each value once.
 
 Custom attacks are plain-text files with ``#`` comments and three sections::
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,6 +57,11 @@ GRID_CAP = 10 ** 6
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
+
+
+def _fmt_all(values) -> list[str]:
+    """``_fmt`` of every element of an array, in C order."""
+    return [format(x, ".9g") for x in np.ravel(values).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +199,10 @@ def _verify_checks(attack_file: str | None):
                 dev = max(dev, float(np.max(np.abs(sim.abc_joint - ana.abc_joint))))
     yield "dilation-analytic-agreement", dev <= 1e-10, f"max dev {dev:.2e}"
 
-    dev = 0.0
-    for n in range(1, 7):
-        for q in np.linspace(0.0, 1.0, 20):
-            for qt in np.linspace(0.0, 1.0, 20):
-                cat = eve_catalogue(DepolarizingParams(q, qt, n))
-                dev = max(dev, abs(cat.total_mass() - 1.0))
+    grid = np.linspace(0.0, 1.0, 20)
+    cat = eve_catalogue(DepolarizingParams(grid[:, None, None], grid[None, :, None],
+                                           np.arange(1, 7)))
+    dev = float(np.max(np.abs(cat.total_mass() - 1.0)))
     yield "catalogue-normalization", dev <= 1e-12, f"max |mass-1| {dev:.2e}"
 
     # --- entropy bound layer -------------------------------------------------
@@ -219,14 +225,12 @@ def _verify_checks(attack_file: str | None):
     dev = abs(sat - 1.0)
     yield "noiseless-saturation", dev <= 1e-10, f"|oracle-1| {dev:.2e}"
 
-    dev = 0.0
-    for n in (2, 5, 10):
-        for q in np.linspace(0.0, 1.0, 9):
-            for qt in np.linspace(0.0, 1.0, 9):
-                params = DepolarizingParams(q, qt, n)
-                lit = keyrate.depolarizing_entropy_lower(params, "paper_literal")
-                thm = keyrate.depolarizing_entropy_lower(params, "theorem_exact")
-                dev = max(dev, abs(thm - 2.0 * lit))
+    grid = np.linspace(0.0, 1.0, 9)
+    params = DepolarizingParams(grid[:, None, None], grid[None, :, None],
+                                np.array([2, 5, 10]))
+    lit = keyrate.depolarizing_entropy_lower(params, "paper_literal")
+    thm = keyrate.depolarizing_entropy_lower(params, "theorem_exact")
+    dev = float(np.max(np.abs(thm - 2.0 * lit)))
     yield "mode-factor-two", dev == 0.0, f"max |thm - 2*lit| {dev:.2e}"
 
     params = DepolarizingParams(0.15, 0.1, 2)
@@ -334,26 +338,33 @@ class SweepSpec:
 
 
 def _sweep_rows(spec: SweepSpec):
+    """Rows in (n, q, qtilde, mode) order.
+
+    Each n's (q, qtilde) grid is one array call per mode; the values are
+    formatted one q row at a time, so only one row of strings is held.
+    """
+    q, qt = np.meshgrid(spec.qs, spec.qtildes, indexing="ij")
+    qt_s = _fmt_all(spec.qtildes)
+    bob = keyrate.qbob(q)
     for n in spec.ns:
-        for q in spec.qs:
-            for qt in spec.qtildes:
-                params = DepolarizingParams(q, qt, n)
-                pg = p_ghz_analytic(params)
-                for mode in spec.modes:
-                    rep = keyrate.depolarizing_keyrate(params, mode)
-                    yield (str(n), _fmt(q), _fmt(qt), mode, _fmt(pg),
-                           _fmt(keyrate.qbob(q)), _fmt(rep.s_lower),
-                           _fmt(rep.leakage), _fmt(rep.r_min))
+        params = DepolarizingParams(q, qt, n)
+        pg = p_ghz_analytic(params)
+        reps = [(mode, keyrate.depolarizing_keyrate(params, mode)) for mode in spec.modes]
+        for i, q_s in enumerate(_fmt_all(spec.qs)):
+            pg_s, bob_s = _fmt_all(pg[i]), _fmt_all(bob[i])
+            cols = [(mode, _fmt_all(r.s_lower[i]), _fmt_all(r.leakage[i]),
+                     _fmt_all(r.r_min[i])) for mode, r in reps]
+            for j, qt_j in enumerate(qt_s):
+                for mode, s, leak, r in cols:
+                    yield (str(n), q_s, qt_j, mode, pg_s[j], bob_s[j], s[j], leak[j], r[j])
 
 
 def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    lines += [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    """Stream the header and rows to ``path`` (standard output when None)."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(r) + "\n" for r in rows)
 
 
 def cmd_sweep(args) -> int:
@@ -378,7 +389,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rate(n: int, q: float, qt: float, mode: str) -> float:
+def _rates(n: int, q, qt, mode: str) -> np.ndarray:
+    """r_min over arrays of Q and Q~, broadcast against each other."""
     return keyrate.depolarizing_keyrate(DepolarizingParams(q, qt, n), mode).r_min
 
 
@@ -387,39 +399,46 @@ def find_rate_crossing(fn, lo: float = 0.0, hi: float = 1.0,
                        tol: float = BISECT_TOL) -> float | None:
     """First positive-to-strictly-negative crossing of fn, by bisection.
 
-    Touching zero at the range boundary does not count as a crossing.
+    ``fn`` maps an array of x to values of its shape (a constant is
+    broadcast): the grid is scanned in one call, and each bisection step
+    is a 1-element call.  Touching zero at the range boundary does not
+    count as a crossing.
     """
-    xs = _parse_range(f"{lo}:{hi}", step)
-    fs = [fn(x) for x in xs]
-    neg = next((i for i, f in enumerate(fs) if f < 0.0), None)
-    if neg is None:
+    xs = np.array(_parse_range(f"{lo}:{hi}", step))
+    fs = np.broadcast_to(fn(xs), xs.shape)
+    neg = np.flatnonzero(fs < 0.0)
+    if not neg.size:
         return None
-    pos = max((i for i in range(neg) if fs[i] > 0.0), default=None)
-    if pos is None:
+    pos = np.flatnonzero(fs[:neg[0]] > 0.0)
+    if not pos.size:
         return None
-    a, b = xs[pos], xs[neg]
+    a, b = float(xs[pos[-1]]), float(xs[neg[0]])
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if fn(mid) > 0.0:
+        if np.broadcast_to(fn(np.array([mid])), (1,))[0] > 0.0:
             a = mid
         else:
             b = mid
     return 0.5 * (a + b)
 
 
+def _rate_rows(n: int, q: np.ndarray, qt: np.ndarray):
+    """fig CSV rows over a grid of (q, qtilde) points, each with both modes."""
+    rates = [_fmt_all(_rates(n, q, qt, mode)) for mode in MODES]
+    q_s, qt_s = _fmt_all(q), _fmt_all(qt)
+    for i in range(len(q_s)):
+        for mode, r in zip(MODES, rates):
+            yield str(n), q_s[i], qt_s[i], mode, r[i]
+
+
 def cmd_figures(args) -> int:
     outdir = Path(args.out or "figures")
     outdir.mkdir(parents=True, exist_ok=True)
-    grid01 = _parse_range("0:1", FIGURE_STEP)
-    grid_half = _parse_range("0:0.5", FIGURE_STEP)
+    grid01 = np.array(_parse_range("0:1", FIGURE_STEP))
+    grid_half = np.array(_parse_range("0:0.5", FIGURE_STEP))
 
-    rows = []
-    for q in grid_half:
-        for qt in grid_half:
-            for mode in MODES:
-                rep = keyrate.depolarizing_keyrate(DepolarizingParams(q, qt, 10), mode)
-                rows.append(("10", _fmt(q), _fmt(qt), mode, _fmt(rep.r_min)))
-    _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", rows)
+    q, qt = np.meshgrid(grid_half, grid_half, indexing="ij")
+    _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", _rate_rows(10, q, qt))
 
     slices = {  # figure: (grid, x -> (q, qtilde))
         "fig3": (grid_half, lambda x: (x, x)),
@@ -427,15 +446,15 @@ def cmd_figures(args) -> int:
         "fig4b": (grid_half, lambda x: (x, 0.0)),
     }
     for fig, (grid, point) in slices.items():
-        rows = [(str(n), _fmt(q), _fmt(qt), mode, _fmt(_rate(n, q, qt, mode)))
-                for n in FIGURE_NS for q, qt in map(point, grid) for mode in MODES]
+        q, qt = (np.broadcast_to(v, grid.shape) for v in point(grid))
+        rows = (row for n in FIGURE_NS for row in _rate_rows(n, q, qt))
         _write_csv(outdir / f"{fig}.csv", "n,q,qtilde,mode,r_min", rows)
 
     rows = []
     for fig, (_, point) in slices.items():
         for n in FIGURE_NS:
             for mode in MODES:
-                crossing = find_rate_crossing(lambda x: _rate(n, *point(x), mode))
+                crossing = find_rate_crossing(lambda x: _rates(n, *point(x), mode))
                 rows.append((fig, str(n), mode,
                              "" if crossing is None else _fmt(crossing)))
     _write_csv(outdir / "thresholds.csv", "figure,n,mode,crossing", rows)

@@ -6,7 +6,10 @@ bound on S(A|E), so the search over plans only tightens it.  The bound of
 one plan is written once, in ``_plan_value``: the pairing search calls it
 directly, and ``theorem1_entropy_bound(terms_from_plan(...))`` is its
 checked public entry.  For the depolarizing channel everything collapses to
-a closed form in the all-equal branch weight and the branch overlap.
+a closed form in the all-equal branch weight and the branch overlap.  That
+closed form is written once, over numpy arrays: ``DepolarizingParams`` with
+array strengths gives a whole (Q, Q~) grid in one call, and scalar
+strengths, the 0-d case of the same lines, give Python floats.
 
 Two closed-form modes are first class and emitted side by side:
 
@@ -40,6 +43,8 @@ from .qmath import (
     ValidationError,
     binary_entropy,
     entropy_of_spectrum,
+    float_or_array,
+    unit_interval,
 )
 
 MODES = ("paper_literal", "theorem_exact")
@@ -91,11 +96,15 @@ class EntropyBoundInput:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Entropy lower bound, leakage, and the resulting key rate."""
+    """Entropy lower bound, leakage, and the resulting key rate.
 
-    s_lower: float
-    leakage: float
-    r_min: float
+    The values are floats for scalar inputs, arrays broadcast from the
+    inputs otherwise.
+    """
+
+    s_lower: float | np.ndarray
+    leakage: float | np.ndarray
+    r_min: float | np.ndarray
     mode: str
     params: dict = field(default_factory=dict)
 
@@ -266,7 +275,8 @@ def pairing_maximize(weights: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def depolarizing_entropy_lower(params: DepolarizingParams, mode: str) -> float:
+def depolarizing_entropy_lower(params: DepolarizingParams,
+                               mode: str) -> float | np.ndarray:
     """Closed-form entropy lower bound for the depolarizing channel.
 
     Only the two all-equal branches survive the complement pairing; with A
@@ -276,33 +286,37 @@ def depolarizing_entropy_lower(params: DepolarizingParams, mode: str) -> float:
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     cat = eve_catalogue(params)
-    # norm_aaa >= cross_overlap, and it is 0 only by underflow at huge n
-    lam = 0.5 * (1.0 + cat.cross_overlap / cat.norm_aaa) if cat.norm_aaa else 0.5
-    literal = cat.norm_aaa * (1.0 - binary_entropy(min(lam, 1.0)))
-    return literal if mode == "paper_literal" else 2.0 * literal
+    # norm_aaa >= cross_overlap, and it is 0 (a 0/0 here) only by underflow
+    # at huge n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(cat.norm_aaa > 0.0,
+                       0.5 * (1.0 + np.divide(cat.cross_overlap, cat.norm_aaa)), 0.5)
+    literal = cat.norm_aaa * (1.0 - binary_entropy(np.minimum(lam, 1.0)))
+    return float_or_array(literal if mode == "paper_literal" else 2.0 * literal)
 
 
-def qbob(q: float) -> float:
+def qbob(q: float | np.ndarray) -> float | np.ndarray:
     """Error rate each receiver observes against the sender: Q/2."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q={q} outside [0, 1]")
-    return q / 2.0
+    return float_or_array(unit_interval(q, "q=") / 2.0)
 
 
-def keyrate_lower(s_lower: float, q: float, mode: str = "general_table",
+def keyrate_lower(s_lower: float | np.ndarray, q: float | np.ndarray,
+                  mode: str = "general_table",
                   params: dict | None = None) -> KeyRateReport:
     """Compose the rate: entropy bound minus error-correction leakage.
 
     The entropy bound is clamped at zero in the report; negative rates are
     reported as-is so callers can see where the protocol must abort.
+    Array inputs broadcast against each other.
     """
-    s_rep = max(0.0, s_lower)
+    s_rep = float_or_array(np.where(s_lower > 0.0, s_lower, 0.0))
     leakage = binary_entropy(qbob(q))
     return KeyRateReport(s_lower=s_rep, leakage=leakage, r_min=s_rep - leakage,
                          mode=mode, params=dict(params or {}))
 
 
 def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport:
+    """The closed-form rate of ``mode``, over arrays as over scalars."""
     s = depolarizing_entropy_lower(params, mode)
     return keyrate_lower(s, params.q, mode=mode,
                          params={"n": params.n, "q": params.q, "qtilde": params.qtilde})

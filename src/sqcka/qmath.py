@@ -375,11 +375,32 @@ def conditional_entropy(rho: DensityOperator, layout: RegisterLayout,
     return s_ae - s_e
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy (bits) of the distribution {x, 1-x}."""
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise DomainError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LOG2)
+def float_or_array(x):
+    """A Python float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def unit_interval(x, what: str, slack: float = 0.0) -> np.ndarray:
+    """``x`` as a float64 array, every element in [-slack, 1 + slack].
+
+    Otherwise raise :class:`DomainError` naming ``what`` (a message prefix)
+    and the first offending element; NaN is out of range.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    ok = (arr >= -slack) & (arr <= 1.0 + slack)
+    if not ok.all():
+        bad = x if arr.ndim == 0 else arr[~ok][0]
+        raise DomainError(f"{what}{bad} outside [0, 1]")
+    return arr
+
+
+def binary_entropy(x):
+    """Shannon entropy (bits) of {x, 1-x}, elementwise; a scalar gives a float.
+
+    Values within 1e-12 of [0, 1] are clipped into it; any other raises
+    :class:`DomainError`.
+    """
+    x = np.clip(unit_interval(x, "binary_entropy argument ", 1e-12), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at x = 0, 1
+        h = -(x * np.log(x) + (1.0 - x) * np.log(1.0 - x)) / _LOG2
+    return float_or_array(np.where((x > 0.0) & (x < 1.0), h, 0.0))

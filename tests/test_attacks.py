@@ -293,6 +293,36 @@ class TestDilation:
             dense[leg.perm, np.arange(m)] = 1.0
             np.testing.assert_array_equal(dense, u)
 
+    def test_no_dilation_past_dim_cap(self):
+        # T x Et, the smallest dilated state, has 2 d^3 amplitudes: over
+        # DIM_CAP from n = 8 on, where no exact route could use a dilation
+        assert 2 * (1 << 8) ** 3 > qmath.DIM_CAP >= 2 * (1 << 7) ** 3
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 8))
+        assert atk.forward_dilation is None and atk.backward_dilation is None
+        assert not atk.has_dilation
+        assert atk.gram.sizes.tolist() == [2]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dilations_up_to_n7_unchanged(self, n):
+        q, qt = 0.15, 0.35
+        atk = depolarizing_attack(DepolarizingParams(q, qt, n))
+        for leg, strength in ((atk.forward_dilation, q), (atk.backward_dilation, qt)):
+            ref = attacks._depolarizing_dilation(strength, n)
+            assert leg.env_dims == ref.env_dims and leg.env_targets == ref.env_targets
+            np.testing.assert_array_equal(leg.perm, ref.perm)
+            np.testing.assert_array_equal(leg.env_state, ref.env_state)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_routes_keep_dilated_cross_check(self, n):
+        atk = depolarizing_attack(DepolarizingParams(0.2, 0.3, n))
+        assert atk.has_dilation
+        np.testing.assert_allclose(protocol.forward_conditionals_exact(atk),
+                                   atk.tables.forward, atol=1e-12)
+        _, _, sim = protocol.run_round_exact(protocol.ProtocolParams(n=n), atk, 0)
+        ana = protocol.round_statistics(atk, 0)
+        assert abs(sim.p_ghz - ana.p_ghz) <= 1e-10
+        np.testing.assert_allclose(sim.ctrl_az, ana.ctrl_az, atol=1e-10)
+
 
 class TestCrossFormConsistency:
     @pytest.mark.parametrize("q,qt,n", [(0.1, 0.2, 1), (0.4, 0.7, 2)])
