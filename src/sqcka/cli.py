@@ -544,8 +544,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subcommand parsers too; main reports it in one line
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqcka",
         description="GHZ-based semi-quantum conference key agreement toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -587,11 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; bad input ends in one ``sqcka: error:`` line, exit 2."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (qmath.ValidationError, qmath.DomainError, qmath.CapacityError,
-            OSError) as exc:
+    except (argparse.ArgumentError, qmath.ValidationError, qmath.DomainError,
+            qmath.CapacityError, OSError) as exc:
         print(f"sqcka: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,13 @@
 
 The bound pairs each of Eve's post-round branches tagged to sender bit 0
 with one tagged to bit 1 (a pairing plan); every plan yields a valid lower
-bound on S(A|E), so the search over plans only tightens it.  The bound of
-one plan is written once, in ``_plan_value``: the pairing search calls it
-directly, and ``theorem1_entropy_bound(terms_from_plan(...))`` is its
-checked public entry.  For the depolarizing channel everything collapses to
-a closed form in the all-equal branch weight and the branch overlap.  That
-closed form is written once, over numpy arrays: ``DepolarizingParams`` with
-array strengths gives a whole (Q, Q~) grid in one call, and scalar
+bound on S(A|E), so the search over plans only tightens it.  The bound is
+written once, in ``_plan_value``, over one plan or a stack: the pairing
+search calls it directly, on stacks, and ``theorem1_entropy_bound(
+terms_from_plan(...))`` is its checked entry.  For the depolarizing channel
+everything collapses to a closed form in the all-equal branch weight and
+the branch overlap, written once over numpy arrays: ``DepolarizingParams``
+with array strengths gives a whole (Q, Q~) grid in one call, and scalar
 strengths, the 0-d case of the same lines, give Python floats.
 
 Two closed-form modes are first class and emitted side by side:
@@ -25,12 +25,12 @@ We refuse to silently pick one; the factor-2 relation is itself tested.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import (
+    GRAM_PSD_ATOL,
     CollectiveAttack,
     DepolarizingParams,
     EveGram,
@@ -42,6 +42,7 @@ from .qmath import (
     DomainError,
     ValidationError,
     binary_entropy,
+    binary_entropy_bits,
     entropy_of_spectrum,
     float_or_array,
     unit_interval,
@@ -105,8 +106,6 @@ class KeyRateReport:
     s_lower: float | np.ndarray
     leakage: float | np.ndarray
     r_min: float | np.ndarray
-    mode: str
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -114,41 +113,30 @@ class KeyRateReport:
 # ---------------------------------------------------------------------------
 
 
-def _h_vec(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    out[inner] = -(xi * np.log2(xi) + (1.0 - xi) * np.log2(1.0 - xi))
-    return out
-
-
 def _partners(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
-    """Flat (c, c') index of the bit-1 branch paired with each (0, b, b')."""
-    return pi1[:, None] * pi1.size + pi2
+    """Flat (c, c') index of the bit-1 branch paired with each (0, b, b'), per plan."""
+    return pi1[..., :, None] * pi1.shape[-1] + pi2[..., None, :]
 
 
 def _plan_value(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
-                pi2: np.ndarray) -> float:
-    """The Theorem-1 bound of one plan on non-negative weights, in bits.
+                pi2: np.ndarray) -> float | np.ndarray:
+    """The Theorem-1 bound on non-negative weights, in bits, of one plan (a
+    float) or of a stack: ``pi1`` and ``pi2`` broadcast over leading axes.
 
     Branch (0, b, b') pairs with (1, pi1[b], pi2[b']); a pair of weight
     s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the largest eigenvalue
-    fraction of its block, and the sum is divided by the total weight.
+    fraction of its block, and each plan's sum, over its own (b, b') axis so
+    that it is bitwise the same in a stack, is divided by the total weight.
     """
     partner = _partners(pi1, pi2)
     q0 = w[0]
     q1 = w[1].reshape(-1)[partner]
     re = np.sqrt(q0 * q1) * gram.cross(partner)
     s = q0 + q1
-    live = s > 0.0
-    lam = np.full_like(s, 0.5)
-    lam[live] = 0.5 * (1.0 + np.sqrt((q0 - q1)[live] ** 2 + 4.0 * re[live] ** 2)
-                       / s[live])
-    frac = np.zeros_like(s)
-    frac[live] = q0[live] / s[live]
-    val = s * (_h_vec(frac) - _h_vec(lam))
-    return float(val.sum() / w.sum())
+    t = np.where(s > 0.0, s, 1.0)  # a pair of weight 0 gets lam = 1/2, q0/s = 0
+    lam = 0.5 * (1.0 + np.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / t)
+    val = s * (binary_entropy_bits(q0 / t) - binary_entropy_bits(np.minimum(lam, 1.0)))
+    return float_or_array(val.reshape(val.shape[:-2] + (-1,)).sum(axis=-1) / w.sum())
 
 
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
@@ -237,10 +225,10 @@ def _two_opt(w: np.ndarray, gram: EveGram, plan: PairingPlan,
 def _greedy_search(w: np.ndarray, g: EveGram) -> tuple[PairingPlan, float]:
     """Best of the identity, complement and greedy plans, polished by capped 2-opt."""
     d = w.shape[1]
-    candidates = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
-    seed = max(candidates,
-               key=lambda p: _plan_value(w, g, np.asarray(p.pi1), np.asarray(p.pi2)))
-    return _two_opt(w, g, seed, MAX_PAIRING_EVALS)[:2]
+    seeds = [identity_plan(d), complement_plan(d), _greedy_plan(w)]
+    values = _plan_value(w, g, np.array([p.pi1 for p in seeds]),
+                         np.array([p.pi2 for p in seeds]))
+    return _two_opt(w, g, seeds[int(np.argmax(values))], MAX_PAIRING_EVALS)[:2]
 
 
 def pairing_maximize(weights: np.ndarray,
@@ -251,23 +239,25 @@ def pairing_maximize(weights: np.ndarray,
     dimension <= 4) is globally optimal, larger dimensions seed with the
     best of the identity, complement and greedy plans and polish with
     capped 2-opt.  The result never falls below the identity plan.  The
-    weights are checked and clamped once, here, as in :func:`terms_from_plan`.
+    weights are checked once, here, and so is Cauchy-Schwarz for every plan:
+    each stored overlap between sender bits has |G| <= 1.
     """
     w = _checked_weights(weights)
     d = w.shape[1]
     g = as_gram(gram, d)
+    x, y, v = g.entries()
+    worst = float(np.abs(v[(x < d * d) != (y < d * d)]).max(initial=0.0))
+    # a Gram that validate_gram accepts has |G| <= 1 + GRAM_PSD_ATOL + 2e-12
+    if not worst <= 1.0 + 2.0 * GRAM_PSD_ATOL:
+        raise ValidationError(f"an overlap between sender bits has |G| = {worst:.6g} > 1")
     if d > EXHAUSTIVE_DIM:
         return _greedy_search(w, g)
-    best_val = -math.inf
-    best = None
-    for pi1 in itertools.permutations(range(d)):
-        a1 = np.asarray(pi1)
-        for pi2 in itertools.permutations(range(d)):
-            val = _plan_value(w, g, a1, np.asarray(pi2))
-            if val > best_val:
-                best_val = val
-                best = PairingPlan(pi1, pi2, "exhaustive")
-    return best, best_val
+    plans = list(itertools.permutations(range(d)))
+    stack = np.array(plans)
+    # row pi1, column pi2; argmax is the first best plan in (pi1, pi2) order
+    table = np.array([_plan_value(w, g, pi1, stack) for pi1 in stack])
+    i, j = np.unravel_index(np.argmax(table), table.shape)
+    return PairingPlan(plans[i], plans[j], "exhaustive"), float(table[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +290,8 @@ def qbob(q: float | np.ndarray) -> float | np.ndarray:
     return float_or_array(unit_interval(q, "q=") / 2.0)
 
 
-def keyrate_lower(s_lower: float | np.ndarray, q: float | np.ndarray,
-                  mode: str = "general_table",
-                  params: dict | None = None) -> KeyRateReport:
+def keyrate_lower(s_lower: float | np.ndarray,
+                  q: float | np.ndarray) -> KeyRateReport:
     """Compose the rate: entropy bound minus error-correction leakage.
 
     The entropy bound is clamped at zero in the report; negative rates are
@@ -311,15 +300,12 @@ def keyrate_lower(s_lower: float | np.ndarray, q: float | np.ndarray,
     """
     s_rep = float_or_array(np.where(s_lower > 0.0, s_lower, 0.0))
     leakage = binary_entropy(qbob(q))
-    return KeyRateReport(s_lower=s_rep, leakage=leakage, r_min=s_rep - leakage,
-                         mode=mode, params=dict(params or {}))
+    return KeyRateReport(s_lower=s_rep, leakage=leakage, r_min=s_rep - leakage)
 
 
 def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport:
     """The closed-form rate of ``mode``, over arrays as over scalars."""
-    s = depolarizing_entropy_lower(params, mode)
-    return keyrate_lower(s, params.q, mode=mode,
-                         params={"n": params.n, "q": params.q, "qtilde": params.qtilde})
+    return keyrate_lower(depolarizing_entropy_lower(params, mode), params.q)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,13 @@ def unit_interval(x, what: str, slack: float = 0.0) -> np.ndarray:
     return arr
 
 
+def binary_entropy_bits(x: np.ndarray) -> np.ndarray:
+    """:func:`binary_entropy` of a float64 array already in [0, 1], unchecked."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at x = 0, 1
+        h = -(x * np.log(x) + (1.0 - x) * np.log(1.0 - x)) / _LOG2
+    return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+
+
 def binary_entropy(x):
     """Shannon entropy (bits) of {x, 1-x}, elementwise; a scalar gives a float.
 
@@ -401,6 +408,4 @@ def binary_entropy(x):
     :class:`DomainError`.
     """
     x = np.clip(unit_interval(x, "binary_entropy argument ", 1e-12), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at x = 0, 1
-        h = -(x * np.log(x) + (1.0 - x) * np.log(1.0 - x)) / _LOG2
-    return float_or_array(np.where((x > 0.0) & (x < 1.0), h, 0.0))
+    return float_or_array(binary_entropy_bits(x))

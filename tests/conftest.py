@@ -18,3 +18,14 @@ def random_table_attack(rng, n):
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
     return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram)
+
+
+def a3_random_corpus():
+    """Acceptance criterion A3's 100 random attacks, alternately n = 1 and 2,
+    each with the random plan A3 draws after it: (n, attack, (pi1, pi2))."""
+    rng = np.random.default_rng(303)
+    for k in range(100):
+        n = 1 + k % 2
+        d = 1 << n
+        atk = random_table_attack(rng, n)
+        yield n, atk, (tuple(rng.permutation(d)), tuple(rng.permutation(d)))

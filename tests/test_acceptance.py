@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_table_attack
+from conftest import a3_random_corpus
 from sqcka import estimation, keyrate, protocol
 from sqcka.attacks import (
     DepolarizingParams,
@@ -136,7 +136,6 @@ def _plan_bound(w, gram, plan):
 
 
 def test_a3_bound_never_exceeds_oracle():
-    rng = np.random.default_rng(303)
     with criterion("A3", "pairing bound <= exact oracle + 1e-9, all plans"):
         worst = -math.inf
         # (i) the depolarizing grid of A2
@@ -157,15 +156,11 @@ def test_a3_bound_never_exceeds_oracle():
                             depolarizing_entropy_lower(params, "theorem_exact")
                             - oracle)
         # (ii) 100 randomized table-form attacks at n <= 2
-        for k in range(100):
-            n = 1 + k % 2
+        for n, atk, perms in a3_random_corpus():
             d = 1 << n
-            atk = random_table_attack(rng, n)
             oracle = exact_entropy_oracle(atk)
             w = atk.tables.weights
-            plans = [identity_plan(d), complement_plan(d)]
-            perm = tuple(rng.permutation(d))
-            plans.append(keyrate.PairingPlan(perm, tuple(rng.permutation(d))))
+            plans = [identity_plan(d), complement_plan(d), keyrate.PairingPlan(*perms)]
             _, best = pairing_maximize(w, atk.gram)
             for plan in plans:
                 worst = max(worst, _plan_bound(w, atk.gram, plan) - oracle)

@@ -278,7 +278,12 @@ class TestCleanExits:
         (("sweep", "--q", "0:1", "--q-step", "1e-10"), "over GRID_CAP"),
         (("simulate", "--rounds", "1000000000000", "--ctrl-count", "10"),
          "exceed ROUNDS_CAP"),
-    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "rounds"])
+        (("simulate", "--rounds", "1e5"), "argument --rounds: invalid int value: '1e5'"),
+        (("simulate", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("sweep", "--mode", "bogus"), "argument --mode: invalid choice: 'bogus'"),
+        (("sweep", "--q-step", "x"), "argument --q-step: invalid float value: 'x'"),
+    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "rounds",
+            "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

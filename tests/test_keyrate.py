@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_table_attack
+from conftest import a3_random_corpus, random_table_attack
 from sqcka import attacks, keyrate, protocol, qmath
 from sqcka.attacks import (
     DepolarizingParams,
@@ -85,6 +85,50 @@ def scalar_bound(w, gram, plan):
             lam = min(0.5 * (1.0 + math.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / s), 1.0)
             total += s * (qmath.binary_entropy(q0 / s) - qmath.binary_entropy(lam))
     return total / w.sum()
+
+
+# The exhaustive search as it was before the evaluator took stacks of plans:
+# one scalar evaluation per plan, in a double loop, with its own log2 binary
+# entropy.  Kept verbatim as the reference of the stacked search.
+
+
+def reference_h_vec(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = -(xi * np.log2(xi) + (1.0 - xi) * np.log2(1.0 - xi))
+    return out
+
+
+def reference_plan_value(w, gram, pi1, pi2):
+    partner = pi1[:, None] * pi1.size + pi2
+    q0 = w[0]
+    q1 = w[1].reshape(-1)[partner]
+    re = np.sqrt(q0 * q1) * gram.cross(partner)
+    s = q0 + q1
+    live = s > 0.0
+    lam = np.full_like(s, 0.5)
+    lam[live] = 0.5 * (1.0 + np.sqrt((q0 - q1)[live] ** 2 + 4.0 * re[live] ** 2)
+                       / s[live])
+    frac = np.zeros_like(s)
+    frac[live] = q0[live] / s[live]
+    val = s * (reference_h_vec(frac) - reference_h_vec(lam))
+    return float(val.sum() / w.sum())
+
+
+def reference_exhaustive_search(w, g):
+    d = w.shape[1]
+    best_val = -math.inf
+    best = None
+    for pi1 in itertools.permutations(range(d)):
+        a1 = np.asarray(pi1)
+        for pi2 in itertools.permutations(range(d)):
+            val = reference_plan_value(w, g, a1, np.asarray(pi2))
+            if val > best_val:
+                best_val = val
+                best = PairingPlan(pi1, pi2, "exhaustive")
+    return best, best_val
 
 
 class TestLambdaTerm:
@@ -239,6 +283,19 @@ class TestPairingSearch:
         _, best_g = keyrate._greedy_search(w, attacks.as_gram(gram, 4))
         assert best_g == pytest.approx(best_x, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gram_no_vectors_realize_rejected(self, n):
+        # |G| = 5 between the two all-equal branches: no pair of unit vectors
+        params = DepolarizingParams(0.3, 0.3, n)
+        atk = depolarizing_attack(params)
+        gram = np.array(np.asarray(atk.gram))
+        last = (1 << n) - 1
+        gram[0, 0, 0, 1, last, last] = gram[1, last, last, 0, 0, 0] = 5.0
+        with pytest.raises(ValidationError, match=r"between sender bits has \|G\| = 5 > 1"):
+            pairing_maximize(atk.tables.weights, gram)
+        with pytest.raises(ValidationError, match="exceeds sqrt"):
+            terms_from_plan(atk.tables.weights, gram, complement_plan(1 << n))
+
     def test_every_plan_is_a_lower_bound(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
@@ -250,6 +307,57 @@ class TestPairingSearch:
                     plan = PairingPlan(pi1, pi2)
                     bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
                     assert bound <= oracle + 1e-9
+
+
+class TestStackedEvaluator:
+    """The evaluator over stacks of plans against itself, one plan at a
+    time, and the stacked exhaustive search against the scalar loop."""
+
+    @staticmethod
+    def weights_with_empty_pairs(atk):
+        # zero weights on (0, 0, .) and (1, ., 0): some pairs get s = 0
+        w = np.array(atk.tables.weights)
+        w[0, 0] = 0.0
+        w[1, :, 0] = 0.0
+        return w
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_scores_bitwise_as_single_plans(self, n):
+        rng = np.random.default_rng(40 + n)
+        d = 1 << n
+        rand = random_table_attack(rng, n)
+        ident = identity_attack(n)
+        cases = [(rand.tables.weights, rand.gram),
+                 (self.weights_with_empty_pairs(rand), rand.gram),
+                 (ident.tables.weights, ident.gram)]
+        pi1 = np.array([rng.permutation(d) for _ in range(6)] + [np.arange(d)])
+        pi2 = np.array([rng.permutation(d) for _ in range(6)] + [np.arange(d)])
+        for w, g in cases:
+            alone = [keyrate._plan_value(w, g, a, b) for a, b in zip(pi1, pi2)]
+            assert all(type(v) is float for v in alone)
+            np.testing.assert_array_equal(keyrate._plan_value(w, g, pi1, pi2), alone)
+            # one pi1 against a stack of pi2, as the exhaustive search calls it
+            row = [keyrate._plan_value(w, g, pi1[0], b) for b in pi2]
+            np.testing.assert_array_equal(keyrate._plan_value(w, g, pi1[0], pi2), row)
+
+    def search_corpus(self):
+        # A3's random attacks, then its depolarizing grid at n = 1, 2
+        for _, atk, _ in a3_random_corpus():
+            yield atk.tables.weights, atk.gram
+        for n in (1, 2):
+            for q, qt in itertools.product([0.0, 0.1, 0.3, 0.7], repeat=2):
+                atk = depolarizing_attack(DepolarizingParams(q, qt, n))
+                yield atk.tables.weights, atk.gram
+
+    def test_search_matches_scalar_loop(self):
+        count = 0
+        for w, g in self.search_corpus():
+            plan, best = pairing_maximize(w, g)
+            ref_plan, ref_best = reference_exhaustive_search(w, g)
+            assert plan == ref_plan
+            assert abs(best - ref_best) <= 1e-15
+            count += 1
+        assert count == 132
 
 
 class TestDepolarizingClosedForms:
@@ -322,7 +430,7 @@ class TestKeyRate:
         assert rep.r_min < 0.0
 
     def test_rate_identity(self):
-        rep = keyrate_lower(0.3, 0.4, mode="theorem_exact")
+        rep = keyrate_lower(0.3, 0.4)
         assert rep.r_min == rep.s_lower - rep.leakage
 
     def test_entropy_clamped_in_report(self):
