@@ -206,8 +206,8 @@ class EveGram:
 
     @cached_property
     def _cross_keys(self) -> tuple[np.ndarray, ...]:
-        """For :meth:`cross`: the block of each sender-bit-0 branch, shape
-        (d, d), and where its row starts in ``values``; the block of each
+        """For :meth:`cross`: the block of each sender-bit-0 branch, flat over
+        (b, b'), and where its row starts in ``values``; the block of each
         bit-1 branch, flat over (c, c'), and its column in the block; then
         ``values`` with a 0 appended.  A branch outside every block is a
         block of its own."""
@@ -221,14 +221,15 @@ class EveGram:
         row[self.members] = self._starts[1][blk] + pos * self.sizes[blk]
         col[self.members] = pos
         half = n // 2
-        return (block[:half].reshape(self.d, self.d), row[:half].reshape(self.d, self.d),
-                block[half:], col[half:], np.append(self.values, 0.0))
+        return block[:half], row[:half], block[half:], col[half:], np.append(self.values, 0.0)
 
-    def cross(self, partner: np.ndarray) -> np.ndarray:
-        """G[(0, b, b'), (1, c, c')] for all (b, b'), where the bit-1 branch
-        paired with (0, b, b') has c d + c' = ``partner[b, b']``."""
+    def cross(self, zero: np.ndarray, partner: np.ndarray) -> np.ndarray:
+        """G[(0, b, b'), (1, c, c')] elementwise, for bit-0 branches with
+        b d + b' = ``zero`` and their bit-1 partners with c d + c' =
+        ``partner`` (the two arrays broadcast)."""
         block0, row0, block1, col1, padded = self._cross_keys
-        return padded[np.where(block0 == block1[partner], row0 + col1[partner], -1)]
+        return padded[np.where(block0[zero] == block1[partner],
+                               row0[zero] + col1[partner], -1)]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense (2, d, d, 2, d, d) Gram, for small d."""

@@ -2,10 +2,12 @@
 
 The bound pairs each of Eve's post-round branches tagged to sender bit 0
 with one tagged to bit 1 (a pairing plan); every plan yields a valid lower
-bound on S(A|E), so the search over plans only tightens it.  The bound is
-written once, in ``_plan_value``, over one plan or a stack: the pairing
-search calls it directly, on stacks, and ``theorem1_entropy_bound(
-terms_from_plan(...))`` is its checked entry.  For the depolarizing channel
+bound on S(A|E), so the search over plans only tightens it.  The term of
+one pair is written once, in ``_pair_terms``; ``_plan_value`` sums it over
+one plan or a stack, and ``theorem1_entropy_bound(terms_from_plan(...))``
+is its checked entry.  The exhaustive search scores stacks of plans; the
+2-opt search recomputes only the two rows or columns of the term table that
+a swap changes, for a batch of swaps at a time.  For the depolarizing channel
 everything collapses to a closed form in the all-equal branch weight and
 the branch overlap, written once over numpy arrays: ``DepolarizingParams``
 with array strengths gives a whole (Q, Q~) grid in one call, and scalar
@@ -53,8 +55,13 @@ MODES = ("paper_literal", "theorem_exact")
 #: Slack of the non-negative weight and Cauchy-Schwarz checks on paired terms.
 CS_ATOL = 1e-12
 
-#: Cap on the 2-opt pairing search (bound evaluations).
+#: Cap on the 2-opt pairing search: candidate plans scored, however many
+#: of them are scored in one batch.
 MAX_PAIRING_EVALS = 10_000
+
+#: Most term-table entries that one batch of 2-opt swaps holds, so that a
+#: batch's memory does not grow with d; past d = 256 a batch is one table.
+TWO_OPT_BATCH_ENTRIES = 1 << 16
 
 #: Exhaustive pairing search is feasible up to this channel dimension.
 EXHAUSTIVE_DIM = 4
@@ -118,25 +125,45 @@ def _partners(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
     return pi1[..., :, None] * pi1.shape[-1] + pi2[..., None, :]
 
 
+def _pair_terms(w: np.ndarray, gram: EveGram, zero: np.ndarray,
+                partner: np.ndarray) -> np.ndarray:
+    """The Theorem-1 term, in bits, of each pair of bit-0 branch b d + b' =
+    ``zero`` and bit-1 branch c d + c' = ``partner`` (the arrays broadcast).
+
+    A pair of weight s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the
+    largest eigenvalue fraction of its block.  Each term depends on its own
+    pair only, so it is bitwise the same whichever other pairs are scored.
+    """
+    q0 = w[0].reshape(-1)[zero]
+    q1 = w[1].reshape(-1)[partner]
+    re = np.sqrt(q0 * q1) * gram.cross(zero, partner)
+    s = q0 + q1
+    t = np.where(s > 0.0, s, 1.0)  # a pair of weight 0 gets lam = 1/2, q0/s = 0
+    lam = 0.5 * (1.0 + np.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / t)
+    return s * (binary_entropy_bits(q0 / t) - binary_entropy_bits(np.minimum(lam, 1.0)))
+
+
+def _table_values(terms: np.ndarray, total: float) -> np.ndarray:
+    """The bound of each (d, d) table of pair terms: its sum, over its own
+    flattened (b, b') axis, divided by the total weight."""
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1) / total
+
+
+def _plan_terms(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
+                pi2: np.ndarray) -> np.ndarray:
+    """The (..., d, d) pair terms of each plan; branch (0, b, b') pairs with
+    (1, pi1[b], pi2[b'])."""
+    d = w.shape[1]
+    return _pair_terms(w, gram, np.arange(d * d).reshape(d, d), _partners(pi1, pi2))
+
+
 def _plan_value(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
                 pi2: np.ndarray) -> float | np.ndarray:
     """The Theorem-1 bound on non-negative weights, in bits, of one plan (a
     float) or of a stack: ``pi1`` and ``pi2`` broadcast over leading axes.
-
-    Branch (0, b, b') pairs with (1, pi1[b], pi2[b']); a pair of weight
-    s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the largest eigenvalue
-    fraction of its block, and each plan's sum, over its own (b, b') axis so
-    that it is bitwise the same in a stack, is divided by the total weight.
-    """
-    partner = _partners(pi1, pi2)
-    q0 = w[0]
-    q1 = w[1].reshape(-1)[partner]
-    re = np.sqrt(q0 * q1) * gram.cross(partner)
-    s = q0 + q1
-    t = np.where(s > 0.0, s, 1.0)  # a pair of weight 0 gets lam = 1/2, q0/s = 0
-    lam = 0.5 * (1.0 + np.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / t)
-    val = s * (binary_entropy_bits(q0 / t) - binary_entropy_bits(np.minimum(lam, 1.0)))
-    return float_or_array(val.reshape(val.shape[:-2] + (-1,)).sum(axis=-1) / w.sum())
+    Each plan's terms are summed over its own axis, so that it scores
+    bitwise the same alone or in a stack."""
+    return float_or_array(_table_values(_plan_terms(w, gram, pi1, pi2), w.sum()))
 
 
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
@@ -168,8 +195,9 @@ def terms_from_plan(weights: np.ndarray, gram: EveGram | np.ndarray,
         raise ValidationError(f"gram {shape} or plan does not fit d = {d} weights")
     g = as_gram(gram, d)
     partner = _partners(np.asarray(plan.pi1), np.asarray(plan.pi2))
+    zero = np.arange(d * d).reshape(d, d)
     lim = np.sqrt(w[0] * w[1].reshape(-1)[partner])
-    excess = float(np.max(np.abs(lim * g.cross(partner)) - lim))
+    excess = float(np.max(np.abs(lim * g.cross(zero, partner)) - lim))
     if not excess <= CS_ATOL:
         raise ValidationError(f"a paired |Re overlap| exceeds sqrt(q0*q1) by {excess:.6g}")
     return EntropyBoundInput(w, g, plan)
@@ -195,30 +223,72 @@ def _greedy_plan(w: np.ndarray) -> PairingPlan:
                        "greedy")
 
 
+def _swapped(w: np.ndarray, gram: EveGram, pis: np.ndarray, table: np.ndarray,
+             total: float, axis: int, i: np.ndarray,
+             j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds and (k, d, d) term tables of the k plans that swap
+    ``pis[axis][i]`` and ``pis[axis][j]`` in the plan ``pis`` = (pi1, pi2),
+    whose term table is ``table``.
+
+    A swap in pi1 changes rows i and j of the table, one in pi2 columns i
+    and j; only those 2 d terms are computed, the rest is copied.
+    """
+    d = table.shape[0]
+    lines = np.stack([i, j], axis=-1)[..., None]      # (k, 2, 1)
+    moved = pis[axis][np.stack([j, i], axis=-1)][..., None]
+    other = pis[1 - axis]
+    cells = np.arange(d)
+    if axis == 0:
+        zero, partner = lines * d + cells, moved * d + other
+    else:
+        zero, partner = cells * d + lines, other * d + moved
+    k = i.size
+    tables = np.repeat(table[None], k, axis=0)
+    tables.reshape(k, -1)[np.arange(k)[:, None], zero.reshape(k, -1)] = \
+        _pair_terms(w, gram, zero, partner).reshape(k, -1)
+    return _table_values(tables, total), tables
+
+
 def _two_opt(w: np.ndarray, gram: EveGram, plan: PairingPlan,
              budget: int) -> tuple[PairingPlan, float, int]:
-    pi1 = np.asarray(plan.pi1).copy()
-    pi2 = np.asarray(plan.pi2).copy()
-    best = _plan_value(w, gram, pi1, pi2)
+    """First-improvement 2-opt from ``plan``, within ``budget`` plans scored.
+
+    Each sweep tries the swaps (i, j), i < j row-major, of pi1 and then of
+    pi2, and keeps every swap that raises the bound by over 1e-15; sweeps
+    repeat while one keeps a swap.  The next swaps of a sweep are scored in
+    batches of at most ``TWO_OPT_BATCH_ENTRIES`` table entries against the
+    current plan; the first one that improves is kept, the swaps before it
+    count as scored, and the sweep goes on after it.  So the search, its
+    plan, value and count are those of scoring one swap at a time.
+    """
+    pis = np.array([plan.pi1, plan.pi2])
+    d = pis.shape[1]
+    total = w.sum()
+    table = _plan_terms(w, gram, pis[0], pis[1])
+    best = float(_table_values(table, total))
     evals = 1
-    d = pi1.size
+    first, second = np.triu_indices(d, 1)
+    batch = max(1, TWO_OPT_BATCH_ENTRIES // (d * d))
     improved = True
     while improved and evals < budget:
         improved = False
-        for arr in (pi1, pi2):
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if evals >= budget:
-                        break
-                    arr[i], arr[j] = arr[j], arr[i]
-                    val = _plan_value(w, gram, pi1, pi2)
-                    evals += 1
-                    if val > best + 1e-15:
-                        best = val
-                        improved = True
-                    else:
-                        arr[i], arr[j] = arr[j], arr[i]
-    return (PairingPlan(tuple(int(x) for x in pi1), tuple(int(x) for x in pi2),
+        for axis in (0, 1):
+            pos = 0
+            while pos < first.size and evals < budget:
+                end = min(pos + batch, first.size, pos + budget - evals)
+                vals, tables = _swapped(w, gram, pis, table, total, axis,
+                                        first[pos:end], second[pos:end])
+                hits = np.flatnonzero(vals > best + 1e-15)
+                if hits.size:  # keep the first improving swap, go on after it
+                    k = int(hits[0])
+                    i, j = first[pos + k], second[pos + k]
+                    pis[axis, [i, j]] = pis[axis, [j, i]]
+                    table, best = tables[k], float(vals[k])
+                    improved = True
+                    end = pos + k + 1
+                evals += end - pos
+                pos = end
+    return (PairingPlan(tuple(int(x) for x in pis[0]), tuple(int(x) for x in pis[1]),
                         "greedy2opt"), best, evals)
 
 

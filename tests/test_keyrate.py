@@ -7,6 +7,7 @@ simulation provides a second, independent entropy route.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sqcka.attacks import (
     identity_attack,
 )
 from sqcka.keyrate import (
+    MAX_PAIRING_EVALS,
     PairingPlan,
     complement_plan,
     depolarizing_entropy_lower,
@@ -105,7 +107,8 @@ def reference_plan_value(w, gram, pi1, pi2):
     partner = pi1[:, None] * pi1.size + pi2
     q0 = w[0]
     q1 = w[1].reshape(-1)[partner]
-    re = np.sqrt(q0 * q1) * gram.cross(partner)
+    re = np.sqrt(q0 * q1) * gram.cross(np.arange(partner.size).reshape(partner.shape),
+                                        partner)
     s = q0 + q1
     live = s > 0.0
     lam = np.full_like(s, 0.5)
@@ -260,6 +263,23 @@ class TestPairingSearch:
         assert best == pytest.approx(
             depolarizing_entropy_lower(params, "theorem_exact"), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_greedy_two_opt_reaches_closed_form_for_depolarizing(self, n):
+        # above EXHAUSTIVE_DIM; the 2-opt batches keep the search's heap small
+        params = DepolarizingParams(0.15, 0.25, n)
+        atk = depolarizing_attack(params)
+        w = depolarizing_tables(params).weights
+        tracemalloc.start()
+        try:
+            plan, best = pairing_maximize(w, atk.gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.strategy == "greedy2opt"
+        assert best == pytest.approx(
+            depolarizing_entropy_lower(params, "theorem_exact"), abs=1e-12)
+        assert peak < 8 << 20
+
     def test_dominates_identity_plan(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -358,6 +378,68 @@ class TestStackedEvaluator:
             assert abs(best - ref_best) <= 1e-15
             count += 1
         assert count == 132
+
+
+# The 2-opt search as it was before it scored its swaps in batches: one
+# full evaluation per swap.  Kept verbatim as the reference of the batched
+# search, which must return bitwise the same plan, value and count.
+
+
+def reference_two_opt(w, gram, plan, budget):
+    pi1 = np.asarray(plan.pi1).copy()
+    pi2 = np.asarray(plan.pi2).copy()
+    best = keyrate._plan_value(w, gram, pi1, pi2)
+    evals = 1
+    d = pi1.size
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        for arr in (pi1, pi2):
+            for i in range(d):
+                for j in range(i + 1, d):
+                    if evals >= budget:
+                        break
+                    arr[i], arr[j] = arr[j], arr[i]
+                    val = keyrate._plan_value(w, gram, pi1, pi2)
+                    evals += 1
+                    if val > best + 1e-15:
+                        best = val
+                        improved = True
+                    else:
+                        arr[i], arr[j] = arr[j], arr[i]
+    return (PairingPlan(tuple(int(x) for x in pi1), tuple(int(x) for x in pi2),
+                        "greedy2opt"), best, evals)
+
+
+class TestBatchedTwoOpt:
+    """The batched 2-opt against the one-swap-at-a-time reference."""
+
+    BUDGETS = (1, 2, 3, 50, 333, 1000, MAX_PAIRING_EVALS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,n", [("random", 3), ("random", 4), ("random", 5),
+                                        ("depolarizing", 3), ("depolarizing", 4),
+                                        ("depolarizing", 5), ("depolarizing", 6)])
+    def test_bitwise_as_one_swap_at_a_time(self, kind, n):
+        if kind == "random":
+            atk = random_table_attack(np.random.default_rng(60 + n), n)
+        else:
+            atk = depolarizing_attack(DepolarizingParams(0.15, 0.25, n))
+        w = keyrate._checked_weights(atk.tables.weights)
+        d = 1 << n
+        hit = []
+        for seed in (identity_plan(d), complement_plan(d), keyrate._greedy_plan(w)):
+            for budget in self.BUDGETS:
+                plan, best, evals = keyrate._two_opt(w, atk.gram, seed, budget)
+                ref_plan, ref_best, ref_evals = reference_two_opt(w, atk.gram, seed, budget)
+                assert (plan.pi1, plan.pi2) == (ref_plan.pi1, ref_plan.pi2)
+                assert type(best) is float and best == ref_best
+                assert evals == ref_evals
+                if evals >= budget:
+                    hit.append(budget)
+        # a sweep is at least 56 swaps long: budgets up to 50 stop every
+        # search inside its first one
+        assert {1, 2, 3, 50} <= set(hit)
 
 
 class TestDepolarizingClosedForms:
