@@ -610,6 +610,8 @@ def joint_az_analytic(a: int, c: int, params: DepolarizingParams,
     the discrepancy stays visible.
     """
     d = params.d
+    if a not in (0, 1) or not 0 <= c < d:
+        raise DomainError(f"(a, c) = ({a}, {c}) outside {{0, 1}} x [0, {d})")
     va = 0 if a == 0 else d - 1
     if mode == "corrected":
         strength = params.q_ghz

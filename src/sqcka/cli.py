@@ -30,7 +30,7 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,30 +69,23 @@ def _fmt_all(values) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    """Simulation settings; config-file keys mirror the field names."""
-
-    n: int = 2
-    q: float = 0.0
-    qtilde: float = 0.0
-    rounds: int = 1000
-    seed: int = 1
-    ctrl_count: int | None = None
-    cc_fraction: float = 0.1
-    attack_file: str | None = None
-    out: str | None = None
-
-
-_CONFIG_CASTS = {
-    "n": int, "q": float, "qtilde": float, "rounds": int, "seed": int,
-    "ctrl_count": int, "cc_fraction": float, "attack_file": str, "out": str,
+#: Simulation settings, key: (type, default).  Each is a ``RunConfig`` field,
+#: a config-file key and a ``simulate`` flag (``_`` written ``-``).
+SETTINGS = {
+    "n": (int, 2), "q": (float, 0.0), "qtilde": (float, 0.0), "rounds": (int, 1000),
+    "seed": (int, 1), "ctrl_count": (int, None), "cc_fraction": (float, 0.1),
+    "attack_file": (str, None), "out": (str, None),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig", [(k, t, field(default=v)) for k, (t, v) in SETTINGS.items()],
+    namespace={"__module__": __name__, "__doc__": "Simulation settings, one field per key."})
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a flat key=value config file."""
+    """Parse a flat key=value config file; a key may be given once."""
     cfg = RunConfig()
+    first: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -101,10 +94,14 @@ def load_run_config(path) -> RunConfig:
             if "=" not in line:
                 raise qmath.ValidationError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_CASTS:
+            if key not in SETTINGS:
                 raise qmath.ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first:
+                raise qmath.ValidationError(f"{path}:{lineno}: duplicate key {key!r}, "
+                                            f"first given on line {first[key]}")
+            first[key] = lineno
             try:
-                setattr(cfg, key, _CONFIG_CASTS[key](val))
+                setattr(cfg, key, SETTINGS[key][0](val))
             except ValueError as exc:
                 raise qmath.ValidationError(f"{path}:{lineno}: bad {key} ({exc})") from None
     return cfg
@@ -395,17 +392,15 @@ def _rates(n: int, q, qt, mode: str) -> np.ndarray:
     return keyrate.depolarizing_keyrate(DepolarizingParams(q, qt, n), mode).r_min
 
 
-def find_rate_crossing(fn, lo: float = 0.0, hi: float = 1.0,
-                       step: float = FIGURE_STEP,
-                       tol: float = BISECT_TOL) -> float | None:
-    """First positive-to-strictly-negative crossing of fn, by bisection.
+def find_rate_crossing(fn) -> float | None:
+    """First positive-to-strictly-negative crossing of fn on [0, 1], by bisection.
 
     ``fn`` maps an array of x to values of its shape (a constant is
-    broadcast): the grid is scanned in one call, and each bisection step
-    is a 1-element call.  Touching zero at the range boundary does not
-    count as a crossing.
+    broadcast): the grid of step ``FIGURE_STEP`` is scanned in one call, and
+    each bisection step, down to ``BISECT_TOL``, is a 1-element call.
+    Touching zero at the range boundary does not count as a crossing.
     """
-    xs = np.array(_parse_range(f"{lo}:{hi}", step))
+    xs = np.array(_parse_range("0:1", FIGURE_STEP))
     fs = np.broadcast_to(fn(xs), xs.shape)
     neg = np.flatnonzero(fs < 0.0)
     if not neg.size:
@@ -414,7 +409,7 @@ def find_rate_crossing(fn, lo: float = 0.0, hi: float = 1.0,
     if not pos.size:
         return None
     a, b = float(xs[pos[-1]]), float(xs[neg[0]])
-    while b - a > tol:
+    while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
         if np.broadcast_to(fn(np.array([mid])), (1,))[0] > 0.0:
             a = mid
@@ -482,8 +477,7 @@ def _depolarizing_fit(n: int, p_ghz: float, disagreement: float
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    overrides = {k: getattr(args, k) for k in _CONFIG_CASTS
-                 if getattr(args, k, None) is not None}
+    overrides = {k: getattr(args, k) for k in SETTINGS if getattr(args, k) is not None}
     cfg = replace(cfg, **overrides)
 
     attack = _attack_from_config(cfg)
@@ -578,15 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a sampled session and estimate")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--qtilde", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ctrl-count", type=int, default=None, dest="ctrl_count")
-    p.add_argument("--cc-fraction", type=float, default=None, dest="cc_fraction")
-    p.add_argument("--attack-file", default=None, dest="attack_file")
-    p.add_argument("--out", default=None)
+    for key, (typ, _) in SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None, dest=key)
     p.set_defaults(fn=cmd_simulate)
     return parser
 

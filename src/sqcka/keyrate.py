@@ -5,7 +5,7 @@ with one tagged to bit 1 (a pairing plan); every plan yields a valid lower
 bound on S(A|E), so the search over plans only tightens it.  The term of
 one pair is written once, in ``_pair_terms``; ``_plan_value`` sums it over
 one plan or a stack, and ``theorem1_entropy_bound(terms_from_plan(...))``
-is its checked entry.  The exhaustive search scores stacks of plans; the
+is its checked entry.  The exhaustive search scores all plans at once; the
 2-opt search recomputes only the two rows or columns of the term table that
 a swap changes, for a batch of swaps at a time.  For the depolarizing channel
 everything collapses to a closed form in the all-equal branch weight and
@@ -325,7 +325,7 @@ def pairing_maximize(weights: np.ndarray,
     plans = list(itertools.permutations(range(d)))
     stack = np.array(plans)
     # row pi1, column pi2; argmax is the first best plan in (pi1, pi2) order
-    table = np.array([_plan_value(w, g, pi1, stack) for pi1 in stack])
+    table = _plan_value(w, g, stack[:, None], stack[None])
     i, j = np.unravel_index(np.argmax(table), table.shape)
     return PairingPlan(plans[i], plans[j], "exhaustive"), float(table[i, j])
 

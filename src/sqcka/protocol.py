@@ -165,36 +165,37 @@ def bob_operation(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _env_labels(prefix: str, dims: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i + 1}" for i in range(len(dims)))
+def _with_environments(pairs: list[tuple[str, int]], parts: list[StateVector],
+                       legs) -> tuple[StateVector, RegisterLayout, list[tuple[str, ...]]]:
+    """The state ``parts``, over the registers ``pairs``, tensored with the
+    environment of each dilated leg in ``legs``, a sequence of (label prefix,
+    leg); its layout; and the targets of each leg's unitary: T, then the
+    environment slots it acts on."""
+    pairs, targets = list(pairs), []
+    for prefix, leg in legs:
+        labels = [f"{prefix}{i + 1}" for i in range(len(leg.env_dims))]
+        pairs += zip(labels, leg.env_dims)
+        targets.append(("T",) + tuple(labels[i] for i in leg.env_targets))
+    layout = RegisterLayout(pairs)
+    if layout.total_dim > DIM_CAP:
+        raise CapacityError(f"round state dim {layout.total_dim} exceeds cap {DIM_CAP}")
+    psi = tensor_all(parts + [StateVector(leg.env_state) for _, leg in legs])
+    return psi, layout, targets
 
 
 def _dilated_round_state(attack: CollectiveAttack, theta: int
                          ) -> tuple[StateVector, RegisterLayout]:
     n, d = attack.n, attack.d
     fwd, bwd = attack.forward_dilation, attack.backward_dilation
-    fwd_labels = _env_labels("E", fwd.env_dims)
-    bwd_labels = _env_labels("Et", bwd.env_dims)
-    pairs = [("A", 2), ("T", d)]
+    pairs, parts = [("A", 2), ("T", d)], [prepare_ghz(n + 1, 0, "0" * n)]
     if theta == 1:
         pairs.append(("B", d))
-    pairs += list(zip(fwd_labels, fwd.env_dims)) + list(zip(bwd_labels, bwd.env_dims))
-    layout = RegisterLayout(pairs)
-    if layout.total_dim > DIM_CAP:
-        raise CapacityError(f"round state dim {layout.total_dim} exceeds cap {DIM_CAP}")
-
-    parts = [prepare_ghz(n + 1, 0, "0" * n)]
-    if theta == 1:
         parts.append(basis_state(d, 0))
-    parts.append(StateVector(fwd.env_state))
-    parts.append(StateVector(bwd.env_state))
-    psi = tensor_all(parts)
-
-    fwd_targets = ("T",) + tuple(fwd_labels[i] for i in fwd.env_targets)
+    psi, layout, (fwd_targets, bwd_targets) = _with_environments(
+        pairs, parts, (("E", fwd), ("Et", bwd)))
     psi = apply_on_subsystems(fwd.perm, psi, layout, fwd_targets)
     if theta == 1:
         psi = apply_on_subsystems(bob_operation(n), psi, layout, ("T", "B"))
-    bwd_targets = ("T",) + tuple(bwd_labels[i] for i in bwd.env_targets)
     psi = apply_on_subsystems(bwd.perm, psi, layout, bwd_targets)
     return psi, layout
 
@@ -281,11 +282,9 @@ def forward_conditionals_exact(attack: CollectiveAttack) -> np.ndarray:
     if fwd is None:
         raise ValidationError("attack has no forward dilation")
     n, d = attack.n, attack.d
-    labels = _env_labels("E", fwd.env_dims)
-    layout = RegisterLayout([("A", 2), ("T", d)] + list(zip(labels, fwd.env_dims)))
-    psi = tensor_all([prepare_ghz(n + 1, 0, "0" * n), StateVector(fwd.env_state)])
-    psi = apply_on_subsystems(fwd.perm, psi, layout,
-                              ("T",) + tuple(labels[i] for i in fwd.env_targets))
+    psi, layout, (targets,) = _with_environments(
+        [("A", 2), ("T", d)], [prepare_ghz(n + 1, 0, "0" * n)], (("E", fwd),))
+    psi = apply_on_subsystems(fwd.perm, psi, layout, targets)
     return 2.0 * subsystem_probabilities(psi, layout, ("A", "T"))
 
 
@@ -299,12 +298,10 @@ def backward_conditionals_exact(attack: CollectiveAttack) -> np.ndarray:
     if bwd is None:
         raise ValidationError("attack has no backward dilation")
     d = attack.d
-    labels = _env_labels("Et", bwd.env_dims)
-    layout = RegisterLayout([("T", d)] + list(zip(labels, bwd.env_dims)))
-    targets = ("T",) + tuple(labels[i] for i in bwd.env_targets)
     out = np.zeros((d, d))
     for b in range(d):
-        psi = tensor_all([basis_state(d, b), StateVector(bwd.env_state)])
+        psi, layout, (targets,) = _with_environments([("T", d)], [basis_state(d, b)],
+                                                     (("Et", bwd),))
         psi = apply_on_subsystems(bwd.perm, psi, layout, targets)
         out[b] = subsystem_probabilities(psi, layout, ("T",))
     return out
@@ -499,15 +496,6 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
 _CHUNK = 1 << 16
 
 
-def _round_uniforms(key: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Uniforms of rounds start + 1 .. start + count, shape (count, 2): the
-    Philox4x64 outputs from 2 * start on, four per counter step."""
-    pos = 2 * start
-    gen = np.random.Generator(np.random.Philox(key=key, counter=pos // 4))
-    gen.random(pos % 4)
-    return gen.random(2 * count).reshape(count, 2)
-
-
 def run_session(params: ProtocolParams, attack: CollectiveAttack,
                 schedule: ThetaSchedule, rng,
                 cut_and_choose_fraction: float = 0.1) -> SessionRecord:
@@ -518,13 +506,13 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     rounds is publicly disclosed for parameter estimation and excluded from
     the raw keys.
 
-    Randomness is counter-based: the session seed (a non-negative ``int``,
-    or one draw from a ``Generator``) keys a Philox4x64 stream, and round j
-    (1-based) uses its uniforms 2(j-1), the outcome draw, and 2(j-1) + 1,
-    the disclosure draw of SIFT rounds.  So a round depends only on the seed
-    and j, never on evaluation order.  Rounds are sampled in chunks of
-    ``_CHUNK``, which bounds the temporaries; the outcome columns (see
-    :class:`SessionRecord`) and keys stay O(N) in compact integer dtypes.
+    Randomness is one stream: the session seed (a non-negative ``int``, or
+    one draw from a ``Generator``) keys a Philox4x64 generator, read in round
+    order, and round j (1-based) uses its uniforms 2(j-1), the outcome draw,
+    and 2(j-1) + 1, the disclosure draw of SIFT rounds.  So a round depends
+    only on the seed and j, whatever the chunk size.  Rounds are sampled in
+    chunks of ``_CHUNK``, which bounds the temporaries; the outcome columns
+    (see :class:`SessionRecord`) and keys stay O(N) in compact integer dtypes.
     """
     if not 0.0 <= cut_and_choose_fraction < 1.0:
         raise DomainError(f"cut-and-choose fraction {cut_and_choose_fraction} "
@@ -536,7 +524,8 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
         else int(rng)
     if base < 0:
         raise DomainError(f"session seed {base} is negative")
-    key = np.random.SeedSequence(base).generate_state(2, np.uint64)
+    gen = np.random.Generator(
+        np.random.Philox(key=np.random.SeedSequence(base).generate_state(2, np.uint64)))
     sampler = RoundSampler(attack)
     n, d, num = attack.n, attack.d, schedule.num_rounds
     theta = np.ones(num, dtype=np.int8)
@@ -547,7 +536,7 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     key_a, key_b = [a[:0]], [b[:0]]  # typed and never empty, for concatenate
     for start in range(0, num, _CHUNK):
         stop = min(start + _CHUNK, num)
-        u = _round_uniforms(key, start, stop - start)
+        u = gen.random(2 * (stop - start)).reshape(-1, 2)
         th, ca, cb, cc, cg = (col[start:stop] for col in (theta, a, b, c, ghz))
         k0, k1 = np.searchsorted(ctrl, (start, stop))
         at = ctrl[k0:k1] - start

@@ -17,7 +17,6 @@ the convention of a C-order ``reshape`` and is used everywhere.
 from __future__ import annotations
 
 import math
-import string as _string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,9 +122,17 @@ class RegisterLayout:
         except KeyError:
             raise LayoutError(f"unknown register label {label!r}") from None
 
+    def axes(self, labels: Iterable[str]) -> list[int]:
+        """Axes of the given labels, in the given order; a label may be given once."""
+        labels = list(labels)
+        for i, lab in enumerate(labels):
+            if lab in labels[:i]:
+                raise LayoutError(f"register label {lab!r} given more than once")
+        return [self.axis(lab) for lab in labels]
+
     def axes_of(self, labels: Iterable[str]) -> tuple[int, ...]:
-        """Axes of the given labels, sorted into layout order."""
-        return tuple(sorted(self.axis(lab) for lab in labels))
+        """:meth:`axes`, sorted into layout order."""
+        return tuple(sorted(self.axes(labels)))
 
     def restrict(self, labels: Iterable[str]) -> "RegisterLayout":
         keep = set(labels)
@@ -160,16 +167,16 @@ def _frozen_complex(data, dim_hint: str) -> np.ndarray:
 
 
 class StateVector:
-    """A pure state as a flat complex amplitude array.
+    """A pure state of unit norm as a flat complex amplitude array.
 
     Takes over the buffer it is given without copying it: ``amps`` is a
     read-only view of the input (converted to complex128 only if needed),
     and the caller's own array stays writeable.
     """
 
-    __slots__ = ("amps", "normalized")
+    __slots__ = ("amps",)
 
-    def __init__(self, amps, normalized: bool = True):
+    def __init__(self, amps):
         arr = np.asarray(amps, dtype=np.complex128).reshape(-1).view()
         if arr.size < 1:
             raise ValidationError("empty state vector")
@@ -179,11 +186,10 @@ class StateVector:
         nrm = float(np.vdot(arr, arr).real)
         if not math.isfinite(nrm):
             raise ValidationError("state vector contains NaN/Inf")
-        if normalized and abs(nrm - 1.0) > NORM_ATOL:
-            raise ValidationError(f"state marked normalized has norm^2 {nrm!r}")
+        if abs(nrm - 1.0) > NORM_ATOL:
+            raise ValidationError(f"state has norm^2 {nrm!r}, not 1")
         arr.setflags(write=False)
         self.amps = arr
-        self.normalized = normalized
 
     @property
     def dim(self) -> int:
@@ -193,7 +199,7 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim}, normalized={self.normalized})"
+        return f"StateVector(dim={self.dim})"
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -235,7 +241,7 @@ class DensityOperator:
 
 def density_from_state(state: StateVector) -> DensityOperator:
     rho = np.outer(state.amps, state.amps.conj())
-    return DensityOperator(rho, check=state.normalized)
+    return DensityOperator(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +253,7 @@ def tensor(x: StateVector, y: StateVector) -> StateVector:
     """Kronecker product of two states, x-major (x's index most significant)."""
     if x.dim * y.dim > DIM_CAP:
         raise CapacityError(f"tensor dim {x.dim * y.dim} exceeds cap {DIM_CAP}")
-    return StateVector(np.kron(x.amps, y.amps),
-                       normalized=x.normalized and y.normalized)
+    return StateVector(np.kron(x.amps, y.amps))
 
 
 def tensor_all(states: Sequence[StateVector]) -> StateVector:
@@ -258,7 +263,7 @@ def tensor_all(states: Sequence[StateVector]) -> StateVector:
     return out
 
 
-def _check_operator(U, dim: int, atol: float = UNITARY_ATOL) -> np.ndarray:
+def _check_operator(U, dim: int) -> np.ndarray:
     """``U`` as a checked unitary matrix or basis permutation on ``dim`` states."""
     U = np.asarray(U)
     if U.ndim == 1:
@@ -270,8 +275,8 @@ def _check_operator(U, dim: int, atol: float = UNITARY_ATOL) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValidationError(f"operator must be square, got {U.shape}")
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if dev > atol:
-        raise ValidationError(f"operator is not unitary within {atol} (dev {dev:.3e})")
+    if dev > UNITARY_ATOL:
+        raise ValidationError(f"operator is not unitary within {UNITARY_ATOL} (dev {dev:.3e})")
     if U.shape[0] != dim:
         raise ValidationError(f"unitary dim {U.shape[0]} != target dim {dim}")
     return U
@@ -293,7 +298,7 @@ def apply_on_subsystems(U, state: StateVector, layout: RegisterLayout,
     tdim = math.prod(layout.dims[ax] for ax in axes)
     U = _check_operator(U, tdim)
     out = _kernels.apply_matrix(state.amps, layout.dims, axes, U)
-    return StateVector(out, normalized=state.normalized)
+    return StateVector(out)
 
 
 def subsystem_probabilities(state: StateVector, layout: RegisterLayout,
@@ -304,7 +309,7 @@ def subsystem_probabilities(state: StateVector, layout: RegisterLayout,
     """
     if layout.total_dim != state.dim:
         raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
-    axes = [layout.axis(lab) for lab in targets]
+    axes = layout.axes(targets)
     flat = _kernels.axis_probabilities(state.amps, layout.dims, axes)
     return flat.reshape([layout.dims[ax] for ax in axes])
 
@@ -315,35 +320,16 @@ def partial_trace(rho: DensityOperator, layout: RegisterLayout,
     keep_set = set(keep)
     if not keep_set:
         raise DomainError("keep set must be non-empty")
-    keep_axes = set(layout.axes_of(keep_set))
+    kept = list(layout.axes_of(keep_set))
     if layout.total_dim != rho.dim:
         raise LayoutError(f"layout dim {layout.total_dim} != operator dim {rho.dim}")
     dims = layout.dims
     k = len(dims)
-    tens = rho.entries.reshape(dims + dims)
-    letters = _string.ascii_letters
-    row, col, out_sub = [], [], []
-    nxt = 0
-    for i in range(k):
-        if i in keep_axes:
-            a, b = letters[nxt], letters[nxt + 1]
-            nxt += 2
-            row.append(a)
-            col.append(b)
-        else:
-            a = letters[nxt]
-            nxt += 1
-            row.append(a)
-            col.append(a)
-    for i in range(k):
-        if i in keep_axes:
-            out_sub.append(row[i])
-    for i in range(k):
-        if i in keep_axes:
-            out_sub.append(col[i])
-    spec = "".join(row) + "".join(col) + "->" + "".join(out_sub)
-    red = np.einsum(spec, tens)
-    d = math.prod(dims[i] for i in sorted(keep_axes))
+    # row axis i is subscript i; a kept column axis gets k + i, a traced one i
+    col = [k + i if i in kept else i for i in range(k)]
+    red = np.einsum(rho.entries.reshape(dims + dims), list(range(k)) + col,
+                    kept + [k + i for i in kept])
+    d = math.prod(dims[i] for i in kept)
     return DensityOperator(red.reshape(d, d), check=False)
 
 

@@ -197,6 +197,11 @@ class TestJointAz:
         with pytest.raises(DomainError):
             joint_az_analytic(0, 0, DepolarizingParams(0.1, 0.1, 1), "guess")
 
+    @pytest.mark.parametrize("a,c", [(7, 99), (2, 0), (-1, 0), (0, 4), (1, -1)])
+    def test_index_out_of_range(self, a, c):
+        with pytest.raises(DomainError, match=r"outside \{0, 1\} x \[0, 4\)"):
+            joint_az_analytic(a, c, DepolarizingParams(0.1, 0.2, 2))
+
 
 class TestGramValidation:
     def test_identity_gram_valid(self):

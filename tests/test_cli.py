@@ -152,14 +152,14 @@ class TestFigures:
 
 class TestCrossingFinder:
     def test_simple_linear(self):
-        got = find_rate_crossing(lambda x: 0.25 - x, 0.0, 1.0)
+        got = find_rate_crossing(lambda x: 0.25 - x)
         assert got == pytest.approx(0.25, abs=1e-4)
 
     def test_no_crossing(self):
-        assert find_rate_crossing(lambda x: 1.0, 0.0, 1.0) is None
+        assert find_rate_crossing(lambda x: 1.0) is None
 
     def test_boundary_zero_not_a_crossing(self):
-        assert find_rate_crossing(lambda x: 1.0 - x, 0.0, 1.0) is None
+        assert find_rate_crossing(lambda x: 1.0 - x) is None
 
 
 class TestSimulate:
@@ -214,6 +214,14 @@ class TestSimulate:
         cfg.write_text("qq = 1\n")
         from sqcka.qmath import ValidationError
         with pytest.raises(ValidationError):
+            cli.load_run_config(cfg)
+
+    def test_duplicate_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.1\nrounds = 50\n\nq = 0.7\n")
+        from sqcka.qmath import ValidationError
+        with pytest.raises(ValidationError,
+                           match=r"run.cfg:4: duplicate key 'q', first given on line 1"):
             cli.load_run_config(cfg)
 
 

@@ -222,7 +222,7 @@ class TestArrayCrossingFinder:
             shapes.append(np.shape(x))
             return 0.3 - x
 
-        got = find_rate_crossing(fn, 0.0, 1.0)
+        got = find_rate_crossing(fn)
         assert got == pytest.approx(0.3, abs=1e-4)
         assert shapes[0] == (201,)
         assert len(shapes) > 1 and set(shapes[1:]) == {(1,)}

@@ -447,6 +447,39 @@ class TestRunSession:
         assert estimation.tally_to_text(rec.tallies) == \
             estimation.tally_to_text(ref.tallies)
 
+    def test_round_uniforms_follow_the_counter_layout(self, monkeypatch):
+        # round j draws Philox4x64 uniforms 2(j-1) and 2(j-1) + 1 of the
+        # session key, four to a counter step; chunks of 7 rounds start
+        # inside a counter step
+        monkeypatch.setattr(protocol, "_CHUNK", 7)
+        n, d, seed, frac = 2, 4, 8, 0.3
+        atk = depolarizing_attack(DepolarizingParams(0.2, 0.1, n))
+        sched = expand_theta_schedule(b"layout", 300, 40)
+        rec = run_session(ProtocolParams(n=n), atk, sched, seed, frac)
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        ctrl = round_statistics(atk, 0)
+        sift_cum = np.cumsum(round_statistics(atk, 1).abc_joint.ravel())
+        z_cum = np.cumsum(ctrl.ctrl_az.ravel())
+        position = {j: k for k, j in enumerate(sched.ctrl_indices)}
+        kept = []
+        for j in range(1, 301):
+            pos = 2 * (j - 1)
+            gen = np.random.Generator(np.random.Philox(key=key, counter=pos // 4))
+            u, v = gen.random(pos % 4 + 2)[-2:]
+            got = (rec.a[j - 1], rec.b[j - 1], rec.c[j - 1], rec.ghz_pass[j - 1])
+            if j in position and position[j] % 2 == 0:
+                assert got == (-1, -1, -1, int(u < ctrl.p_ghz))
+            elif j in position:
+                az = np.searchsorted(z_cum / z_cum[-1], u, side="right")
+                assert got == (az // d, -1, az % d, -1)
+            else:
+                abc = np.searchsorted(sift_cum / sift_cum[-1], u, side="right")
+                assert got == np.unravel_index(abc, (2, d, d)) + (-1,)
+                if v >= frac:  # not disclosed, so a key round
+                    kept.append(j - 1)
+        np.testing.assert_array_equal(rec.raw_key_alice, rec.a[kept])
+        assert rec.tallies.sift_total == (rec.theta == 1).sum() - len(kept)
+
     def test_generator_seed(self):
         pp = ProtocolParams(n=1)
         sched = expand_theta_schedule(b"g", 200, 20)

@@ -28,6 +28,7 @@ from sqcka.qmath import (
     conditional_entropy,
     density_from_state,
     partial_trace,
+    subsystem_probabilities,
     tensor,
     von_neumann_entropy,
 )
@@ -75,6 +76,14 @@ class TestRegisterLayout:
         with pytest.raises(LayoutError):
             lay.axis("Z")
 
+    def test_repeated_target_label(self):
+        lay = RegisterLayout([("A", 2), ("T", 4)])
+        s = basis_state(8, 0)
+        with pytest.raises(LayoutError, match="'A' given more than once"):
+            subsystem_probabilities(s, lay, ("A", "A"))
+        with pytest.raises(LayoutError, match="'T' given more than once"):
+            apply_on_subsystems(np.arange(16), s, lay, ("T", "T"))
+
     def test_restrict_keeps_order(self):
         lay = RegisterLayout([("A", 2), ("T", 4), ("B", 4)])
         assert lay.restrict(("B", "A")).labels == ("A", "B")
@@ -89,10 +98,6 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector([0.5, 0.5])
 
-    def test_unnormalized_flag(self):
-        s = StateVector([0.5, 0.5], normalized=False)
-        assert s.norm() == pytest.approx(math.sqrt(0.5))
-
     def test_immutable(self):
         s = basis_state(4, 1)
         with pytest.raises(ValueError):
@@ -101,7 +106,7 @@ class TestStateVector:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_rejects_non_finite_unnormalized(self, bad):
         with pytest.raises(ValidationError, match="NaN/Inf"):
-            StateVector([bad, 0.5], normalized=False)
+            StateVector([bad, 0.5])
 
     def test_wraps_caller_buffer_read_only(self):
         buf = np.array([0.6, 0.8j])
@@ -136,7 +141,7 @@ class TestTensor:
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
     def test_capacity_error(self):
-        big = StateVector(np.ones(1 << 12) / (1 << 6), normalized=True)
+        big = StateVector(np.ones(1 << 12) / (1 << 6))
         with pytest.raises(CapacityError):
             tensor(tensor(big, big), basis_state(2, 0))
 
