@@ -1,18 +1,19 @@
-"""Hot statevector kernels, in plain numpy.
+"""Hot statevector kernels, in plain numpy, on a state's nonzero support.
 
-Two operations dominate the exact-simulation runtime: applying a small
-operator to a block of subsystem axes of a large statevector, and
-accumulating marginal probabilities over a subset of axes.  The first is a
-``transpose`` + matrix multiplication, or an index gather when the operator
-is a basis permutation; the second a ``reshape`` + ``sum``.
-
-``apply_matrix`` returns a fresh contiguous array that nothing else
-references; :class:`~sqcka.qmath.StateVector` takes over that buffer
-without copying it.
+A state is carried as its support: the flat (big-endian) basis indices of
+its nonzero amplitudes and the amplitudes themselves.  Two operations
+dominate the exact-simulation runtime, and both work on the support alone:
+applying a small operator to a block of subsystem axes, and accumulating
+marginal probabilities over a subset of axes.  A basis permutation is index
+arithmetic (each index's target coordinates are permuted, the others kept);
+a unitary matrix multiplies a (target, remaining coordinates) table that
+holds only the remaining coordinates the support has.  A marginal is a
+``bincount`` of the target coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,36 +26,47 @@ def backend_name() -> str:
     return "numpy"
 
 
-def apply_matrix(amps: np.ndarray, dims: Sequence[int], axes: Sequence[int],
-                 matrix: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` to the ``axes`` block of a flat amplitude array.
+def split_axes(index: np.ndarray, dims: Sequence[int], axes: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each flat index as ``base + offset[block]``.
 
-    A 1-D ``matrix`` is a basis permutation (block basis state j goes to
-    ``matrix[j]``), applied as the row gather ``[argsort(matrix)]``.
+    ``block`` is the basis state of the ``axes`` block (big-endian in the
+    given order), ``base`` the index with those coordinates set to 0, and
+    ``offset[j]`` the flat offset of block state j.
     """
     dims = tuple(dims)
-    nax = len(dims)
-    order = list(axes) + [i for i in range(nax) if i not in axes]
-    psi = amps.reshape(dims).transpose(order)
-    m = matrix.shape[0]
-    # one expression each, so the reshaped copy of psi is freed at once
+    tdims = [dims[a] for a in axes]
+    coords = np.unravel_index(index, dims)
+    block = np.ravel_multi_index([coords[a] for a in axes], tdims)
+    strides = [math.prod(dims[a + 1:]) for a in axes]
+    digits = np.unravel_index(np.arange(math.prod(tdims)), tdims)
+    offset = sum(dg * s for dg, s in zip(digits, strides))
+    return block, index - offset[block], offset
+
+
+def apply_matrix(index: np.ndarray, dims: Sequence[int], axes: Sequence[int],
+                 matrix: np.ndarray, amps: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``matrix`` to the ``axes`` block of the support ``(index, amps)``.
+
+    A 1-D ``matrix`` is a basis permutation (block basis state j goes to
+    ``matrix[j]``): only the indices change.  A 2-D one multiplies the
+    (block state, remaining coordinates) table of the support; the result
+    lists every block state for each remaining coordinate the input has,
+    zeros included.
+    """
+    block, base, offset = split_axes(index, dims, axes)
     if matrix.ndim == 1:
-        out = psi.reshape(m, -1)[np.argsort(matrix)]
-    else:
-        out = matrix @ psi.reshape(m, -1)
-    out = out.reshape([dims[i] for i in order])
-    inv = np.argsort(order)
-    return np.ascontiguousarray(out.transpose(inv)).reshape(-1)
+        return base + offset[matrix[block]], amps
+    rest, col = np.unique(base, return_inverse=True)
+    psi = np.zeros((matrix.shape[0], rest.size), dtype=np.complex128)
+    psi[block, col] = amps
+    return (offset[:, None] + rest).reshape(-1), (matrix @ psi).reshape(-1)
 
 
-def axis_probabilities(amps: np.ndarray, dims: Sequence[int],
-                       axes: Sequence[int]) -> np.ndarray:
-    """Marginal |amplitude|^2 distribution over ``axes``, in axis order."""
-    dims = tuple(dims)
-    prob = (amps.real ** 2 + amps.imag ** 2).reshape(dims)
-    drop = tuple(i for i in range(len(dims)) if i not in axes)
-    prob = prob.sum(axis=drop)
-    # remaining axes are in layout order; permute to the requested order
-    kept_sorted = sorted(axes)
-    perm = [kept_sorted.index(ax) for ax in axes]
-    return np.ascontiguousarray(prob.transpose(perm)).reshape(-1)
+def axis_probabilities(index: np.ndarray, dims: Sequence[int], axes: Sequence[int],
+                       amps: np.ndarray) -> np.ndarray:
+    """Marginal |amplitude|^2 distribution over ``axes``, in the given axis order."""
+    block, _, offset = split_axes(index, dims, axes)
+    return np.bincount(block, weights=amps.real ** 2 + amps.imag ** 2,
+                       minlength=offset.size)

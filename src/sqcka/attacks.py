@@ -507,15 +507,6 @@ class EveVectorCatalogue:
         mult = self.multiplicities
         return sum(mult[f] * norm for f, norm in self.norms.items())
 
-    def family_of(self, a: int, b: int, c: int) -> str:
-        va = 0 if a == 0 else self.d - 1
-        if b == va:
-            return "aaa" if c == b else "aac"
-        return "abb" if c == b else "abc"
-
-    def norm_for(self, a: int, b: int, c: int) -> float:
-        return self.norms[self.family_of(a, b, c)]
-
 
 #: Exponents past this give ldexp(x, -k) = 0 for every |x| <= 1.
 _LDEXP_EXP_CAP = 1100

@@ -41,6 +41,7 @@ from .qmath import (
     basis_state,
     bits_to_index,
     complement_index,
+    slice_overlap,
     subsystem_probabilities,
     tensor_all,
 )
@@ -141,10 +142,8 @@ def prepare_ghz(num_qubits: int, x: int, y) -> StateVector:
     if len(y) != n:
         raise DomainError(f"y has length {len(y)}, expected {n}")
     y_idx = bits_to_index(y)
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[y_idx] = SQRT_HALF
-    amps[(1 << n) + complement_index(y_idx, n)] = SQRT_HALF * (-1.0 if x else 1.0)
-    return StateVector(amps)
+    return StateVector([SQRT_HALF, SQRT_HALF * (-1.0 if x else 1.0)],
+                       [y_idx, (1 << n) + complement_index(y_idx, n)], 1 << num_qubits)
 
 
 def bob_operation(n: int) -> np.ndarray:
@@ -231,25 +230,25 @@ def _embedded_round_state(attack: CollectiveAttack, theta: int
 
 def statistics_from_state(state: StateVector, layout: RegisterLayout,
                           theta: int) -> ObservedStatistics:
-    """All round observables, read off an exact final state."""
+    """All round observables, read off an exact final state.
+
+    The overlaps are those of the all-equal branches (sender bit 0 with
+    string 0...0, bit 1 with 1...1), read by :func:`~sqcka.qmath.slice_overlap`
+    on the state's support; the GHZ test passes with the squared norm of
+    their sum over sqrt(2), |x|^2/2 + |y|^2/2 + Re<x, y>.
+    """
     d = layout.dims[layout.axis("T")]
     if theta == 1:
         joint = subsystem_probabilities(state, layout, ("A", "B", "T"))
         az = joint.sum(axis=1)
-        psi = state.amps.reshape(layout.dims)
-        psi = np.moveaxis(psi, (layout.axis("A"), layout.axis("B"), layout.axis("T")),
-                          (0, 1, 2))
-        cross = complex(np.vdot(psi[0, 0, 0].ravel(), psi[1, d - 1, d - 1].ravel()))
+        cross = slice_overlap(state, layout, ("A", "B", "T"), (0, 0, 0), (1, d - 1, d - 1))
         return ObservedStatistics(theta=1, pa=az.sum(axis=1),
                                   abc_joint=joint, az_joint=az,
                                   pb=joint.sum(axis=(0, 2)),
-                                  cross_overlap=float(cross.real))
+                                  cross_overlap=cross.real)
     ctrl_az = subsystem_probabilities(state, layout, ("A", "T"))
-    psi = np.moveaxis(state.amps.reshape(layout.dims),
-                      (layout.axis("A"), layout.axis("T")), (0, 1))
-    branch = (psi[0, 0] + psi[1, d - 1]) * SQRT_HALF
-    p_ghz = float(np.vdot(branch, branch).real)
-    re_tilde = 2.0 * float(np.vdot(psi[0, 0], psi[1, d - 1]).real)
+    re_tilde = 2.0 * slice_overlap(state, layout, ("A", "T"), (0, 0), (1, d - 1)).real
+    p_ghz = float((ctrl_az[0, 0] + ctrl_az[1, d - 1] + re_tilde) / 2.0)
     return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
                               p_ghz=p_ghz, ctrl_az=ctrl_az,
                               branch_norms=2.0 * ctrl_az, re_overlap=re_tilde)
@@ -311,7 +310,8 @@ def eve_branch_gram_exact(state: StateVector, layout: RegisterLayout) -> np.ndar
     """Unnormalized overlaps of Eve's branch vectors, from a SIFT-round state.
 
     Rows/columns follow the flat (a, b, b') index; the diagonal carries the
-    global-convention squared norms.
+    global-convention squared norms.  Builds the dense state (a reference
+    for small n).
     """
     for lab in ("A", "B", "T"):
         layout.axis(lab)

@@ -1,13 +1,15 @@
 """Exact complex linear algebra and entropy kernels for composite systems.
 
-Everything is dense, double precision, and read-only after construction
-(a basis permutation is stored as its integer index vector); operations are
-pure functions, safe to call from parallel workers.
-:class:`StateVector` takes over the buffer it is given without copying it
-(it keeps a read-only view), so a caller that keeps writing to that buffer
-changes the state.  The exact-simulation size is capped at
-:data:`DIM_CAP` amplitudes — callers needing more must fall back to
-analytic paths.
+A pure state is carried as its nonzero support: the sorted flat basis
+indices of its nonzero amplitudes and the amplitudes there.  The round
+states of exact simulation are products of GHZ, basis and Bell-pair states
+moved by basis permutations, so the support stays a few hundred entries
+while the full dimension reaches 2^21.  Density operators are dense.
+Everything is double precision and read-only after construction (a basis
+permutation is stored as its integer index vector); operations are pure
+functions, safe to call from parallel workers.  The exact-simulation size
+is capped at :data:`DIM_CAP` basis states, checked before anything is
+built — callers needing more must fall back to analytic paths.
 
 Index convention: the first subsystem of a layout occupies the most
 significant position of the flat index (big-endian multi-index).  This is
@@ -167,47 +169,68 @@ def _frozen_complex(data, dim_hint: str) -> np.ndarray:
 
 
 class StateVector:
-    """A pure state of unit norm as a flat complex amplitude array.
+    """A pure state of unit norm, carried as its nonzero support.
 
-    Takes over the buffer it is given without copying it: ``amps`` is a
-    read-only view of the input (converted to complex128 only if needed),
-    and the caller's own array stays writeable.
+    ``StateVector(amps)`` takes a dense amplitude array;
+    ``StateVector(amps, index, dim)`` takes the amplitudes at the flat basis
+    indices ``index`` of a ``dim``-dimensional space (any order; zeros are
+    dropped, an index may be listed once).  Either way the state keeps only
+    ``index``, sorted, and ``values``, the nonzero amplitudes there, as
+    read-only arrays of its own; the caller's arrays stay writeable and are
+    never changed.  ``amps`` builds the dense vector on demand.
     """
 
-    __slots__ = ("amps",)
+    __slots__ = ("dim", "index", "values")
 
-    def __init__(self, amps):
-        arr = np.asarray(amps, dtype=np.complex128).reshape(-1).view()
-        if arr.size < 1:
+    def __init__(self, amps, index=None, dim=None):
+        if index is None:  # dense amplitudes: their nonzero entries
+            arr = np.asarray(amps, dtype=np.complex128).reshape(-1)
+            dim, index = arr.size, np.flatnonzero(arr)
+            amps = arr[index]
+        if dim < 1:
             raise ValidationError("empty state vector")
-        if arr.size > DIM_CAP:
-            raise CapacityError(f"state of dim {arr.size} exceeds cap {DIM_CAP}")
+        if dim > DIM_CAP:
+            raise CapacityError(f"state of dim {dim} exceeds cap {DIM_CAP}")
+        index = np.asarray(index)
+        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        if index.dtype.kind not in "iu" or index.size != amps.size:
+            raise ValidationError("a support needs one integer index per amplitude")
+        index = index.astype(np.int64, copy=False).reshape(-1)
+        order = np.argsort(index)
+        order = order[amps[order] != 0]
+        index, values = index[order], amps[order]
+        if index.size and not (index[0] >= 0 and index[-1] < dim
+                               and (index[1:] > index[:-1]).all()):
+            raise ValidationError(f"support indices must be distinct and in 0..{dim - 1}")
         # a NaN or Inf amplitude makes the squared norm non-finite
-        nrm = float(np.vdot(arr, arr).real)
+        nrm = float(np.vdot(values, values).real)
         if not math.isfinite(nrm):
             raise ValidationError("state vector contains NaN/Inf")
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValidationError(f"state has norm^2 {nrm!r}, not 1")
-        arr.setflags(write=False)
-        self.amps = arr
+        index.setflags(write=False)
+        values.setflags(write=False)
+        self.dim, self.index, self.values = int(dim), index, values
 
     @property
-    def dim(self) -> int:
-        return self.amps.size
+    def amps(self) -> np.ndarray:
+        """The dense amplitude vector, built (read-only) on each access."""
+        out = np.zeros(self.dim, dtype=np.complex128)
+        out[self.index] = self.values
+        out.setflags(write=False)
+        return out
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(np.linalg.norm(self.values))
 
     def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim})"
+        return f"StateVector(dim={self.dim}, support={self.index.size})"
 
 
 def basis_state(dim: int, index: int) -> StateVector:
     if not 0 <= index < dim:
         raise DomainError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
+    return StateVector([1.0], [index], dim)
 
 
 class DensityOperator:
@@ -250,10 +273,16 @@ def density_from_state(state: StateVector) -> DensityOperator:
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
-    """Kronecker product of two states, x-major (x's index most significant)."""
-    if x.dim * y.dim > DIM_CAP:
-        raise CapacityError(f"tensor dim {x.dim * y.dim} exceeds cap {DIM_CAP}")
-    return StateVector(np.kron(x.amps, y.amps))
+    """Kronecker product of two states, x-major (x's index most significant).
+
+    On the supports: an outer sum of the indices, an outer product of the
+    amplitudes.
+    """
+    dim = x.dim * y.dim
+    if dim > DIM_CAP:
+        raise CapacityError(f"tensor dim {dim} exceeds cap {DIM_CAP}")
+    index = (x.index[:, None] * y.dim + y.index).reshape(-1)
+    return StateVector(np.multiply.outer(x.values, y.values).reshape(-1), index, dim)
 
 
 def tensor_all(states: Sequence[StateVector]) -> StateVector:
@@ -282,23 +311,28 @@ def _check_operator(U, dim: int) -> np.ndarray:
     return U
 
 
+def _check_layout(layout: RegisterLayout, state: StateVector) -> None:
+    if layout.total_dim != state.dim:
+        raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
+
+
 def apply_on_subsystems(U, state: StateVector, layout: RegisterLayout,
                         targets: Iterable[str]) -> StateVector:
     """Apply ``U`` to the target registers, identity elsewhere.
 
     ``U`` is a unitary matrix, or a basis permutation: a 1-D integer array
-    ``perm`` with U = sum_j |perm[j]><j|, applied by an index gather.
-    Either is indexed big-endian over the targets in *layout order*.
+    ``perm`` with U = sum_j |perm[j]><j|, which moves each support index's
+    target coordinates and leaves the amplitudes as they are.  Either is
+    indexed big-endian over the targets in *layout order*.
     """
-    if layout.total_dim != state.dim:
-        raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
+    _check_layout(layout, state)
     axes = layout.axes_of(targets)
     if not axes:
         raise LayoutError("no target registers given")
     tdim = math.prod(layout.dims[ax] for ax in axes)
     U = _check_operator(U, tdim)
-    out = _kernels.apply_matrix(state.amps, layout.dims, axes, U)
-    return StateVector(out)
+    index, amps = _kernels.apply_matrix(state.index, layout.dims, axes, U, state.values)
+    return StateVector(amps, index, state.dim)
 
 
 def subsystem_probabilities(state: StateVector, layout: RegisterLayout,
@@ -307,11 +341,27 @@ def subsystem_probabilities(state: StateVector, layout: RegisterLayout,
 
     The result axes follow the *given* target order (not layout order).
     """
-    if layout.total_dim != state.dim:
-        raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
+    _check_layout(layout, state)
     axes = layout.axes(targets)
-    flat = _kernels.axis_probabilities(state.amps, layout.dims, axes)
+    flat = _kernels.axis_probabilities(state.index, layout.dims, axes, state.values)
     return flat.reshape([layout.dims[ax] for ax in axes])
+
+
+def slice_overlap(state: StateVector, layout: RegisterLayout, targets: Sequence[str],
+                  x: Sequence[int], y: Sequence[int]) -> complex:
+    """<psi_x|psi_y>, where psi_v is the vector over the other registers that
+    ``state`` holds with the ``targets`` registers set to the values ``v``
+    (in the given target order): the support entries of the two slices are
+    matched on their remaining coordinates.
+    """
+    _check_layout(layout, state)
+    axes = layout.axes(targets)
+    block, base, _ = _kernels.split_axes(state.index, layout.dims, axes)
+    tdims = [layout.dims[ax] for ax in axes]
+    in_x, in_y = (block == np.ravel_multi_index(v, tdims) for v in (x, y))
+    _, ix, iy = np.intersect1d(base[in_x], base[in_y], assume_unique=True,
+                               return_indices=True)
+    return complex(np.vdot(state.values[in_x][ix], state.values[in_y][iy]))
 
 
 def partial_trace(rho: DensityOperator, layout: RegisterLayout,

@@ -29,3 +29,12 @@ def a3_random_corpus():
         d = 1 << n
         atk = random_table_attack(rng, n)
         yield n, atk, (tuple(rng.permutation(d)), tuple(rng.permutation(d)))
+
+
+def catalogue_family(cat, a, b, c):
+    """Family of the Eve branch (a, b, c) in an ``EveVectorCatalogue``:
+    whether b is the all-equal string of a, and whether c equals b."""
+    va = 0 if a == 0 else cat.d - 1
+    if b == va:
+        return "aaa" if c == b else "aac"
+    return "abb" if c == b else "abc"

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import a3_random_corpus
+from conftest import a3_random_corpus, catalogue_family
 from sqcka import estimation, keyrate, protocol
 from sqcka.attacks import (
     DepolarizingParams,
@@ -107,7 +107,7 @@ def test_a2_dilation_matches_closed_forms():
                 dev = max(dev, np.max(np.abs(sift.pb - expected_pb)))
 
                 expected_norms = np.array(
-                    [[[cat.norm_for(a, b, c) for c in range(d)]
+                    [[[cat.norms[catalogue_family(cat, a, b, c)] for c in range(d)]
                       for b in range(d)] for a in range(2)])
                 dev = max(dev, np.max(np.abs(sift.abc_joint - expected_norms)))
                 dev = max(dev, abs(sift.cross_overlap - cat.cross_overlap))

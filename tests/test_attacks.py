@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import catalogue_family
 from sqcka import attacks, protocol, qmath
 from sqcka.attacks import (
     CollectiveAttack,
@@ -130,12 +131,12 @@ class TestEveCatalogue:
 
     def test_family_assignment(self):
         cat = eve_catalogue(DepolarizingParams(0.2, 0.1, 2))
-        assert cat.family_of(0, 0, 0) == "aaa"
-        assert cat.family_of(1, 3, 3) == "aaa"
-        assert cat.family_of(0, 0, 2) == "aac"
-        assert cat.family_of(0, 1, 1) == "abb"
-        assert cat.family_of(1, 0, 2) == "abc"
-        assert cat.family_of(1, 2, 3) == "abc"  # c may equal vec a
+        assert catalogue_family(cat, 0, 0, 0) == "aaa"
+        assert catalogue_family(cat, 1, 3, 3) == "aaa"
+        assert catalogue_family(cat, 0, 0, 2) == "aac"
+        assert catalogue_family(cat, 0, 1, 1) == "abb"
+        assert catalogue_family(cat, 1, 0, 2) == "abc"
+        assert catalogue_family(cat, 1, 2, 3) == "abc"  # c may equal vec a
 
 
 class TestPGhzAnalytic:

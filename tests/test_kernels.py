@@ -1,10 +1,13 @@
-"""Statevector kernels against dense references built from plain linear algebra.
+"""Support kernels against dense references built from plain linear algebra.
 
+The kernels take a state's support (flat indices and the amplitudes there).
 ``apply_matrix`` is checked against the full operator (``np.kron`` with the
-identity, conjugated by the axis permutation), for unitary matrices and for
-basis permutations (the dense reference has ``P[perm[j], j] = 1``);
-``axis_probabilities`` against a direct ``reshape(dims)`` + ``sum`` of the
-squared amplitudes.
+identity, conjugated by the axis permutation) applied to the dense vector,
+for unitary matrices and for basis permutations (the dense reference has
+``P[perm[j], j] = 1``); ``axis_probabilities`` against a direct
+``reshape(dims)`` + ``sum`` of the squared dense amplitudes.  Each case runs
+on a dense input (every index listed) and on sparse ones: a random zero
+pattern, a single nonzero, and a support that lists a ``-0.0`` amplitude.
 """
 
 import numpy as np
@@ -12,13 +15,35 @@ import pytest
 
 from sqcka import _kernels
 
+PATTERNS = ("dense", "zeros", "single", "negzero")
 
-def random_case(rng, dims, axes):
+
+def random_case(rng, dims, axes, pattern="dense"):
+    """Dense amplitudes, the support the kernels get, and a random unitary."""
     total = int(np.prod(dims))
     amps = rng.normal(size=total) + 1j * rng.normal(size=total)
+    if pattern == "zeros":
+        amps[rng.random(total) < 0.6] = 0.0
+        amps[rng.integers(total)] = 1.0  # never all zero
+    elif pattern == "single":
+        amps = np.zeros(total, dtype=complex)
+        amps[rng.integers(total)] = 0.6 + 0.8j
+    elif pattern == "negzero":
+        amps[rng.random(total) < 0.5] = 0.0
+        amps[rng.integers(total)] = -0.0
+    # the -0.0 amplitude is listed in the support; other zeros are not
+    index = np.flatnonzero((amps != 0) | np.signbit(amps.real))
     m = int(np.prod([dims[a] for a in axes]))
     mat = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
-    return amps, mat
+    return amps, (index, amps[index]), mat
+
+
+def dense(index, values, total):
+    """The dense vector of a kernel's output support (each index listed once)."""
+    assert np.unique(index).size == index.size
+    out = np.zeros(total, dtype=complex)
+    out[index] = values
+    return out
 
 
 def dense_operator(dims, axes, mat):
@@ -59,40 +84,55 @@ def random_cycle(rng, m):
     return perm
 
 
-# explicit ids keep the unitary cases' ids independent of the added kind
-APPLY_CASES = (
-    [pytest.param(dims, axes, "unitary", id=f"dims{i}-axes{i}")
-     for i, (dims, axes) in enumerate(CASES)]
-    + [pytest.param(dims, axes, "perm", id=f"perm-dims{i}-axes{i}")
-       for i, (dims, axes) in enumerate(CASES)])
+def seed(key, pattern):
+    """The dense cases keep their seeds; each sparse pattern gets its own."""
+    return hash(key if pattern == "dense" else key + (PATTERNS.index(pattern),)) % 2 ** 31
 
 
-@pytest.mark.parametrize("dims,axes,kind", APPLY_CASES)
-def test_apply_matrix_backends_agree(dims, axes, kind):
+def _prefix(pattern):
+    return "" if pattern == "dense" else f"{pattern}-"
+
+
+# explicit ids keep the dense unitary cases' ids independent of the added
+# kinds and patterns
+APPLY_CASES = [
+    pytest.param(dims, axes, kind, pattern,
+                 id=f"{'perm-' if kind == 'perm' else ''}{_prefix(pattern)}dims{i}-axes{i}")
+    for kind in ("unitary", "perm") for pattern in PATTERNS
+    for i, (dims, axes) in enumerate(CASES)]
+
+PROB_CASES = [pytest.param(dims, axes, pattern, id=f"{_prefix(pattern)}dims{i}-axes{i}")
+              for pattern in PATTERNS for i, (dims, axes) in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("dims,axes,kind,pattern", APPLY_CASES)
+def test_apply_matrix_backends_agree(dims, axes, kind, pattern):
     """The kernel and the dense-operator reference give the same state.
 
     The permutations are single cycles; on the unsorted-axes case (2, 0)
     that is an 8-cycle, which no involution confuses with its inverse, so
-    it pins both the gather's direction and the axis order.
+    it pins both the permutation's direction and the axis order.
     """
-    rng = np.random.default_rng(hash((dims, axes)) % 2 ** 31)
-    amps, mat = random_case(rng, dims, axes)
+    rng = np.random.default_rng(seed((dims, axes), pattern))
+    amps, (index, values), mat = random_case(rng, dims, axes, pattern)
     if kind == "perm":
         perm = random_cycle(rng, mat.shape[0])
         mat = np.zeros(mat.shape)
         mat[perm, np.arange(perm.size)] = 1.0
-        out = _kernels.apply_matrix(amps, dims, axes, perm)
+        out = _kernels.apply_matrix(index, dims, axes, perm, values)
+        assert out[1] is values  # a permutation moves indices only
     else:
-        out = _kernels.apply_matrix(amps, dims, axes, mat)
-    np.testing.assert_allclose(out, dense_operator(dims, axes, mat) @ amps, atol=1e-13)
+        out = _kernels.apply_matrix(index, dims, axes, mat, values)
+    np.testing.assert_allclose(dense(*out, amps.size), dense_operator(dims, axes, mat) @ amps,
+                               atol=1e-13)
 
 
-@pytest.mark.parametrize("dims,axes", CASES)
-def test_axis_probabilities_backends_agree(dims, axes):
+@pytest.mark.parametrize("dims,axes,pattern", PROB_CASES)
+def test_axis_probabilities_backends_agree(dims, axes, pattern):
     """The kernel and the reshape-sum reference give the same marginal."""
-    rng = np.random.default_rng(hash(("p", dims, axes)) % 2 ** 31)
-    amps, _ = random_case(rng, dims, axes)
-    out = _kernels.axis_probabilities(amps, dims, axes)
+    rng = np.random.default_rng(seed(("p", dims, axes), pattern))
+    amps, (index, values), _ = random_case(rng, dims, axes, pattern)
+    out = _kernels.axis_probabilities(index, dims, axes, values)
     np.testing.assert_allclose(out, dense_probabilities(amps, dims, axes), atol=1e-13)
 
 
@@ -100,19 +140,19 @@ def test_apply_matrix_matches_dense_kron():
     # one-qubit gate on the middle of three registers, against the full matrix
     rng = np.random.default_rng(5)
     dims = (2, 2, 3)
-    amps, _ = random_case(rng, dims, (0,))
+    amps, (index, values), _ = random_case(rng, dims, (0,))
     gate = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     full = np.kron(np.kron(np.eye(2), gate), np.eye(3))
-    out = _kernels.apply_matrix(amps, dims, (1,), gate)
-    np.testing.assert_allclose(out, full @ amps, atol=1e-13)
+    out = _kernels.apply_matrix(index, dims, (1,), gate, values)
+    np.testing.assert_allclose(dense(*out, amps.size), full @ amps, atol=1e-13)
 
 
 def test_axis_probabilities_order_follows_request():
     rng = np.random.default_rng(6)
     dims = (2, 3, 4)
-    amps, _ = random_case(rng, dims, (0,))
-    p_ab = _kernels.axis_probabilities(amps, dims, (0, 1)).reshape(2, 3)
-    p_ba = _kernels.axis_probabilities(amps, dims, (1, 0)).reshape(3, 2)
+    amps, (index, values), _ = random_case(rng, dims, (0,))
+    p_ab = _kernels.axis_probabilities(index, dims, (0, 1), values).reshape(2, 3)
+    p_ba = _kernels.axis_probabilities(index, dims, (1, 0), values).reshape(3, 2)
     np.testing.assert_allclose(p_ab, p_ba.T, atol=1e-14)
     np.testing.assert_allclose(p_ba.ravel(), dense_probabilities(amps, dims, (1, 0)),
                                atol=1e-14)

@@ -1,6 +1,7 @@
 """Protocol round/session tests: soundness, exact statistics, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,93 @@ class TestRunRoundExact:
         pp = ProtocolParams(n=2)
         with pytest.raises(ValidationError):
             run_round_exact(pp, identity_attack(1), 1)
+
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_P0 = np.diag([1.0, 0.0]).astype(complex)
+_P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _on(nq, placed):
+    """The operator with ``placed[i]`` on qubit i and the identity elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for i in range(nq):
+        out = np.kron(out, placed.get(i, _I2))
+    return out
+
+
+def _cswap(nq, ctrl, i, j):
+    """Swap of qubits i and j controlled by ``ctrl``; SWAP = (II+XX+YY+ZZ)/2."""
+    swap = sum(_on(nq, {ctrl: _P1, i: p, j: p}) for p in (_I2, _X, _Y, _Z))
+    return _on(nq, {ctrl: _P0}) + 0.5 * swap
+
+
+def dense_round_n1(q, qtilde, theta):
+    """Final state of the n = 1 dilated round, from dense ``np.kron`` operators.
+
+    Qubits: A, T, [B], E1, E2, E3, Et1, Et2, Et3, the layout order of the
+    exact route.  Each depolarizing leg swaps T with half of a Bell pair,
+    controlled by a qubit prepared as sqrt(1-s)|0> + sqrt(s)|1>; the
+    receiver copies T into B by a CNOT.
+    """
+    bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
+    parts = [bell] + ([np.array([1, 0], dtype=complex)] if theta == 1 else [])
+    for s in (q, qtilde):
+        parts += [bell, np.array([math.sqrt(1.0 - s), math.sqrt(s)], dtype=complex)]
+    psi = parts[0]
+    for part in parts[1:]:
+        psi = np.kron(psi, part)
+    nq = 8 + theta
+    e1 = 2 + theta
+    psi = _cswap(nq, e1 + 2, 1, e1) @ psi
+    if theta == 1:
+        psi = (_on(nq, {1: _P0}) + _on(nq, {1: _P1, 2: _X})) @ psi
+    return _cswap(nq, e1 + 5, 1, e1 + 3) @ psi
+
+
+class TestDenseRoundReference:
+    """The assembled dilated round at n = 1 against a dense-operator build."""
+
+    @pytest.mark.parametrize("theta", [0, 1])
+    @pytest.mark.parametrize("q,qtilde", [(0.0, 0.0), (1.0, 1.0), (0.2, 0.3),
+                                          (1.0, 0.5), (0.0, 1.0), (0.37, 0.05)])
+    def test_dilated_round_matches_dense_kron(self, q, qtilde, theta):
+        atk = depolarizing_attack(DepolarizingParams(q, qtilde, 1))
+        state, lay, stats = run_round_exact(ProtocolParams(n=1), atk, theta)
+        psi = dense_round_n1(q, qtilde, theta)
+        assert lay.total_dim == psi.size
+        np.testing.assert_allclose(state.amps, psi, rtol=0, atol=1e-12)
+        amps = psi.reshape((2,) * (8 + theta))
+        probs = np.abs(amps) ** 2
+        if theta == 1:
+            joint = probs.sum(axis=tuple(range(3, 9))).transpose(0, 2, 1)  # (A, B, T)
+            cross = np.vdot(amps[0, 0, 0].ravel(), amps[1, 1, 1].ravel()).real
+            np.testing.assert_allclose(stats.abc_joint, joint, rtol=0, atol=1e-12)
+            assert abs(stats.cross_overlap - cross) <= 1e-12
+            return
+        ctrl_az = probs.sum(axis=tuple(range(2, 8)))
+        branch = (amps[0, 0] + amps[1, 1]).ravel() / math.sqrt(2.0)
+        re_tilde = 2.0 * np.vdot(amps[0, 0].ravel(), amps[1, 1].ravel()).real
+        np.testing.assert_allclose(stats.ctrl_az, ctrl_az, rtol=0, atol=1e-12)
+        assert abs(stats.p_ghz - np.vdot(branch, branch).real) <= 1e-12
+        assert abs(stats.re_overlap - re_tilde) <= 1e-12
+
+    def test_dilated_round_memory_stays_support_sized(self):
+        # the n = 3 round state has 2^21 amplitudes, 512 of them nonzero;
+        # a dense build would allocate tens of MiB here
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 3))
+        pp = ProtocolParams(n=3)
+        tracemalloc.start()
+        try:
+            state, _, _ = run_round_exact(pp, atk, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert state.dim == 1 << 21 and state.index.size == 512
 
 
 class TestSampling:

@@ -28,6 +28,7 @@ from sqcka.qmath import (
     conditional_entropy,
     density_from_state,
     partial_trace,
+    slice_overlap,
     subsystem_probabilities,
     tensor,
     von_neumann_entropy,
@@ -109,15 +110,71 @@ class TestStateVector:
             StateVector([bad, 0.5])
 
     def test_wraps_caller_buffer_read_only(self):
-        buf = np.array([0.6, 0.8j])
+        # the state keeps read-only support arrays of its own: no full-size
+        # copy, and the caller's buffer stays writeable and untouched
+        buf = np.zeros(64, dtype=complex)
+        buf[[3, 40]] = [0.6, 0.8j]
+        before = buf.copy()
         s = StateVector(buf)
-        assert np.shares_memory(s.amps, buf)
-        assert not s.amps.flags.writeable
+        np.testing.assert_array_equal(s.index, [3, 40])
+        np.testing.assert_array_equal(s.values, [0.6, 0.8j])
+        for arr in (s.index, s.values):
+            assert arr.size == 2 and not arr.flags.writeable
+            assert not np.shares_memory(arr, buf)
         assert buf.flags.writeable
-        buf[0] = 0.0  # the caller's array stays writeable
+        np.testing.assert_array_equal(buf, before)
+        buf[3] = 0.0  # the caller's array stays writeable; the state keeps its values
+        assert s.values[0] == 0.6
+
+    def test_support_form_matches_dense(self):
+        rng = np.random.default_rng(13)
+        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps[rng.random(32) < 0.5] = 0.0
+        amps[5] = -0.0  # a signed zero is not kept
+        amps /= np.linalg.norm(amps)
+        index = np.flatnonzero(amps)
+        shuffled = rng.permutation(np.append(index, 5))
+        values = amps[shuffled]
+        s = StateVector(values, shuffled, 32)
+        d = StateVector(amps)
+        for state in (s, d):
+            np.testing.assert_array_equal(state.index, index)
+            np.testing.assert_array_equal(state.values, amps[index])
+            np.testing.assert_array_equal(state.amps, amps)
+        assert s.dim == d.dim == 32
+        assert shuffled.flags.writeable and values.flags.writeable
+
+    @pytest.mark.parametrize("index,values", [
+        ([1, 1], [0.6, 0.8]), ([-1, 2], [0.6, 0.8]), ([0, 4], [0.6, 0.8]),
+        ([0.0, 1.0], [0.6, 0.8]), ([0, 1, 2], [0.6, 0.8])],
+        ids=["repeated", "negative", "past-dim", "float", "size-mismatch"])
+    def test_support_form_rejects_bad_index(self, index, values):
+        with pytest.raises(ValidationError, match="support"):
+            StateVector(values, index, 4)
+
+    def test_support_form_capacity_checked_first(self):
+        with pytest.raises(CapacityError):
+            StateVector([1.0], [0], qmath.DIM_CAP + 1)
+        with pytest.raises(ValidationError, match="empty"):
+            StateVector([], [], 0)
+
+
+def sparse_state(rng, dim, keep=0.4):
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps[rng.random(dim) > keep] = 0.0
+    amps[rng.integers(dim)] = 1.0
+    return StateVector(amps / np.linalg.norm(amps))
 
 
 class TestTensor:
+    def test_matches_kron_on_sparse_states(self):
+        rng = np.random.default_rng(14)
+        for dx, dy in ((2, 3), (8, 4), (5, 16)):
+            x, y = sparse_state(rng, dx), sparse_state(rng, dy)
+            out = tensor(x, y)
+            np.testing.assert_array_equal(out.amps, np.kron(x.amps, y.amps))
+            assert out.index.size == x.index.size * y.index.size
+
     def test_basis_composition(self):
         out = tensor(basis_state(2, 0), basis_state(2, 0))
         np.testing.assert_allclose(out.amps, [1, 0, 0, 0])
@@ -206,6 +263,27 @@ class TestApplyOnSubsystems:
         psi = s.amps.reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)
         ref = (u @ psi).reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
         np.testing.assert_allclose(out.amps, ref, atol=1e-14)
+
+
+class TestSliceOverlap:
+    @pytest.mark.parametrize("keep", [1.0, 0.3])
+    def test_matches_dense_slices(self, keep):
+        rng = np.random.default_rng(15)
+        lay = RegisterLayout([("E", 3), ("A", 2), ("F", 2), ("T", 4)])
+        for _ in range(10):
+            s = sparse_state(rng, lay.total_dim, keep)
+            psi = np.moveaxis(s.amps.reshape(lay.dims), (3, 1), (0, 1))
+            for x, y in (((0, 0), (3, 1)), ((2, 1), (2, 1)), ((1, 0), (0, 1))):
+                got = slice_overlap(s, lay, ("T", "A"), x, y)
+                want = np.vdot(psi[x].ravel(), psi[y].ravel())
+                assert abs(got - want) <= 1e-15
+
+    def test_disjoint_slices(self):
+        lay = RegisterLayout([("A", 2), ("E", 2)])
+        s = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
+        assert slice_overlap(s, lay, ("A",), (0,), (1,)) == 0
+        # an empty slice
+        assert slice_overlap(basis_state(4, 0), lay, ("E",), (0,), (1,)) == 0
 
 
 class TestPartialTrace:
