@@ -10,7 +10,10 @@ Commands::
 Outputs are deterministic: identical arguments and seed give byte-identical
 CSV files and reports.  Numbers are printed with 9 significant digits.
 ``sweep`` and ``figures`` evaluate the closed-form rates over whole
-(Q, Q~) grids, one array call per (n, mode), and format each value once.
+(Q, Q~) grids, one array call per (n, mode) or, for a figure slice, per
+mode; the threshold crossings of every (figure, n) row of a mode are
+bisected together, one call per step.  Each distinct axis value is
+formatted once, and each line is built from those strings.
 
 Custom attacks are plain-text files with ``#`` comments and three sections::
 
@@ -31,6 +34,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, make_dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -279,8 +283,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
-    """The grid lo, lo + step, ... <= hi of a ``value`` or ``lo:hi`` flag."""
+def _range_size(text: str, step: float, flag: str = "range") -> tuple[float, int]:
+    """(lo, point count) of the grid of a ``value`` or ``lo:hi`` flag.
+
+    The count is that of the points lo + k*step <= hi + 1e-12, found by the
+    same float steps as the grid itself, without building it; a count over
+    ``GRID_CAP`` raises ``CapacityError``.
+    """
     try:
         lo, hi = (float(s) for s in text.split(":", 1)) if ":" in text \
             else (float(text),) * 2
@@ -293,18 +302,21 @@ def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
         raise qmath.DomainError(f"{flag} range {text!r} has lo > hi")
     if step <= 0:
         raise qmath.DomainError(f"step {step} must be positive")
-    if (hi - lo) / step >= GRID_CAP:
+    k = int(min((hi - lo) / step, GRID_CAP))  # the last point's k, up to rounding
+    while k < GRID_CAP and lo + (k + 1) * step <= hi + 1e-12:
+        k += 1
+    while lo + k * step > hi + 1e-12:
+        k -= 1
+    if k >= GRID_CAP:
         raise qmath.CapacityError(f"{flag} {text!r} with step {step} has over "
                                   f"GRID_CAP = {GRID_CAP} points")
-    out = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-12:
-            break
-        out.append(round(v, 12))
-        k += 1
-    return out
+    return lo, k + 1
+
+
+def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
+    """The grid lo, lo + step, ... <= hi of a ``value`` or ``lo:hi`` flag."""
+    lo, size = _range_size(text, step, flag)
+    return [round(lo + k * step, 12) for k in range(size)]
 
 
 SWEEP_HEADER = "n,q,qtilde,mode,p_ghz,q_bob,s_lower,leakage,r_min"
@@ -329,40 +341,43 @@ class SweepSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise qmath.DomainError(f"unknown mode {mode!r}")
-        rows = len(self.ns) * len(self.qs) * len(self.qtildes) * len(self.modes)
-        if rows > GRID_CAP:
-            raise qmath.CapacityError(f"the sweep has {rows} rows, over "
-                                      f"GRID_CAP = {GRID_CAP}")
 
 
 def _sweep_rows(spec: SweepSpec):
-    """Rows in (n, q, qtilde, mode) order.
+    """CSV text in (n, q, qtilde, mode) order, one chunk per (n, q) row.
 
-    Each n's (q, qtilde) grid is one array call per mode; the values are
-    formatted one q row at a time, so only one row of strings is held.
+    Each n's (q, qtilde) grid is one array call per mode.  Each axis value
+    is formatted once, and q_bob and the leakage, which depend on q alone,
+    once per q row; the values are formatted one q row at a time.
     """
     q, qt = np.meshgrid(spec.qs, spec.qtildes, indexing="ij")
-    qt_s = _fmt_all(spec.qtildes)
-    bob = keyrate.qbob(q)
+    q_s, qt_s = _fmt_all(spec.qs), _fmt_all(spec.qtildes)
+    bob_s = _fmt_all(keyrate.qbob(q[:, 0]))
     for n in spec.ns:
         params = DepolarizingParams(q, qt, n)
         pg = p_ghz_analytic(params)
-        reps = [(mode, keyrate.depolarizing_keyrate(params, mode)) for mode in spec.modes]
-        for i, q_s in enumerate(_fmt_all(spec.qs)):
-            pg_s, bob_s = _fmt_all(pg[i]), _fmt_all(bob[i])
-            cols = [(mode, _fmt_all(r.s_lower[i]), _fmt_all(r.leakage[i]),
-                     _fmt_all(r.r_min[i])) for mode, r in reps]
-            for j, qt_j in enumerate(qt_s):
-                for mode, s, leak, r in cols:
-                    yield (str(n), q_s, qt_j, mode, pg_s[j], bob_s[j], s[j], leak[j], r[j])
+        reps = [keyrate.depolarizing_keyrate(params, mode) for mode in spec.modes]
+        leak_s = _fmt_all(reps[0].leakage[:, 0])
+        for i, q_i in enumerate(q_s):
+            head, bob = f"{n},{q_i},", f",{bob_s[i]},"
+            yield _interleave(
+                [f"{head}{qt_j},{mode},{pg_j}{bob}{s},{leak_s[i]},{r}\n"
+                 for qt_j, pg_j, s, r in zip(qt_s, _fmt_all(pg[i]), _fmt_all(rep.s_lower[i]),
+                                             _fmt_all(rep.r_min[i]))]
+                for mode, rep in zip(spec.modes, reps))
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Stream the header and rows to ``path`` (standard output when None)."""
+def _interleave(columns) -> str:
+    """The lines of equal-length columns, row by row: a0 b0 a1 b1 ..."""
+    return "".join(chain.from_iterable(zip(*columns)))
+
+
+def _write_csv(path, header: str, chunks) -> None:
+    """Stream the header and chunks of whole lines to ``path`` (stdout when None)."""
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8")) as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(r) + "\n" for r in rows)
+        fh.writelines(chunks)
 
 
 def cmd_sweep(args) -> int:
@@ -371,13 +386,15 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise qmath.ValidationError(f"--n {args.n!r} is not a comma-separated "
                                     "list of integers") from None
-    spec = SweepSpec(
-        ns=ns,
-        qs=tuple(_parse_range(args.q, args.q_step, "--q")),
-        qtildes=tuple(_parse_range(args.qtilde, args.q_step, "--qtilde")),
-        modes=MODES if args.mode == "both" else (args.mode,),
-        out=args.out,
-    )
+    modes = MODES if args.mode == "both" else (args.mode,)
+    ranges = [(args.q, "--q"), (args.qtilde, "--qtilde")]
+    # the row cap is checked before either grid is built
+    rows = len(ns) * len(modes) * math.prod(_range_size(text, args.q_step, flag)[1]
+                                            for text, flag in ranges)
+    if rows > GRID_CAP:
+        raise qmath.CapacityError(f"the sweep has {rows} rows, over GRID_CAP = {GRID_CAP}")
+    qs, qtildes = (tuple(_parse_range(text, args.q_step, flag)) for text, flag in ranges)
+    spec = SweepSpec(ns=ns, qs=qs, qtildes=qtildes, modes=modes, out=args.out)
     _write_csv(spec.out, SWEEP_HEADER, _sweep_rows(spec))
     return 0
 
@@ -387,44 +404,50 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rates(n: int, q, qt, mode: str) -> np.ndarray:
-    """r_min over arrays of Q and Q~, broadcast against each other."""
+def _rates(n, q, qt, mode: str) -> np.ndarray:
+    """r_min over arrays of n, Q and Q~, broadcast against each other."""
     return keyrate.depolarizing_keyrate(DepolarizingParams(q, qt, n), mode).r_min
 
 
-def find_rate_crossing(fn) -> float | None:
-    """First positive-to-strictly-negative crossing of fn on [0, 1], by bisection.
+def find_rate_crossing(fn):
+    """First positive-to-strictly-negative crossing on [0, 1] of each row of fn.
 
-    ``fn`` maps an array of x to values of its shape (a constant is
-    broadcast): the grid of step ``FIGURE_STEP`` is scanned in one call, and
-    each bisection step, down to ``BISECT_TOL``, is a 1-element call.
-    Touching zero at the range boundary does not count as a crossing.
+    ``fn`` maps an array of x to values of shape ``S + x.shape[-1:]`` (a
+    constant is broadcast), one row per element of the stack shape S.  The
+    grid of step ``FIGURE_STEP`` is scanned in one call for every row;
+    then each bisection step is one call, with x of shape ``S + (1,)``, and
+    each row halves its own bracket while it is wider than ``BISECT_TOL``,
+    by the same float steps as when bisected alone.  Touching zero at the
+    range boundary does not count as a crossing.  Returns the crossing, or
+    None, for S = (), and otherwise a nested list of them of shape S.
     """
     xs = np.array(_parse_range("0:1", FIGURE_STEP))
-    fs = np.broadcast_to(fn(xs), xs.shape)
-    neg = np.flatnonzero(fs < 0.0)
-    if not neg.size:
-        return None
-    pos = np.flatnonzero(fs[:neg[0]] > 0.0)
-    if not pos.size:
-        return None
-    a, b = float(xs[pos[-1]]), float(xs[neg[0]])
-    while b - a > BISECT_TOL:
+    fs = fn(xs)
+    fs = np.broadcast_to(fs, np.broadcast_shapes(np.shape(fs), xs.shape))
+    neg = fs < 0.0
+    first_neg = neg.argmax(axis=-1)
+    pos = (fs > 0.0) & (np.arange(xs.size) < first_neg[..., None])
+    last_pos = xs.size - 1 - pos[..., ::-1].argmax(axis=-1)
+    found = neg.any(axis=-1) & pos.any(axis=-1)
+    a = np.where(found, xs[last_pos], 0.0)
+    b = np.where(found, xs[first_neg], 0.0)
+    while (active := b - a > BISECT_TOL).any():
         mid = 0.5 * (a + b)
-        if np.broadcast_to(fn(np.array([mid])), (1,))[0] > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        up = np.broadcast_to(fn(mid[..., None]), mid.shape + (1,))[..., 0] > 0.0
+        a = np.where(active & up, mid, a)
+        b = np.where(active & ~up, mid, b)
+    return np.where(found, 0.5 * (a + b), None).tolist()
 
 
-def _rate_rows(n: int, q: np.ndarray, qt: np.ndarray):
-    """fig CSV rows over a grid of (q, qtilde) points, each with both modes."""
-    rates = [_fmt_all(_rates(n, q, qt, mode)) for mode in MODES]
-    q_s, qt_s = _fmt_all(q), _fmt_all(qt)
-    for i in range(len(q_s)):
-        for mode, r in zip(MODES, rates):
-            yield str(n), q_s[i], qt_s[i], mode, r[i]
+def _rate_rows(n, q_s, qt_s, rates) -> str:
+    """Figure CSV lines at the points (q_s[k], qt_s[k]), both modes at each.
+
+    The coordinates come as strings, and ``rates`` holds each mode's r_min
+    at the points, in ``MODES`` order.
+    """
+    return _interleave(
+        [f"{n},{q},{qt},{mode},{r}\n" for q, qt, r in zip(q_s, qt_s, _fmt_all(rate))]
+        for mode, rate in zip(MODES, rates))
 
 
 def cmd_figures(args) -> int:
@@ -433,26 +456,33 @@ def cmd_figures(args) -> int:
     grid01 = np.array(_parse_range("0:1", FIGURE_STEP))
     grid_half = np.array(_parse_range("0:0.5", FIGURE_STEP))
 
-    q, qt = np.meshgrid(grid_half, grid_half, indexing="ij")
-    _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", _rate_rows(10, q, qt))
+    # fig2: one q row of the n = 10 surface at a time, each axis formatted once
+    half_s = _fmt_all(grid_half)
+    rates = [_rates(10, grid_half[:, None], grid_half, mode) for mode in MODES]
+    rows = (_rate_rows(10, repeat(q_s), half_s, [r[i] for r in rates])
+            for i, q_s in enumerate(half_s))
+    _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", rows)
 
-    slices = {  # figure: (grid, x -> (q, qtilde))
-        "fig3": (grid_half, lambda x: (x, x)),
-        "fig4a": (grid01, lambda x: (0.0, x)),
-        "fig4b": (grid_half, lambda x: (x, 0.0)),
-    }
-    for fig, (grid, point) in slices.items():
-        q, qt = (np.broadcast_to(v, grid.shape) for v in point(grid))
-        rows = (row for n in FIGURE_NS for row in _rate_rows(n, q, qt))
+    # the slices: (q, qtilde) = (x * q_on, x * qt_on), exact with factors 0 and 1
+    slices = {"fig3": (grid_half, 1.0, 1.0), "fig4a": (grid01, 0.0, 1.0),
+              "fig4b": (grid_half, 1.0, 0.0)}
+    ns = np.array(FIGURE_NS)[:, None]
+    for fig, (grid, q_on, qt_on) in slices.items():
+        x_s, zero_s = _fmt_all(grid), [_fmt(0.0)] * grid.size
+        q_s, qt_s = (x_s if on else zero_s for on in (q_on, qt_on))
+        rates = [_rates(ns, grid * q_on, grid * qt_on, mode) for mode in MODES]
+        rows = (_rate_rows(n, q_s, qt_s, [r[k] for r in rates])
+                for k, n in enumerate(FIGURE_NS))
         _write_csv(outdir / f"{fig}.csv", "n,q,qtilde,mode,r_min", rows)
 
-    rows = []
-    for fig, (_, point) in slices.items():
-        for n in FIGURE_NS:
-            for mode in MODES:
-                crossing = find_rate_crossing(lambda x: _rates(n, *point(x), mode))
-                rows.append((fig, str(n), mode,
-                             "" if crossing is None else _fmt(crossing)))
+    # thresholds: every (figure, n) row of one mode bisected in lockstep
+    keys = [(fig, n) for fig in slices for n in FIGURE_NS]
+    row_ns = np.array([n for _, n in keys])[:, None]
+    on = np.array([slices[fig][1:] for fig, _ in keys])
+    crossings = {mode: find_rate_crossing(
+        lambda x: _rates(row_ns, x * on[:, :1], x * on[:, 1:], mode)) for mode in MODES}
+    rows = (f"{fig},{n},{mode},{'' if xs[k] is None else _fmt(xs[k])}\n"
+            for k, (fig, n) in enumerate(keys) for mode, xs in crossings.items())
     _write_csv(outdir / "thresholds.csv", "figure,n,mode,crossing", rows)
     print(f"wrote fig2/fig3/fig4a/fig4b/thresholds CSV files to {outdir}")
     return 0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sqcka import cli
@@ -38,6 +39,43 @@ class TestParseRange:
             with pytest.raises(CapacityError, match="GRID_CAP"):
                 _parse_range("0:1", step, "--q")
         assert len(_parse_range("0:1", 1.0 / (cli.GRID_CAP - 1))) == cli.GRID_CAP
+
+    def test_grid_cap_is_exact(self):
+        # (hi - lo) / step is just under GRID_CAP, but the 1e-12 slack admits
+        # the point k = GRID_CAP: GRID_CAP + 1 points
+        step = 1.0 / (cli.GRID_CAP - 1e-7)
+        assert 1.0 / step < cli.GRID_CAP and step * cli.GRID_CAP <= 1.0 + 1e-12
+        with pytest.raises(CapacityError, match="GRID_CAP"):
+            _parse_range("0:1", step, "--q")
+        assert cli._range_size("0:1", 1.0 / (cli.GRID_CAP - 1)) == (0.0, cli.GRID_CAP)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_size_and_grid_match_the_point_by_point_loop(self, seed):
+        def reference(lo, hi, step):  # the grid loop before sizes were computed
+            out = []
+            k = 0
+            while True:
+                v = lo + k * step
+                if v > hi + 1e-12:
+                    break
+                out.append(round(v, 12))
+                k += 1
+            return out
+
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            lo = round(float(rng.uniform(0, 1)), int(rng.integers(1, 4)))
+            m = int(rng.integers(0, 60))
+            step = float(rng.choice([0.1, 0.05, 0.02, 0.01, 1 / 3, 1 / 7, 0.003,
+                                     rng.uniform(1e-3, 0.3)]))
+            # hi on, just past and just before a multiple of step from lo
+            for hi in (lo + m * step, lo + m * step + 1e-12, lo + m * step - 1e-12,
+                       round(lo + m * step, 3)):
+                if hi < lo:
+                    continue
+                text, want = f"{lo!r}:{hi!r}", reference(lo, hi, step)
+                assert cli._range_size(text, step) == (lo, len(want)), (text, step)
+                assert _parse_range(text, step) == want, (text, step)
 
 
 class TestVerify:
@@ -96,6 +134,17 @@ class TestSweep:
         code = main(["sweep", "--q", "0:1", "--qtilde", "0:1", "--q-step", "1e-4"])
         assert code == 2
         assert "rows, over GRID_CAP" in capsys.readouterr().err
+
+    def test_sweep_rows_capped_before_any_grid_is_built(self, capsys, monkeypatch):
+        # each axis has 909,091 points, under GRID_CAP; the sweep is not
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(cli, "_parse_range", no_grid)
+        code = main(["sweep", "--q", "0:1", "--qtilde", "0:1", "--q-step", "1.1e-6"])
+        assert code == 2
+        assert capsys.readouterr().err == ("sqcka: error: the sweep has 1652892892562 "
+                                           "rows, over GRID_CAP = 1000000\n")
 
     def test_row_order(self, capsys):
         _, out = run_cli(capsys, "sweep", "--n", "3,2", "--q", "0:0.1",
@@ -284,14 +333,16 @@ class TestCleanExits:
         (("simulate", "--ctrl-count", "-1", "--rounds", "10"),
          "num_ctrl -1 outside 0..num_rounds"),
         (("sweep", "--q", "0:1", "--q-step", "1e-10"), "over GRID_CAP"),
+        (("sweep", "--q", "0:1", "--qtilde", "0:1", "--q-step", "1.1e-6"),
+         "rows, over GRID_CAP"),
         (("simulate", "--rounds", "1000000000000", "--ctrl-count", "10"),
          "exceed ROUNDS_CAP"),
         (("simulate", "--rounds", "1e5"), "argument --rounds: invalid int value: '1e5'"),
         (("simulate", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
         (("sweep", "--mode", "bogus"), "argument --mode: invalid choice: 'bogus'"),
         (("sweep", "--q-step", "x"), "argument --q-step: invalid float value: 'x'"),
-    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "rounds",
-            "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float"])
+    ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "sweep-rows",
+            "rounds", "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

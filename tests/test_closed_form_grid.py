@@ -4,16 +4,18 @@ The array calls must reproduce, point for point, the scalar chain they
 replaced (``eve_catalogue`` -> ``depolarizing_entropy_lower`` ->
 ``keyrate_lower``), which is kept below verbatim as the reference: to
 1e-15, and as identical 9-significant-digit strings, the form every CSV
-prints.
+prints.  Likewise the lockstep crossing finder must give, row for row,
+what the one-row bisection it replaced gives, also kept below verbatim.
 """
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 
-from sqcka import cli
+from sqcka import cli, keyrate
 from sqcka.attacks import DepolarizingParams, eve_catalogue, p_ghz_analytic
 from sqcka.cli import find_rate_crossing, main
 from sqcka.keyrate import (
@@ -83,6 +85,46 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def reference_find_rate_crossing(fn) -> float | None:
+    """First positive-to-strictly-negative crossing of fn on [0, 1], by bisection.
+
+    ``fn`` maps an array of x to values of its shape (a constant is
+    broadcast): the grid of step ``FIGURE_STEP`` is scanned in one call, and
+    each bisection step, down to ``BISECT_TOL``, is a 1-element call.
+    Touching zero at the range boundary does not count as a crossing.
+    """
+    xs = np.array(cli._parse_range("0:1", cli.FIGURE_STEP))
+    fs = np.broadcast_to(fn(xs), xs.shape)
+    neg = np.flatnonzero(fs < 0.0)
+    if not neg.size:
+        return None
+    pos = np.flatnonzero(fs[:neg[0]] > 0.0)
+    if not pos.size:
+        return None
+    a, b = float(xs[pos[-1]]), float(xs[neg[0]])
+    while b - a > cli.BISECT_TOL:
+        mid = 0.5 * (a + b)
+        if np.broadcast_to(fn(np.array([mid])), (1,))[0] > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+#: The figure slices as the pre-change ``figures`` wrote them: x -> (q, qtilde).
+SLICES = {"fig3": lambda x: (x, x), "fig4a": lambda x: (0.0, x), "fig4b": lambda x: (x, 0.0)}
+
+#: Bisection steps from a bracket of one grid step, with one step of slack.
+MAX_STEPS = math.ceil(math.log2(cli.FIGURE_STEP / cli.BISECT_TOL)) + 1
+
+
+@pytest.fixture(scope="module")
+def figures_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures")
+    assert main(["figures", "--out", str(out)]) == 0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # array form vs reference
 # ---------------------------------------------------------------------------
@@ -143,21 +185,32 @@ class TestArrayMatchesScalarReference:
                                               *map(_fmt, rate)]))
         assert lines == want
 
-    def test_figure_rows_match_reference(self, tmp_path, capsys):
-        assert main(["figures", "--out", str(tmp_path)]) == 0
-        grid = cli._parse_range("0:1", cli.FIGURE_STEP)
-        lines = (tmp_path / "fig4a.csv").read_text().splitlines()
-        want = ["n,q,qtilde,mode,r_min"]
-        want += [",".join([str(n), "0", _fmt(x), mode, _fmt(ref_keyrate(0.0, x, n, mode)[2])])
-                 for n in cli.FIGURE_NS for x in grid for mode in MODES]
-        assert lines == want
+    def test_figure_rows_match_reference(self, figures_dir):
+        header = ["n,q,qtilde,mode,r_min"]
         half = cli._parse_range("0:0.5", cli.FIGURE_STEP)
-        lines = (tmp_path / "fig2.csv").read_text().splitlines()
-        want = ["n,q,qtilde,mode,r_min"]
-        want += [",".join(["10", _fmt(q), _fmt(qt), mode,
-                           _fmt(ref_keyrate(q, qt, 10, mode)[2])])
-                 for q in half for qt in half for mode in MODES]
+        lines = (figures_dir / "fig2.csv").read_text().splitlines()
+        assert lines == header + [
+            ",".join(["10", _fmt(q), _fmt(qt), mode, _fmt(ref_keyrate(q, qt, 10, mode)[2])])
+            for q in half for qt in half for mode in MODES]
+        grids = {"fig3": half, "fig4a": cli._parse_range("0:1", cli.FIGURE_STEP),
+                 "fig4b": half}
+        for fig, point in SLICES.items():
+            lines = (figures_dir / f"{fig}.csv").read_text().splitlines()
+            assert lines == header + [
+                ",".join([str(n), *map(_fmt, point(x)), mode,
+                          _fmt(ref_keyrate(*point(x), n, mode)[2])])
+                for n in cli.FIGURE_NS for x in grids[fig] for mode in MODES], fig
+
+    def test_thresholds_match_reference(self, figures_dir):
+        lines = (figures_dir / "thresholds.csv").read_text().splitlines()
+        want = ["figure,n,mode,crossing"]
+        for (fig, point), n, mode in product(SLICES.items(), cli.FIGURE_NS, MODES):
+            x = reference_find_rate_crossing(lambda v: depolarizing_keyrate(
+                DepolarizingParams(*point(v), n), mode).r_min)
+            want.append(f"{fig},{n},{mode},{'' if x is None else _fmt(x)}")
         assert lines == want
+        crossings = [line.split(",")[3] for line in lines[1:]]
+        assert "" in crossings and len(set(crossings)) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +269,7 @@ class TestScalarsAndChecks:
 
 class TestArrayCrossingFinder:
     def test_scans_in_one_call_and_bisects_in_one_element_calls(self):
+        # one row: a (201,) scan, then one (1,) call per step
         shapes = []
 
         def fn(x):
@@ -225,7 +279,22 @@ class TestArrayCrossingFinder:
         got = find_rate_crossing(fn)
         assert got == pytest.approx(0.3, abs=1e-4)
         assert shapes[0] == (201,)
-        assert len(shapes) > 1 and set(shapes[1:]) == {(1,)}
+        assert set(shapes[1:]) == {(1,)} and len(shapes) - 1 <= MAX_STEPS
+
+        # a (2, 2) stack: one scan for every row, then one call per step with
+        # one element per row, however many rows are still bisecting
+        shapes.clear()
+        roots = np.array([[0.3, 0.71], [2.0, 0.123]])  # 2.0: no crossing
+
+        def stack(x):
+            shapes.append(np.shape(x))
+            return roots[..., None] - x
+
+        got = find_rate_crossing(stack)
+        assert got[0] == pytest.approx([0.3, 0.71], abs=1e-4)
+        assert got[1][0] is None and got[1][1] == pytest.approx(0.123, abs=1e-4)
+        assert shapes[0] == (201,)
+        assert set(shapes[1:]) == {(2, 2, 1)} and 1 <= len(shapes) - 1 <= MAX_STEPS
 
     def test_rate_surface_crossing_brackets_sign_change(self):
         def rate(x):
@@ -235,3 +304,57 @@ class TestArrayCrossingFinder:
         tol = cli.BISECT_TOL
         assert ref_keyrate(x - tol, x - tol, 3, "theorem_exact")[2] > 0.0
         assert ref_keyrate(x + tol, x + tol, 3, "theorem_exact")[2] <= 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_row_as_when_bisected_alone(self, seed):
+        # random rate rows (q, qtilde) = (a x, c x) at n in 1..2000, either mode;
+        # rows with a = 0 never go negative, and some rows read 0 on a window
+        # around their crossing, so that they bisect a wider bracket
+        rng = np.random.default_rng(seed)
+        rows = 48
+        n = rng.integers(1, 2001, rows)
+        a = np.where(rng.random(rows) < 0.2, 0.0, rng.uniform(0.2, 1.0, rows))
+        c = rng.uniform(0.0, 1.0, rows)
+        thm = rng.random(rows) < 0.5
+        z0 = np.full(rows, 2.0)
+        z1 = np.full(rows, 2.0)
+
+        def rate(x, n, a, c, thm, z0, z1):
+            params = DepolarizingParams(x * a, x * c, n)
+            r = np.where(thm, depolarizing_keyrate(params, "theorem_exact").r_min,
+                         depolarizing_keyrate(params, "paper_literal").r_min)
+            return np.where((x > z0) & (x < z1), 0.0, r)
+
+        def alone(k):
+            calls = []
+            args = (n[k], a[k], c[k], thm[k], z0[k], z1[k])
+            got = reference_find_rate_crossing(lambda x: calls.append(x) or rate(x, *args))
+            return got, len(calls) - 1
+
+        for k in range(0, rows, 3):  # a zero window around every third row's crossing
+            x, _ = alone(k)
+            if x is not None:
+                z0[k], z1[k] = x - rng.uniform(0.01, 0.04), x + rng.uniform(0.01, 0.04)
+        want, steps = zip(*map(alone, range(rows)))
+
+        calls = []
+        cols = [v[:, None] for v in (n, a, c, thm, z0, z1)]
+        got = find_rate_crossing(lambda x: calls.append(x.shape) or rate(x, *cols))
+        assert got == list(want)
+        assert calls == [(201,)] + [(rows, 1)] * max(steps)
+        found = [s for w, s in zip(want, steps) if w is not None]
+        assert None in want and min(found) < max(found)
+
+
+def test_figures_call_the_rates_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):
+    shapes = []
+    real = keyrate.depolarizing_keyrate
+
+    def counted(params, mode):
+        shapes.append(np.shape(params.q))
+        return real(params, mode)
+
+    monkeypatch.setattr(keyrate, "depolarizing_keyrate", counted)
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    # per mode: fig2, the three slices, the thresholds scan and its steps
+    assert len(shapes) <= len(MODES) * (1 + len(SLICES) + 1 + MAX_STEPS), shapes
