@@ -42,14 +42,12 @@ from .protocol import (
     run_session,
 )
 from .qmath import (
-    DensityOperator,
     RegisterLayout,
     StateVector,
     binary_entropy,
     conditional_entropy,
     partial_trace,
     tensor,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"

@@ -4,11 +4,11 @@ A state is carried as its support: the flat (big-endian) basis indices of
 its nonzero amplitudes and the amplitudes themselves.  Two operations
 dominate the exact-simulation runtime, and both work on the support alone:
 applying a small operator to a block of subsystem axes, and accumulating
-marginal probabilities over a subset of axes.  A basis permutation is index
-arithmetic (each index's target coordinates are permuted, the others kept);
-a unitary matrix multiplies a (target, remaining coordinates) table that
-holds only the remaining coordinates the support has.  A marginal is a
-``bincount`` of the target coordinates.
+marginal probabilities over a subset of axes.  The only operator the exact
+routes apply is a basis permutation, and applying one is index arithmetic:
+each index's target coordinates are permuted, the others kept, and the
+amplitudes do not change.  A marginal is a ``bincount`` of the target
+coordinates.
 """
 
 from __future__ import annotations
@@ -45,23 +45,17 @@ def split_axes(index: np.ndarray, dims: Sequence[int], axes: Sequence[int]
 
 
 def apply_matrix(index: np.ndarray, dims: Sequence[int], axes: Sequence[int],
-                 matrix: np.ndarray, amps: np.ndarray
+                 perm: np.ndarray, amps: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``matrix`` to the ``axes`` block of the support ``(index, amps)``.
+    """Apply the basis permutation ``perm`` to the ``axes`` block of the
+    support ``(index, amps)``: block basis state j goes to ``perm[j]``, so
+    only the indices change.
 
-    A 1-D ``matrix`` is a basis permutation (block basis state j goes to
-    ``matrix[j]``): only the indices change.  A 2-D one multiplies the
-    (block state, remaining coordinates) table of the support; the result
-    lists every block state for each remaining coordinate the input has,
-    zeros included.
+    ``perfbench/spans.py`` wraps this function by name and reads the size
+    of its fourth argument, so the name and the argument order stay.
     """
     block, base, offset = split_axes(index, dims, axes)
-    if matrix.ndim == 1:
-        return base + offset[matrix[block]], amps
-    rest, col = np.unique(base, return_inverse=True)
-    psi = np.zeros((matrix.shape[0], rest.size), dtype=np.complex128)
-    psi[block, col] = amps
-    return (offset[:, None] + rest).reshape(-1), (matrix @ psi).reshape(-1)
+    return base + offset[perm[block]], amps
 
 
 def axis_probabilities(index: np.ndarray, dims: Sequence[int], axes: Sequence[int],

@@ -456,6 +456,23 @@ def attack_from_tables(tables: ConditionalChannelTable,
     return CollectiveAttack(tables, gram, label=label)
 
 
+def random_table_attack(rng: np.random.Generator, n: int) -> CollectiveAttack:
+    """Dirichlet tables and a random PSD Gram of random rank, for n receivers.
+
+    Draws, in order: the forward rows, the backward rows, a rank in
+    2..2d^2, and that many Gaussian coordinates of each branch's vector.
+    These are abstract cq states: no unitary round need produce them.
+    """
+    d = 1 << n
+    fwd = rng.dirichlet(np.ones(d), size=2)
+    bwd = rng.dirichlet(np.ones(d), size=(2, d))
+    dim = 2 * d * d
+    vecs = rng.normal(size=(dim, int(rng.integers(2, dim + 1))))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
+    return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram, label="random")
+
+
 def depolarizing_tables(params: DepolarizingParams) -> ConditionalChannelTable:
     d = params.d
     fwd = np.full((2, d), params.q / d)

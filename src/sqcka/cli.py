@@ -45,9 +45,11 @@ from .attacks import (
     DepolarizingParams,
     depolarizing_attack,
     eve_catalogue,
+    gram_purification,
     identity_attack,
     load_attack_file,
     p_ghz_analytic,
+    random_table_attack,
 )
 from .keyrate import MODES
 
@@ -128,60 +130,45 @@ def _attack_from_config(cfg: RunConfig) -> CollectiveAttack:
 # ---------------------------------------------------------------------------
 
 
-def _random_table_attack(rng: np.random.Generator, n: int) -> CollectiveAttack:
-    from .attacks import ConditionalChannelTable, attack_from_tables
-
-    d = 1 << n
-    fwd = rng.dirichlet(np.ones(d), size=2)
-    bwd = rng.dirichlet(np.ones(d), size=(2, d))
-    dim = 2 * d * d
-    vecs = rng.normal(size=(dim, max(2, dim // 2)))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
-    return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram, label="random")
+def _dense_entropy(attack: CollectiveAttack) -> float:
+    """S(A|E) of rho_AE = sum_a |a><a| (x) sum_bc e_abc e_abc^T / 2, dense,
+    with e_abc = sqrt(w_abc) times branch abc's column of the Gram's
+    purification."""
+    m = gram_purification(attack.gram)
+    k = len(m)
+    e = (m * np.sqrt(attack.tables.weights.reshape(-1))).reshape(k, 2, -1)
+    rho = np.einsum("ab,kal,mal->akbm", np.eye(2), e, e) / 2.0
+    layout = qmath.RegisterLayout([("A", 2), ("E", k)])
+    return qmath.conditional_entropy(rho.reshape(2 * k, 2 * k), layout, ("A",), ("E",))
 
 
 def _verify_checks(attack_file: str | None):
     """Yield (name, passed, detail) for every invariant check."""
     rng = np.random.default_rng(20240901)
 
-    # --- linear-algebra layer ---------------------------------------------
-    dev = 0.0
-    for _ in range(5):
-        dim = int(rng.integers(2, 9))
-        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        u, _ = np.linalg.qr(mat)
-        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        amp /= np.linalg.norm(amp)
-        state = qmath.StateVector(amp)
-        layout = qmath.RegisterLayout([("X", dim)])
-        out = qmath.apply_on_subsystems(u, state, layout, ("X",))
-        dev = max(dev, abs(out.norm() - 1.0))
-    yield "unitary-norm-preservation", dev <= 1e-12, f"max |norm-1| {dev:.2e}"
-
+    # --- dense entropy reference ------------------------------------------
     layout = qmath.RegisterLayout([("A", 2), ("B", 2), ("C", 3)])
     amp = rng.normal(size=12) + 1j * rng.normal(size=12)
     amp /= np.linalg.norm(amp)
-    rho = qmath.density_from_state(qmath.StateVector(amp))
+    rho = np.outer(amp, amp.conj())
     one = qmath.partial_trace(qmath.partial_trace(rho, layout, ("A", "B")),
                               layout.restrict(("A", "B")), ("A",))
     two = qmath.partial_trace(rho, layout, ("A",))
-    dev = float(np.max(np.abs(one.entries - two.entries)))
+    dev = float(np.max(np.abs(one - two)))
     yield "partial-trace-composition", dev <= 1e-12, f"max entry dev {dev:.2e}"
 
     probs = rng.dirichlet(np.ones(6))
-    rho = qmath.DensityOperator(np.diag(probs.astype(complex)))
     s_direct = -(probs * np.log2(probs)).sum()
-    dev = abs(qmath.von_neumann_entropy(rho) - s_direct)
+    dev = abs(qmath.entropy_of_spectrum(np.linalg.eigvalsh(np.diag(probs))) - s_direct)
     yield "entropy-spectrum-agreement", dev <= 1e-10, f"dev {dev:.2e}"
 
     joint = rng.dirichlet(np.ones(12)).reshape(3, 4)
-    rho = qmath.DensityOperator(np.diag(joint.ravel().astype(complex)))
     lay = qmath.RegisterLayout([("A", 3), ("E", 4)])
     pe = joint.sum(axis=0)
     shannon = -(joint[joint > 0] * np.log2(joint[joint > 0])).sum() \
         + (pe[pe > 0] * np.log2(pe[pe > 0])).sum()
-    dev = abs(qmath.conditional_entropy(rho, lay, ("A",), ("E",)) - shannon)
+    dev = abs(qmath.conditional_entropy(np.diag(joint.ravel()), lay, ("A",), ("E",))
+              - shannon)
     yield "classical-conditional-entropy", dev <= 1e-9, f"dev {dev:.2e}"
 
     # --- attack layer -------------------------------------------------------
@@ -216,12 +203,19 @@ def _verify_checks(attack_file: str | None):
         worst = max(worst, bound - oracle)
     for k in range(21):
         # the last attack, at n = 3, goes through the greedy + 2-opt search
-        atk = _random_table_attack(rng, int(rng.integers(1, 3)) if k < 20 else 3)
+        atk = random_table_attack(rng, int(rng.integers(1, 3)) if k < 20 else 3)
         oracle = keyrate.exact_entropy_oracle(atk)
         w = atk.tables.weights
         _, bound = keyrate.pairing_maximize(w, atk.gram)
         worst = max(worst, bound - oracle)
     yield "bound-below-oracle", worst <= 1e-9, f"max (bound - oracle) {worst:.2e}"
+
+    dev = 0.0
+    for n in (1, 2):
+        for atk in (identity_attack(n), depolarizing_attack(DepolarizingParams(0.1, 0.2, n)),
+                    random_table_attack(rng, n)):
+            dev = max(dev, abs(keyrate.exact_entropy_oracle(atk) - _dense_entropy(atk)))
+    yield "oracle-dense-agreement", dev <= 1e-10, f"max |oracle - dense| {dev:.2e}"
 
     sat = keyrate.exact_entropy_oracle(identity_attack(2))
     dev = abs(sat - 1.0)

@@ -95,7 +95,6 @@ class SessionRecord:
     (GHZ-test rounds).  Strings are big-endian integer indices.
     """
 
-    params: ProtocolParams
     theta: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -110,23 +109,49 @@ class SessionRecord:
 class ObservedStatistics:
     """Exact per-round observables for one Theta branch.
 
-    CTRL rounds fill ``p_ghz``, ``ctrl_az`` (joint sender-bit/returned-string
-    distribution), the per-branch ``branch_norms`` (= 2 * ctrl_az) and the
-    per-branch ``re_overlap``.  SIFT rounds fill ``abc_joint`` (sender bit,
-    receivers' string, returned string), its marginals and the
+    CTRL rounds store ``ctrl_az`` (joint sender-bit/returned-string
+    distribution) and the per-branch ``re_overlap``; SIFT rounds store
+    ``abc_joint`` (sender bit, receivers' string, returned string) and the
     global-convention ``cross_overlap`` of the two all-equal Eve branches.
+    Every other observable is a property computed from those, and is None
+    on the branch it does not apply to.
     """
 
     theta: int
-    pa: np.ndarray
-    p_ghz: float | None = None
     ctrl_az: np.ndarray | None = None
-    branch_norms: np.ndarray | None = None
     re_overlap: float | None = None
     abc_joint: np.ndarray | None = None
-    az_joint: np.ndarray | None = None
-    pb: np.ndarray | None = None
     cross_overlap: float | None = None
+
+    @property
+    def az_joint(self) -> np.ndarray | None:
+        """SIFT: the (sender bit, returned string) marginal of ``abc_joint``."""
+        return None if self.abc_joint is None else self.abc_joint.sum(axis=1)
+
+    @property
+    def pb(self) -> np.ndarray | None:
+        """SIFT: the receivers' string marginal of ``abc_joint``."""
+        return None if self.abc_joint is None else self.abc_joint.sum(axis=(0, 2))
+
+    @property
+    def pa(self) -> np.ndarray:
+        """The sender-bit marginal."""
+        az = self.ctrl_az if self.abc_joint is None else self.az_joint
+        return az.sum(axis=1)
+
+    @property
+    def branch_norms(self) -> np.ndarray | None:
+        """CTRL: the per-branch squared norms, 2 * ``ctrl_az``."""
+        return None if self.ctrl_az is None else 2.0 * self.ctrl_az
+
+    @property
+    def p_ghz(self) -> float | None:
+        """CTRL: the GHZ-test pass probability, the squared norm of x + y over
+        sqrt(2) for the all-equal branches x and y: |x|^2/2 + |y|^2/2 + Re<x, y>."""
+        if self.ctrl_az is None:
+            return None
+        d = self.ctrl_az.shape[1]
+        return float((self.ctrl_az[0, 0] + self.ctrl_az[1, d - 1] + self.re_overlap) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +259,16 @@ def statistics_from_state(state: StateVector, layout: RegisterLayout,
 
     The overlaps are those of the all-equal branches (sender bit 0 with
     string 0...0, bit 1 with 1...1), read by :func:`~sqcka.qmath.slice_overlap`
-    on the state's support; the GHZ test passes with the squared norm of
-    their sum over sqrt(2), |x|^2/2 + |y|^2/2 + Re<x, y>.
+    on the state's support.
     """
     d = layout.dims[layout.axis("T")]
     if theta == 1:
         joint = subsystem_probabilities(state, layout, ("A", "B", "T"))
-        az = joint.sum(axis=1)
         cross = slice_overlap(state, layout, ("A", "B", "T"), (0, 0, 0), (1, d - 1, d - 1))
-        return ObservedStatistics(theta=1, pa=az.sum(axis=1),
-                                  abc_joint=joint, az_joint=az,
-                                  pb=joint.sum(axis=(0, 2)),
-                                  cross_overlap=cross.real)
+        return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=cross.real)
     ctrl_az = subsystem_probabilities(state, layout, ("A", "T"))
     re_tilde = 2.0 * slice_overlap(state, layout, ("A", "T"), (0, 0), (1, d - 1)).real
-    p_ghz = float((ctrl_az[0, 0] + ctrl_az[1, d - 1] + re_tilde) / 2.0)
-    return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
-                              p_ghz=p_ghz, ctrl_az=ctrl_az,
-                              branch_norms=2.0 * ctrl_az, re_overlap=re_tilde)
+    return ObservedStatistics(theta=0, ctrl_az=ctrl_az, re_overlap=re_tilde)
 
 
 def run_round_exact(params: ProtocolParams, attack: CollectiveAttack, theta: int
@@ -306,23 +323,6 @@ def backward_conditionals_exact(attack: CollectiveAttack) -> np.ndarray:
     return out
 
 
-def eve_branch_gram_exact(state: StateVector, layout: RegisterLayout) -> np.ndarray:
-    """Unnormalized overlaps of Eve's branch vectors, from a SIFT-round state.
-
-    Rows/columns follow the flat (a, b, b') index; the diagonal carries the
-    global-convention squared norms.  Builds the dense state (a reference
-    for small n).
-    """
-    for lab in ("A", "B", "T"):
-        layout.axis(lab)
-    d = layout.dims[layout.axis("T")]
-    psi = state.amps.reshape(layout.dims)
-    psi = np.moveaxis(psi, (layout.axis("A"), layout.axis("B"), layout.axis("T")),
-                      (0, 1, 2))
-    vecs = psi.reshape(2 * d * d, -1)
-    return vecs @ vecs.conj().T
-
-
 # ---------------------------------------------------------------------------
 # analytic round statistics
 # ---------------------------------------------------------------------------
@@ -342,14 +342,10 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
     last = 2 * d * d - 1  # the branch (1, d-1, d-1)
     if theta == 1:
         joint = weights / 2.0
-        az = joint.sum(axis=1)
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
         cross = math.sqrt(w000 * w111) * g[(x == 0) & (y == last)].sum()
-        return ObservedStatistics(theta=1, pa=az.sum(axis=1),
-                                  abc_joint=joint, az_joint=az,
-                                  pb=joint.sum(axis=(0, 2)),
-                                  cross_overlap=float(cross))
+        return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=float(cross))
     # reflection branch: coherent over b inside Eve's register, so q_ac also
     # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c
     flat = weights.reshape(-1)
@@ -364,11 +360,7 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
             f"tables and gram admit no unitary round: reflected branch mass "
             f"deviates from 1 by {mass_dev:.3e}")
     re_tilde = float(term[(ax == 0) & (cx == 0) & (ay == 1) & (cy == d - 1)].sum())
-    p_ghz = (q_ac[0, 0] + q_ac[1, d - 1] + 2.0 * re_tilde) / 4.0
-    ctrl_az = q_ac / 2.0
-    return ObservedStatistics(theta=0, pa=ctrl_az.sum(axis=1),
-                              p_ghz=float(p_ghz), ctrl_az=ctrl_az,
-                              branch_norms=q_ac, re_overlap=re_tilde)
+    return ObservedStatistics(theta=0, ctrl_az=q_ac / 2.0, re_overlap=re_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +554,7 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     raw_b = np.empty((n, bits.size), dtype=np.uint8)
     for i in range(n):  # row by row: the temporaries stay one key long
         raw_b[i] = (bits >> (n - 1 - i)) & 1
-    return SessionRecord(params=params, theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
+    return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
                          tallies=tallies,
                          raw_key_alice=np.concatenate(key_a).astype(np.uint8),
                          raw_key_bobs=raw_b)

@@ -4,12 +4,17 @@ A pure state is carried as its nonzero support: the sorted flat basis
 indices of its nonzero amplitudes and the amplitudes there.  The round
 states of exact simulation are products of GHZ, basis and Bell-pair states
 moved by basis permutations, so the support stays a few hundred entries
-while the full dimension reaches 2^21.  Density operators are dense.
-Everything is double precision and read-only after construction (a basis
-permutation is stored as its integer index vector); operations are pure
-functions, safe to call from parallel workers.  The exact-simulation size
-is capped at :data:`DIM_CAP` basis states, checked before anything is
-built — callers needing more must fall back to analytic paths.
+while the full dimension reaches 2^21; a basis permutation, the only
+operator the exact routes apply, is its integer index vector.  Everything
+is double precision and a state is read-only after construction;
+operations are pure functions, safe to call from parallel workers.  The
+exact-simulation size is capped at :data:`DIM_CAP` basis states, checked
+before anything is built — callers needing more must fall back to
+analytic paths.
+
+The dense density-matrix functions, :func:`partial_trace` and
+:func:`conditional_entropy`, take and return plain arrays; they are the
+reference S(A|E) that the block entropy oracle is checked against.
 
 Index convention: the first subsystem of a layout occupies the most
 significant position of the flat index (big-endian multi-index).  This is
@@ -31,7 +36,6 @@ DIM_CAP = 1 << 22
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 #: Eigenvalues below this are treated as exact zeros inside entropies.
 EIGENVALUE_CLIP = 1e-12
 
@@ -43,7 +47,7 @@ class CapacityError(RuntimeError):
 
 
 class ValidationError(ValueError):
-    """An input violates a structural requirement (unitarity, hermiticity, ...)."""
+    """An input violates a structural requirement (permutation, hermiticity, ...)."""
 
 
 class LayoutError(ValueError):
@@ -143,29 +147,9 @@ class RegisterLayout:
         return RegisterLayout((lab, d) for lab, d in zip(self._labels, self._dims)
                               if lab in keep)
 
-    def basis_index(self, values: dict[str, int]) -> int:
-        """Flat index of a computational basis state given per-register values."""
-        if set(values) != set(self._labels):
-            raise LayoutError("basis_index needs a value for every register")
-        idx = 0
-        for lab, dim in zip(self._labels, self._dims):
-            v = int(values[lab])
-            if not 0 <= v < dim:
-                raise DomainError(f"value {v} out of range for register {lab!r}")
-            idx = idx * dim + v
-        return idx
-
     def __repr__(self) -> str:
         body = ", ".join(f"{lab}:{d}" for lab, d in zip(self._labels, self._dims))
         return f"RegisterLayout({body})"
-
-
-def _frozen_complex(data, dim_hint: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{dim_hint} contains NaN/Inf")
-    arr.setflags(write=False)
-    return arr
 
 
 class StateVector:
@@ -177,7 +161,7 @@ class StateVector:
     dropped, an index may be listed once).  Either way the state keeps only
     ``index``, sorted, and ``values``, the nonzero amplitudes there, as
     read-only arrays of its own; the caller's arrays stay writeable and are
-    never changed.  ``amps`` builds the dense vector on demand.
+    never changed.
     """
 
     __slots__ = ("dim", "index", "values")
@@ -212,17 +196,6 @@ class StateVector:
         values.setflags(write=False)
         self.dim, self.index, self.values = int(dim), index, values
 
-    @property
-    def amps(self) -> np.ndarray:
-        """The dense amplitude vector, built (read-only) on each access."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        out[self.index] = self.values
-        out.setflags(write=False)
-        return out
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, support={self.index.size})"
 
@@ -231,40 +204,6 @@ def basis_state(dim: int, index: int) -> StateVector:
     if not 0 <= index < dim:
         raise DomainError(f"basis index {index} out of range for dim {dim}")
     return StateVector([1.0], [index], dim)
-
-
-class DensityOperator:
-    """A density operator; Hermitian with unit trace (checked at build)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries, *, check: bool = True):
-        mat = _frozen_complex(np.asarray(entries), "density operator")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"density operator must be square, got {mat.shape}")
-        if check:
-            herm = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-            if herm > HERMITIAN_ATOL:
-                raise ValidationError(f"not Hermitian within {HERMITIAN_ATOL} (dev {herm:.3e})")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValidationError(f"trace {tr} differs from 1")
-        self.entries = mat
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
-
-
-def density_from_state(state: StateVector) -> DensityOperator:
-    rho = np.outer(state.amps, state.amps.conj())
-    return DensityOperator(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +231,16 @@ def tensor_all(states: Sequence[StateVector]) -> StateVector:
     return out
 
 
-def _check_operator(U, dim: int) -> np.ndarray:
-    """``U`` as a checked unitary matrix or basis permutation on ``dim`` states."""
-    U = np.asarray(U)
-    if U.ndim == 1:
-        if not np.array_equal(np.sort(U), np.arange(dim)):
-            raise ValidationError(f"permutation of {U.size} entries does not list "
-                                  f"each target index 0..{dim - 1} once")
-        return U
-    U = U.astype(np.complex128, copy=False)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValidationError(f"operator must be square, got {U.shape}")
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if dev > UNITARY_ATOL:
-        raise ValidationError(f"operator is not unitary within {UNITARY_ATOL} (dev {dev:.3e})")
-    if U.shape[0] != dim:
-        raise ValidationError(f"unitary dim {U.shape[0]} != target dim {dim}")
-    return U
+def _check_permutation(perm, dim: int) -> np.ndarray:
+    """``perm`` as a checked basis permutation of ``dim`` states."""
+    perm = np.asarray(perm)
+    if perm.ndim != 1:
+        raise ValidationError(f"operator must be a 1-D basis permutation, got shape "
+                              f"{perm.shape}")
+    if not np.array_equal(np.sort(perm), np.arange(dim)):
+        raise ValidationError(f"permutation of {perm.size} entries does not list "
+                              f"each target index 0..{dim - 1} once")
+    return perm
 
 
 def _check_layout(layout: RegisterLayout, state: StateVector) -> None:
@@ -316,22 +248,21 @@ def _check_layout(layout: RegisterLayout, state: StateVector) -> None:
         raise LayoutError(f"layout dim {layout.total_dim} != state dim {state.dim}")
 
 
-def apply_on_subsystems(U, state: StateVector, layout: RegisterLayout,
+def apply_on_subsystems(perm, state: StateVector, layout: RegisterLayout,
                         targets: Iterable[str]) -> StateVector:
-    """Apply ``U`` to the target registers, identity elsewhere.
+    """Apply the basis permutation ``perm`` to the target registers.
 
-    ``U`` is a unitary matrix, or a basis permutation: a 1-D integer array
-    ``perm`` with U = sum_j |perm[j]><j|, which moves each support index's
-    target coordinates and leaves the amplitudes as they are.  Either is
-    indexed big-endian over the targets in *layout order*.
+    ``perm`` is a 1-D integer array with U = sum_j |perm[j]><j|, indexed
+    big-endian over the targets in *layout order*, identity elsewhere: it
+    moves each support index's target coordinates and leaves the amplitudes
+    as they are.  Any other operator raises :class:`ValidationError`.
     """
     _check_layout(layout, state)
     axes = layout.axes_of(targets)
     if not axes:
         raise LayoutError("no target registers given")
-    tdim = math.prod(layout.dims[ax] for ax in axes)
-    U = _check_operator(U, tdim)
-    index, amps = _kernels.apply_matrix(state.index, layout.dims, axes, U, state.values)
+    perm = _check_permutation(perm, math.prod(layout.dims[ax] for ax in axes))
+    index, amps = _kernels.apply_matrix(state.index, layout.dims, axes, perm, state.values)
     return StateVector(amps, index, state.dim)
 
 
@@ -364,23 +295,23 @@ def slice_overlap(state: StateVector, layout: RegisterLayout, targets: Sequence[
     return complex(np.vdot(state.values[in_x][ix], state.values[in_y][iy]))
 
 
-def partial_trace(rho: DensityOperator, layout: RegisterLayout,
-                  keep: Iterable[str]) -> DensityOperator:
+def partial_trace(rho: np.ndarray, layout: RegisterLayout,
+                  keep: Iterable[str]) -> np.ndarray:
     """Trace out every register not in ``keep`` (kept axes keep layout order)."""
     keep_set = set(keep)
     if not keep_set:
         raise DomainError("keep set must be non-empty")
     kept = list(layout.axes_of(keep_set))
-    if layout.total_dim != rho.dim:
-        raise LayoutError(f"layout dim {layout.total_dim} != operator dim {rho.dim}")
+    if np.shape(rho) != (layout.total_dim,) * 2:
+        raise LayoutError(f"layout dim {layout.total_dim} != operator shape {np.shape(rho)}")
     dims = layout.dims
     k = len(dims)
     # row axis i is subscript i; a kept column axis gets k + i, a traced one i
     col = [k + i if i in kept else i for i in range(k)]
-    red = np.einsum(rho.entries.reshape(dims + dims), list(range(k)) + col,
+    red = np.einsum(np.reshape(rho, dims + dims), list(range(k)) + col,
                     kept + [k + i for i in kept])
     d = math.prod(dims[i] for i in kept)
-    return DensityOperator(red.reshape(d, d), check=False)
+    return red.reshape(d, d)
 
 
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
@@ -392,22 +323,33 @@ def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
     return float(-(w * np.log(w)).sum() / _LOG2)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -Tr(rho log2 rho), in bits."""
-    return entropy_of_spectrum(rho.eigenvalues())
-
-
-def conditional_entropy(rho: DensityOperator, layout: RegisterLayout,
+def conditional_entropy(rho: np.ndarray, layout: RegisterLayout,
                         part_a: Iterable[str], part_e: Iterable[str]) -> float:
-    """S(A|E) = S(AE) - S(E) for a bipartition covering the layout."""
+    """S(A|E) = S(AE) - S(E), in bits, of a dense density matrix ``rho``.
+
+    ``part_a`` and ``part_e`` must split the layout's registers.  ``rho``
+    must be square, finite, Hermitian and of unit trace (within 1e-12);
+    otherwise :class:`ValidationError` is raised.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError(f"density operator must be square, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValidationError("density operator contains NaN/Inf")
+    herm = np.max(np.abs(rho - rho.conj().T), initial=0.0)
+    if herm > HERMITIAN_ATOL:
+        raise ValidationError(f"not Hermitian within {HERMITIAN_ATOL} (dev {herm:.3e})")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"trace {tr} differs from 1")
     a = set(part_a)
     e = set(part_e)
     if a & e:
         raise ValidationError(f"parts overlap: {sorted(a & e)}")
     if a | e != set(layout.labels):
         raise ValidationError("parts must cover the layout")
-    s_ae = von_neumann_entropy(rho)
-    s_e = von_neumann_entropy(partial_trace(rho, layout, e))
+    s_ae = entropy_of_spectrum(np.linalg.eigvalsh(rho))
+    s_e = entropy_of_spectrum(np.linalg.eigvalsh(partial_trace(rho, layout, e)))
     return s_ae - s_e
 
 

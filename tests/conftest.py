@@ -2,22 +2,7 @@
 
 import numpy as np
 
-from sqcka.attacks import ConditionalChannelTable, attack_from_tables
-
-
-def random_table_attack(rng, n):
-    """Dirichlet tables and a random PSD Gram of random rank, for n receivers.
-
-    These are abstract cq states: no unitary round need produce them.
-    """
-    d = 1 << n
-    fwd = rng.dirichlet(np.ones(d), size=2)
-    bwd = rng.dirichlet(np.ones(d), size=(2, d))
-    dim = 2 * d * d
-    vecs = rng.normal(size=(dim, int(rng.integers(2, dim + 1))))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    gram = (vecs @ vecs.T).reshape(2, d, d, 2, d, d)
-    return attack_from_tables(ConditionalChannelTable(fwd, bwd), gram)
+from sqcka.attacks import random_table_attack
 
 
 def a3_random_corpus():
@@ -29,6 +14,34 @@ def a3_random_corpus():
         d = 1 << n
         atk = random_table_attack(rng, n)
         yield n, atk, (tuple(rng.permutation(d)), tuple(rng.permutation(d)))
+
+
+def dense_amps(state):
+    """The dense amplitude vector of a ``StateVector``, from its support."""
+    out = np.zeros(state.dim, dtype=complex)
+    out[state.index] = state.values
+    return out
+
+
+def density(state):
+    """The dense density matrix |psi><psi| of a ``StateVector``."""
+    amps = dense_amps(state)
+    return np.outer(amps, amps.conj())
+
+
+def eve_branch_gram_exact(state, layout):
+    """Unnormalized overlaps of Eve's branch vectors, from a SIFT-round state.
+
+    Rows/columns follow the flat (a, b, b') index; the diagonal carries the
+    global-convention squared norms.  Builds the dense state (a reference
+    for small n).
+    """
+    d = layout.dims[layout.axis("T")]
+    psi = dense_amps(state).reshape(layout.dims)
+    psi = np.moveaxis(psi, (layout.axis("A"), layout.axis("B"), layout.axis("T")),
+                      (0, 1, 2))
+    vecs = psi.reshape(2 * d * d, -1)
+    return vecs @ vecs.conj().T
 
 
 def catalogue_family(cat, a, b, c):

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import a3_random_corpus, catalogue_family
+from conftest import a3_random_corpus, catalogue_family, eve_branch_gram_exact
 from sqcka import estimation, keyrate, protocol
 from sqcka.attacks import (
     DepolarizingParams,
@@ -115,7 +115,7 @@ def test_a2_dilation_matches_closed_forms():
                 if n <= 2:
                     # every extracted Eve branch pair: orthogonal except the
                     # two all-equal branches, whose overlap is the catalogue's
-                    gram_sim = protocol.eve_branch_gram_exact(state, layout)
+                    gram_sim = eve_branch_gram_exact(state, layout)
                     expected = np.zeros_like(gram_sim)
                     np.fill_diagonal(expected, expected_norms.reshape(-1))
                     i000, i111 = 0, 2 * d * d - 1

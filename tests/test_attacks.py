@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import catalogue_family
+from conftest import catalogue_family, density
 from sqcka import attacks, protocol, qmath
 from sqcka.attacks import (
     CollectiveAttack,
@@ -255,9 +255,9 @@ class TestDilation:
         rho_in = np.outer(amp, amp.conj())
         psi = qmath.tensor(qmath.StateVector(amp), qmath.StateVector(fwd.env_state))
         psi = qmath.apply_on_subsystems(fwd.perm, psi, lay, ("T", "E1", "E3"))
-        rho_out = qmath.partial_trace(qmath.density_from_state(psi), lay, ("T",))
+        rho_out = qmath.partial_trace(density(psi), lay, ("T",))
         expected = (1 - q) * rho_in + q / d * np.eye(d)
-        np.testing.assert_allclose(rho_out.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(rho_out, expected, atol=1e-12)
 
     def test_full_depolarization_gives_maximally_mixed(self):
         n, d = 2, 4
@@ -266,8 +266,8 @@ class TestDilation:
         lay = qmath.RegisterLayout([("T", d), ("E1", d), ("E2", d), ("E3", 2)])
         psi = qmath.tensor(qmath.basis_state(d, 0), qmath.StateVector(fwd.env_state))
         psi = qmath.apply_on_subsystems(fwd.perm, psi, lay, ("T", "E1", "E3"))
-        rho = qmath.partial_trace(qmath.density_from_state(psi), lay, ("T",))
-        np.testing.assert_allclose(rho.entries, np.eye(d) / d, atol=1e-12)
+        rho = qmath.partial_trace(density(psi), lay, ("T",))
+        np.testing.assert_allclose(rho, np.eye(d) / d, atol=1e-12)
 
     def test_forward_conditionals_match_closed_form(self):
         p = DepolarizingParams(0.3, 0.1, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqcka import cli
+from sqcka.attacks import dump_attack_file, random_table_attack
 from sqcka.cli import _parse_range, find_rate_crossing, main
 from sqcka.qmath import CapacityError, DomainError
 
@@ -79,11 +80,31 @@ class TestParseRange:
 
 
 class TestVerify:
+    CHECKS = ["partial-trace-composition", "entropy-spectrum-agreement",
+              "classical-conditional-entropy", "dilation-analytic-agreement",
+              "catalogue-normalization", "bound-below-oracle", "oracle-dense-agreement",
+              "noiseless-saturation", "mode-factor-two", "pairing-dominance",
+              "sender-marginal-half", "schedule-determinism"]
+
     def test_passes_with_status_zero(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 0
         assert "FAIL" not in out
         assert out.strip().endswith("(0 failing checks)")
+
+    def test_check_names_in_order(self, capsys):
+        _, out = run_cli(capsys, "verify")
+        lines = out.strip().splitlines()
+        assert [ln.split(":")[0].split()[1] for ln in lines[:-1]] == self.CHECKS
+
+    def test_valid_attack_file_passes(self, capsys, tmp_path):
+        path = tmp_path / "random.attack"
+        dump_attack_file(random_table_attack(np.random.default_rng(5), 2), path)
+        code, out = run_cli(capsys, "verify", "--attack-file", str(path))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-2].startswith("PASS attack-file-bound: bound ")
+        assert [ln.split(":")[0].split()[1] for ln in lines[:-2]] == self.CHECKS
 
     def test_bad_attack_file_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.attack"

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_table_attack
 from sqcka import attacks, keyrate, protocol
 from sqcka.attacks import (
     DepolarizingParams,
@@ -21,6 +20,7 @@ from sqcka.attacks import (
     identity_attack,
     joint_az_analytic,
     p_ghz_analytic,
+    random_table_attack,
     validate_gram,
 )
 from sqcka.keyrate import (
@@ -32,7 +32,6 @@ from sqcka.keyrate import (
 )
 from sqcka.qmath import (
     CapacityError,
-    DensityOperator,
     RegisterLayout,
     ValidationError,
     conditional_entropy,
@@ -64,7 +63,7 @@ def dense_entropy_oracle(attack) -> float:
         block = (va * weights[a].reshape(-1)) @ va.conj().T
         rho[a * k:(a + 1) * k, a * k:(a + 1) * k] = block
     layout = RegisterLayout([("A", 2), ("E", k)])
-    return conditional_entropy(DensityOperator(rho), layout, ("A",), ("E",))
+    return conditional_entropy(rho, layout, ("A",), ("E",))
 
 
 def random_dense_gram(rng, d, rank):

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import a3_random_corpus, random_table_attack
+from conftest import a3_random_corpus, dense_amps
 from sqcka import attacks, keyrate, protocol, qmath
 from sqcka.attacks import (
     DepolarizingParams,
@@ -20,6 +20,7 @@ from sqcka.attacks import (
     depolarizing_attack,
     depolarizing_tables,
     identity_attack,
+    random_table_attack,
 )
 from sqcka.keyrate import (
     MAX_PAIRING_EVALS,
@@ -49,7 +50,7 @@ def entropy_from_sift_state(state, layout):
     dims = layout.dims
     env_total = int(np.prod([dims[i] for i, lab in enumerate(layout.labels)
                              if lab not in ("A", "T", "B")]))
-    psi = np.moveaxis(state.amps.reshape(dims), layout.axis("A"), 0)
+    psi = np.moveaxis(dense_amps(state).reshape(dims), layout.axis("A"), 0)
     mats = [psi[a].reshape(-1, env_total) for a in (0, 1)]
     spectra = [np.linalg.eigvalsh(m @ m.conj().T) for m in mats]
     s_ae = qmath.entropy_of_spectrum(np.concatenate(spectra))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dense_amps, density
 from sqcka import qmath
 from sqcka.qmath import (
     CapacityError,
-    DensityOperator,
     DomainError,
     LayoutError,
     RegisterLayout,
@@ -26,12 +26,11 @@ from sqcka.qmath import (
     bits_to_index,
     complement_index,
     conditional_entropy,
-    density_from_state,
+    entropy_of_spectrum,
     partial_trace,
     slice_overlap,
     subsystem_probabilities,
     tensor,
-    von_neumann_entropy,
 )
 
 
@@ -43,6 +42,17 @@ def random_unitary(rng, dim):
 def random_state(rng, dim):
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(amps / np.linalg.norm(amps))
+
+
+def von_neumann_entropy(rho):
+    return entropy_of_spectrum(np.linalg.eigvalsh(rho))
+
+
+def permutation_matrix(perm):
+    """The dense operator of a basis permutation: P[perm[j], j] = 1."""
+    mat = np.zeros((len(perm), len(perm)))
+    mat[perm, np.arange(len(perm))] = 1.0
+    return mat
 
 
 class TestBitHelpers:
@@ -64,8 +74,8 @@ class TestRegisterLayout:
         lay = RegisterLayout([("A", 2), ("T", 4), ("B", 4)])
         assert lay.total_dim == 32
         # first label is most significant
-        assert lay.basis_index({"A": 1, "T": 0, "B": 0}) == 16
-        assert lay.basis_index({"A": 0, "T": 3, "B": 2}) == 14
+        assert np.ravel_multi_index((1, 0, 0), lay.dims) == 16
+        assert np.ravel_multi_index((0, 3, 2), lay.dims) == 14
         assert lay.axes_of(("B", "A")) == (0, 2)
 
     def test_errors(self):
@@ -101,8 +111,9 @@ class TestStateVector:
 
     def test_immutable(self):
         s = basis_state(4, 1)
-        with pytest.raises(ValueError):
-            s.amps[0] = 1.0
+        for arr in (s.index, s.values):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_rejects_non_finite_unnormalized(self, bad):
@@ -140,7 +151,7 @@ class TestStateVector:
         for state in (s, d):
             np.testing.assert_array_equal(state.index, index)
             np.testing.assert_array_equal(state.values, amps[index])
-            np.testing.assert_array_equal(state.amps, amps)
+            np.testing.assert_array_equal(dense_amps(state), amps)
         assert s.dim == d.dim == 32
         assert shuffled.flags.writeable and values.flags.writeable
 
@@ -172,17 +183,18 @@ class TestTensor:
         for dx, dy in ((2, 3), (8, 4), (5, 16)):
             x, y = sparse_state(rng, dx), sparse_state(rng, dy)
             out = tensor(x, y)
-            np.testing.assert_array_equal(out.amps, np.kron(x.amps, y.amps))
+            np.testing.assert_array_equal(dense_amps(out),
+                                          np.kron(dense_amps(x), dense_amps(y)))
             assert out.index.size == x.index.size * y.index.size
 
     def test_basis_composition(self):
         out = tensor(basis_state(2, 0), basis_state(2, 0))
-        np.testing.assert_allclose(out.amps, [1, 0, 0, 0])
+        np.testing.assert_allclose(dense_amps(out), [1, 0, 0, 0])
 
     def test_linearity(self):
         plus = StateVector(np.array([1, 1]) / math.sqrt(2))
         out = tensor(plus, basis_state(2, 1))
-        np.testing.assert_allclose(out.amps, [0, 2 ** -0.5, 0, 2 ** -0.5])
+        np.testing.assert_allclose(dense_amps(out), [0, 2 ** -0.5, 0, 2 ** -0.5])
 
     def test_depolarizing_env_expansion(self):
         # |b>_T (x) |Omega>_E for one qubit at strength 1/2: the maximally
@@ -195,7 +207,7 @@ class TestTensor:
         expected = np.zeros(16)
         for e1e2e3 in (0b000, 0b001, 0b110, 0b111):
             expected[0b1000 | e1e2e3] = 0.5
-        np.testing.assert_allclose(out.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(dense_amps(out), expected, atol=1e-15)
 
     def test_capacity_error(self):
         big = StateVector(np.ones(1 << 12) / (1 << 6))
@@ -208,14 +220,16 @@ class TestApplyOnSubsystems:
         rng = np.random.default_rng(0)
         lay = RegisterLayout([("A", 2), ("B", 3)])
         s = random_state(rng, 6)
-        out = apply_on_subsystems(np.eye(3), s, lay, ("B",))
-        np.testing.assert_allclose(out.amps, s.amps, atol=1e-15)
+        out = apply_on_subsystems(np.arange(3), s, lay, ("B",))
+        np.testing.assert_array_equal(dense_amps(out), dense_amps(s))
 
     def test_swap(self):
+        # swapping two qubits transposes the (A, T) amplitude table
+        rng = np.random.default_rng(1)
         lay = RegisterLayout([("A", 2), ("T", 2)])
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        out = apply_on_subsystems(swap, basis_state(4, 0b01), lay, ("A", "T"))
-        np.testing.assert_allclose(out.amps, basis_state(4, 0b10).amps)
+        s = random_state(rng, 4)
+        out = apply_on_subsystems(np.array([0, 2, 1, 3]), s, lay, ("A", "T"))
+        np.testing.assert_array_equal(dense_amps(out), dense_amps(s).reshape(2, 2).T.ravel())
 
     def test_non_unitary_rejected(self):
         lay = RegisterLayout([("A", 2)])
@@ -223,16 +237,30 @@ class TestApplyOnSubsystems:
             apply_on_subsystems(np.array([[1, 0], [0, 2]]), basis_state(2, 0),
                                 lay, ("A",))
 
+    @pytest.mark.parametrize("kind", ["identity", "random", "permutation"])
+    def test_unitary_matrix_rejected(self, kind):
+        # only a 1-D basis permutation is an operator; a matrix is refused,
+        # even a unitary one or the matrix of a permutation
+        lay = RegisterLayout([("A", 2), ("T", 2)])
+        mat = {"identity": np.eye(4), "random": random_unitary(np.random.default_rng(2), 4),
+               "permutation": permutation_matrix([0, 2, 1, 3])}[kind]
+        with pytest.raises(ValidationError, match="1-D basis permutation"):
+            apply_on_subsystems(mat, basis_state(4, 0), lay, ("A", "T"))
+
     def test_unknown_label(self):
         lay = RegisterLayout([("A", 2)])
         with pytest.raises(LayoutError):
-            apply_on_subsystems(np.eye(2), basis_state(2, 0), lay, ("T",))
+            apply_on_subsystems(np.arange(2), basis_state(2, 0), lay, ("T",))
 
     def test_permutation_matches_matrix(self):
         lay = RegisterLayout([("A", 2), ("T", 2)])
         perm = np.array([0, 2, 1, 3])  # swap A and T
         out = apply_on_subsystems(perm, basis_state(4, 0b01), lay, ("A", "T"))
-        np.testing.assert_array_equal(out.amps, basis_state(4, 0b10).amps)
+        np.testing.assert_array_equal(dense_amps(out), dense_amps(basis_state(4, 0b10)))
+        s = random_state(np.random.default_rng(3), 4)
+        out = apply_on_subsystems(np.array([1, 2, 3, 0]), s, lay, ("A", "T"))
+        np.testing.assert_array_equal(dense_amps(out),
+                                      permutation_matrix([1, 2, 3, 0]) @ dense_amps(s))
 
     @pytest.mark.parametrize("perm", [[0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 4],
                                       [0, -1, 2, 3], [0, 1, 1, 3]],
@@ -249,20 +277,20 @@ class TestApplyOnSubsystems:
         lay = RegisterLayout([("A", 2), ("T", 4), ("B", 2), ("E", 3)])
         for _ in range(20):
             s = random_state(rng, lay.total_dim)
-            u = random_unitary(rng, 8)
-            out = apply_on_subsystems(u, s, lay, ("T", "B"))
-            assert abs(out.norm() - 1.0) <= 1e-12
+            out = apply_on_subsystems(rng.permutation(8), s, lay, ("T", "B"))
+            assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-12
 
     def test_matches_dense_conjugation(self):
         rng = np.random.default_rng(12)
         lay = RegisterLayout([("A", 2), ("T", 2), ("E", 2)])
         s = random_state(rng, 8)
-        u = random_unitary(rng, 4)
-        out = apply_on_subsystems(u, s, lay, ("A", "E"))
+        perm = rng.permutation(4)
+        u = permutation_matrix(perm)
+        out = apply_on_subsystems(perm, s, lay, ("A", "E"))
         # dense reference: permute (A,E,T), apply u (x) I, permute back
-        psi = s.amps.reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)
+        psi = dense_amps(s).reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)
         ref = (u @ psi).reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
-        np.testing.assert_allclose(out.amps, ref, atol=1e-14)
+        np.testing.assert_allclose(dense_amps(out), ref, atol=1e-14)
 
 
 class TestSliceOverlap:
@@ -272,7 +300,7 @@ class TestSliceOverlap:
         lay = RegisterLayout([("E", 3), ("A", 2), ("F", 2), ("T", 4)])
         for _ in range(10):
             s = sparse_state(rng, lay.total_dim, keep)
-            psi = np.moveaxis(s.amps.reshape(lay.dims), (3, 1), (0, 1))
+            psi = np.moveaxis(dense_amps(s).reshape(lay.dims), (3, 1), (0, 1))
             for x, y in (((0, 0), (3, 1)), ((2, 1), (2, 1)), ((1, 0), (0, 1))):
                 got = slice_overlap(s, lay, ("T", "A"), x, y)
                 want = np.vdot(psi[x].ravel(), psi[y].ravel())
@@ -290,41 +318,41 @@ class TestPartialTrace:
     def test_product_state(self):
         psi = tensor(basis_state(2, 0), basis_state(2, 0))
         lay = RegisterLayout([("A", 2), ("B", 2)])
-        red = partial_trace(density_from_state(psi), lay, ("A",))
-        np.testing.assert_allclose(red.entries, [[1, 0], [0, 0]], atol=1e-15)
+        red = partial_trace(density(psi), lay, ("A",))
+        np.testing.assert_allclose(red, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_bell_pair_is_maximally_mixed(self):
         bell = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         lay = RegisterLayout([("A", 2), ("B", 2)])
-        red = partial_trace(density_from_state(bell), lay, ("A",))
-        np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-15)
+        red = partial_trace(density(bell), lay, ("A",))
+        np.testing.assert_allclose(red, np.eye(2) / 2, atol=1e-15)
 
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(3)
         lay = RegisterLayout([("A", 2), ("B", 3)])
-        rho = density_from_state(random_state(rng, 6))
+        rho = density(random_state(rng, 6))
         red = partial_trace(rho, lay, ("A", "B"))
-        np.testing.assert_allclose(red.entries, rho.entries, atol=1e-15)
+        np.testing.assert_allclose(red, rho, atol=1e-15)
 
     def test_composition(self):
         rng = np.random.default_rng(4)
         lay = RegisterLayout([("T", 2), ("B", 2), ("E", 3)])
-        rho = density_from_state(random_state(rng, 12))
+        rho = density(random_state(rng, 12))
         step = partial_trace(rho, lay, ("T", "E"))
         two = partial_trace(step, lay.restrict(("T", "E")), ("E",))
         direct = partial_trace(rho, lay, ("E",))
-        np.testing.assert_allclose(two.entries, direct.entries, atol=1e-12)
+        np.testing.assert_allclose(two, direct, atol=1e-12)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         lay = RegisterLayout([("A", 4), ("B", 4)])
-        rho = density_from_state(random_state(rng, 16))
+        rho = density(random_state(rng, 16))
         red = partial_trace(rho, lay, ("B",))
-        assert abs(np.trace(red.entries) - 1.0) <= 1e-12
+        assert abs(np.trace(red) - 1.0) <= 1e-12
 
     def test_empty_keep_rejected(self):
         lay = RegisterLayout([("A", 2)])
-        rho = density_from_state(basis_state(2, 0))
+        rho = density(basis_state(2, 0))
         with pytest.raises(DomainError):
             partial_trace(rho, lay, ())
 
@@ -334,34 +362,34 @@ class TestPartialTrace:
         rng = np.random.default_rng(6)
         s = random_state(rng, 4)  # A (x) E
         lay = RegisterLayout([("A", 2), ("E", 2), ("M", 2)])
-        cnot = np.eye(4)[[0, 1, 3, 2]]  # CNOT with A controlling M
+        cnot = np.array([0, 1, 3, 2])  # CNOT with A controlling M
         psi = tensor(s, basis_state(2, 0))
         psi = apply_on_subsystems(cnot, psi, lay, ("A", "M"))
-        rho_ae = partial_trace(density_from_state(psi), lay, ("A", "E"))
-        full = density_from_state(s).entries.copy()
+        rho_ae = partial_trace(density(psi), lay, ("A", "E"))
+        full = density(s)
         full[0:2, 2:4] = 0
         full[2:4, 0:2] = 0
-        np.testing.assert_allclose(rho_ae.entries, full, atol=1e-14)
+        np.testing.assert_allclose(rho_ae, full, atol=1e-14)
 
 
 class TestEntropies:
     def test_maximally_mixed_qubit(self):
-        rho = DensityOperator(np.eye(2) / 2)
+        rho = np.eye(2) / 2
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(density_from_state(basis_state(4, 2))) == \
+        assert von_neumann_entropy(density(basis_state(4, 2))) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_four(self):
-        rho = DensityOperator(np.eye(4) / 4)
+        rho = np.eye(4) / 4
         assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_eigenvalue_shannon(self):
         rng = np.random.default_rng(7)
         probs = rng.dirichlet(np.ones(5))
         u = random_unitary(rng, 5)
-        rho = DensityOperator(u @ np.diag(probs.astype(complex)) @ u.conj().T)
+        rho = u @ np.diag(probs.astype(complex)) @ u.conj().T
         expected = -(probs * np.log2(probs)).sum()
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-10)
 
@@ -370,18 +398,19 @@ class TestEntropies:
         probs = rng.dirichlet(np.ones(6))
         rho = np.diag(probs.astype(complex))
         u = random_unitary(rng, 6)
-        s1 = von_neumann_entropy(DensityOperator(rho))
-        s2 = von_neumann_entropy(DensityOperator(u @ rho @ u.conj().T))
+        s1 = von_neumann_entropy(rho)
+        s2 = von_neumann_entropy(u @ rho @ u.conj().T)
         assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        lay = RegisterLayout([("A", 2), ("E", 1)])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            conditional_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]), lay, ("A",), ("E",))
 
 
 class TestConditionalEntropy:
     def test_product_with_mixed_marginal(self):
-        rho = DensityOperator(np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
+        rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
         lay = RegisterLayout([("A", 2), ("E", 2)])
         assert conditional_entropy(rho, lay, ("A",), ("E",)) == \
             pytest.approx(1.0, abs=1e-10)
@@ -389,7 +418,7 @@ class TestConditionalEntropy:
     def test_bell_pair_is_minus_one(self):
         bell = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         lay = RegisterLayout([("A", 2), ("E", 2)])
-        assert conditional_entropy(density_from_state(bell), lay, ("A",), ("E",)) == \
+        assert conditional_entropy(density(bell), lay, ("A",), ("E",)) == \
             pytest.approx(-1.0, abs=1e-10)
 
     def test_classical_classical_equals_shannon(self):
@@ -397,7 +426,7 @@ class TestConditionalEntropy:
         for da in (2, 3, 4):
             for de in (2, 3, 4):
                 joint = rng.dirichlet(np.ones(da * de)).reshape(da, de)
-                rho = DensityOperator(np.diag(joint.ravel().astype(complex)))
+                rho = np.diag(joint.ravel().astype(complex))
                 lay = RegisterLayout([("A", da), ("E", de)])
                 pe = joint.sum(axis=0)
                 shannon = -(joint[joint > 0] * np.log2(joint[joint > 0])).sum() + \
@@ -405,8 +434,19 @@ class TestConditionalEntropy:
                 got = conditional_entropy(rho, lay, ("A",), ("E",))
                 assert got == pytest.approx(shannon, abs=1e-9)
 
+    @pytest.mark.parametrize("rho,match", [
+        (np.full((4, 2), 0.25), "must be square"),
+        (np.eye(4) / 2, "trace"),
+        (np.diag([0.5, 0.5, np.nan, 0.0]), "NaN/Inf"),
+        (np.diag([0.25, 0.25, 0.25, np.inf]), "NaN/Inf")],
+        ids=["non-square", "trace", "nan", "inf"])
+    def test_rejects_malformed_operator(self, rho, match):
+        lay = RegisterLayout([("A", 2), ("E", 2)])
+        with pytest.raises(ValidationError, match=match):
+            conditional_entropy(rho, lay, ("A",), ("E",))
+
     def test_parts_must_partition(self):
-        rho = DensityOperator(np.eye(4) / 4)
+        rho = np.eye(4) / 4
         lay = RegisterLayout([("A", 2), ("E", 2)])
         with pytest.raises(ValidationError):
             conditional_entropy(rho, lay, ("A",), ("A",))
