@@ -8,11 +8,12 @@ post-interaction vectors, one vector per branch (a, b, b').  A dilation
 stored as basis permutations) may realize the same channel as a cross-check.
 
 The Gram is an :class:`EveGram`: the identity plus a few dense blocks, with
-the vectors of different blocks orthogonal.  A dense (2, d, d, 2, d, d)
-array, or the GRAM rows of a file, is split into the connected components
-of its non-zero overlaps between distinct branches; ``np.asarray(gram)``
-gives the dense form back for small d.  Both built-in attacks store one
-2 x 2 block, so attacks reach n = 10 (``check_attack_size``).
+the vectors of different blocks orthogonal, checked once, when it is built.
+A dense (2, d, d, 2, d, d) array, or the GRAM rows of a file, is split into
+the connected components of its non-zero overlaps between distinct
+branches; ``np.asarray(gram)`` gives the dense form back for small d.
+Both built-in attacks store one 2 x 2 block, so attacks reach n = 10
+(``check_attack_size``).
 
 The depolarizing channel is fully built in, with its dilation up to n = 7
 (past that no exact route can hold a dilated state).  Overlap data
@@ -151,7 +152,9 @@ class EveGram:
     identity except on ``members``, which lists the branches of each block
     in turn, ascending within a block; ``sizes`` holds the block sizes and
     ``values`` the blocks, row-major, one after another.  Branches in
-    different blocks, or outside every block, are orthogonal.
+    different blocks, or outside every block, are orthogonal.  Each block is
+    checked here: finite, symmetric, unit diagonal and PSD within
+    ``GRAM_PSD_ATOL``, so every entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
     """
 
     d: int
@@ -175,6 +178,17 @@ class EveGram:
         for name, arr in (("members", members), ("sizes", sizes), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.isfinite(values).all():
+            raise ValidationError("gram has non-finite entries")
+        stacks = [blocks for _, blocks in self.stacks()]
+        if any(np.max(np.abs(b - b.transpose(0, 2, 1))) > 1e-12 for b in stacks):
+            raise ValidationError("gram is not symmetric")
+        if any(np.max(np.abs(np.diagonal(b, axis1=1, axis2=2) - 1.0)) > 1e-12
+               for b in stacks):
+            raise ValidationError("gram diagonal is not all ones")
+        lo = min((float(np.linalg.eigvalsh(b).min()) for b in stacks), default=0.0)
+        if lo < -GRAM_PSD_ATOL:
+            raise ValidationError(f"gram is not PSD within {GRAM_PSD_ATOL} (min eig {lo:.3e})")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -290,11 +304,13 @@ def _gram_from_entries(d: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> E
     return EveGram(d, nodes[order], sizes, values)
 
 
-def as_gram(gram, d: int) -> EveGram:
+def validate_gram(gram, d: int) -> EveGram:
     """``gram`` as an :class:`EveGram` for d-dimensional strings.
 
-    A dense (2, d, d, 2, d, d) array is split into the connected components
-    of its entries that differ from the identity's.
+    An :class:`EveGram`, checked when built, passes through once its shape
+    fits d.  A dense (2, d, d, 2, d, d) array is split into the connected
+    components of its entries that differ from the identity's, and the
+    blocks are checked as the :class:`EveGram` is built.
     """
     shape = np.shape(gram)
     if shape != (2, d, d) * 2:
@@ -307,24 +323,6 @@ def as_gram(gram, d: int) -> EveGram:
     _check_gram_entries(int(np.count_nonzero(listed)))
     i, j = np.nonzero(listed)
     return _gram_from_entries(d, i, j, flat[i, j])
-
-
-def validate_gram(gram, d: int) -> EveGram:
-    """Check an Eve-overlap Gram block by block: finite, symmetric, unit
-    diagonal, PSD.  A dense array is split first (:func:`as_gram`)."""
-    g = as_gram(gram, d)
-    if not np.isfinite(g.values).all():
-        raise ValidationError("gram has non-finite entries")
-    stacks = [blocks for _, blocks in g.stacks()]
-    if any(np.max(np.abs(b - b.transpose(0, 2, 1))) > 1e-12 for b in stacks):
-        raise ValidationError("gram is not symmetric")
-    if any(np.max(np.abs(np.diagonal(b, axis1=1, axis2=2) - 1.0)) > 1e-12
-           for b in stacks):
-        raise ValidationError("gram diagonal is not all ones")
-    lo = min((float(np.linalg.eigvalsh(b).min()) for b in stacks), default=0.0)
-    if lo < -GRAM_PSD_ATOL:
-        raise ValidationError(f"gram is not PSD within {GRAM_PSD_ATOL} (min eig {lo:.3e})")
-    return g
 
 
 def gram_purification(gram: EveGram) -> np.ndarray:
@@ -397,9 +395,9 @@ class CollectiveAttack:
     """A one-round attack: channel tables plus the Gram of Eve's vectors.
 
     ``gram`` may be given as an :class:`EveGram` or as a dense array; it is
-    stored as a checked :class:`EveGram`.  An optional dilation realizes the
-    same channel with an explicit environment; the test suite checks every
-    statistic the two share to 1e-10.
+    stored as an :class:`EveGram`, checked when built.  An optional dilation
+    realizes the same channel with an explicit environment; the test suite
+    checks every statistic the two share to 1e-10.
     """
 
     tables: ConditionalChannelTable
@@ -731,9 +729,9 @@ def load_attack_file(path) -> CollectiveAttack:
     j = np.ravel_multi_index(tuple(keys[:, 3:].T), (2, d, d))
     keep = np.where(i == j, vals != 1.0, vals != 0.0)
     i, j, vals = i[keep], j[keep], vals[keep]
-    gram = _gram_from_entries(d, np.concatenate([i, j]), np.concatenate([j, i]),
-                              np.concatenate([vals, vals]))
     try:
+        gram = _gram_from_entries(d, np.concatenate([i, j]), np.concatenate([j, i]),
+                                  np.concatenate([vals, vals]))
         return attack_from_tables(tables, gram, label="file")
     except ValidationError as exc:
         at = [ln for ln, _ in rows["GRAM"].values()]

@@ -31,7 +31,9 @@ class InconsistencyWarning(UserWarning):
 
 
 def _counter_dim(n: int, where: str = "") -> int:
-    """d = 2^n, once the two (2, d) counter tables are known to fit the cap."""
+    """d = 2^n, once n >= 1 and the two (2, d) counter tables fit the cap."""
+    if n < 1:
+        raise ValidationError(f"{where}n={n} is not >= 1")
     if 2 << min(n, 64) > DIM_CAP:  # min: a huge n must not build a huge int
         raise CapacityError(f"{where}tally n={n} needs 2 x 2^{n} counters per "
                             f"table, over the cap {DIM_CAP}")
@@ -237,8 +239,6 @@ def tally_from_text(text: str) -> TallyCounts:
     if "tally n" not in entries:
         raise ValidationError(f"line {lineno}: no 'tally n' line in the snapshot")
     n_line, n = entries["tally n"]
-    if n < 1:
-        raise ValidationError(f"line {n_line}: n={n} is not >= 1")
     d = _counter_dim(n, f"line {n_line}: ")
     tables = {"zctrl": np.zeros((2, d), dtype=np.int64),
               "sift": np.zeros((2, d), dtype=np.int64)}

@@ -3,15 +3,17 @@
 The bound pairs each of Eve's post-round branches tagged to sender bit 0
 with one tagged to bit 1 (a pairing plan); every plan yields a valid lower
 bound on S(A|E), so the search over plans only tightens it.  The term of
-one pair is written once, in ``_pair_terms``; ``_plan_value`` sums it over
-one plan or a stack, and ``theorem1_entropy_bound(terms_from_plan(...))``
-is its checked entry.  The exhaustive search scores all plans at once; the
+one pair is written once, in ``_pair_entropy``, over arrays of its weights
+and overlap; ``_pair_terms`` gathers those from a weight table and a Gram
+(checked when built), ``_plan_value`` sums the terms over one plan or a
+stack, and ``theorem1_entropy_bound(terms_from_plan(...))`` is its checked
+entry.  The exhaustive search scores all plans at once; the
 2-opt search recomputes only the two rows or columns of the term table that
 a swap changes, for a batch of swaps at a time.  For the depolarizing channel
-everything collapses to a closed form in the all-equal branch weight and
-the branch overlap, written once over numpy arrays: ``DepolarizingParams``
-with array strengths gives a whole (Q, Q~) grid in one call, and scalar
-strengths, the 0-d case of the same lines, give Python floats.
+everything collapses to the term of one pair, the two all-equal branches,
+over numpy arrays: ``DepolarizingParams`` with array strengths gives a whole
+(Q, Q~) grid in one call, and scalar strengths, the 0-d case of the same
+lines, give Python floats.
 
 Two closed-form modes are first class and emitted side by side:
 
@@ -32,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import (
-    GRAM_PSD_ATOL,
     CollectiveAttack,
     DepolarizingParams,
     EveGram,
-    as_gram,
     eve_catalogue,
+    validate_gram,
 )
 from .qmath import (
     CapacityError,
@@ -125,22 +126,30 @@ def _partners(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
     return pi1[..., :, None] * pi1.shape[-1] + pi2[..., None, :]
 
 
-def _pair_terms(w: np.ndarray, gram: EveGram, zero: np.ndarray,
-                partner: np.ndarray) -> np.ndarray:
-    """The Theorem-1 term, in bits, of each pair of bit-0 branch b d + b' =
-    ``zero`` and bit-1 branch c d + c' = ``partner`` (the arrays broadcast).
+def _pair_entropy(q0, q1, re) -> np.ndarray:
+    """The Theorem-1 term, in bits, of a bit-0 branch of weight q0 paired
+    with a bit-1 branch of weight q1, their vectors' overlap being Re = re
+    (the arrays broadcast).
 
     A pair of weight s = q0 + q1 adds s (h(q0 / s) - h(lam)), lam being the
-    largest eigenvalue fraction of its block.  Each term depends on its own
-    pair only, so it is bitwise the same whichever other pairs are scored.
+    largest eigenvalue fraction of its 2 x 2 block.
     """
-    q0 = w[0].reshape(-1)[zero]
-    q1 = w[1].reshape(-1)[partner]
-    re = np.sqrt(q0 * q1) * gram.cross(zero, partner)
     s = q0 + q1
     t = np.where(s > 0.0, s, 1.0)  # a pair of weight 0 gets lam = 1/2, q0/s = 0
     lam = 0.5 * (1.0 + np.sqrt((q0 - q1) ** 2 + 4.0 * re ** 2) / t)
     return s * (binary_entropy_bits(q0 / t) - binary_entropy_bits(np.minimum(lam, 1.0)))
+
+
+def _pair_terms(w: np.ndarray, gram: EveGram, zero: np.ndarray,
+                partner: np.ndarray) -> np.ndarray:
+    """The :func:`_pair_entropy` of each pair of bit-0 branch b d + b' =
+    ``zero`` and bit-1 branch c d + c' = ``partner`` (the arrays broadcast),
+    with the weights from ``w`` and Re = sqrt(q0 q1) G from the Gram.  So a
+    term is bitwise the same whichever other pairs are scored.
+    """
+    q0 = w[0].reshape(-1)[zero]
+    q1 = w[1].reshape(-1)[partner]
+    return _pair_entropy(q0, q1, np.sqrt(q0 * q1) * gram.cross(zero, partner))
 
 
 def _table_values(terms: np.ndarray, total: float) -> np.ndarray:
@@ -184,16 +193,16 @@ def terms_from_plan(weights: np.ndarray, gram: EveGram | np.ndarray,
     """Check a weight table, Gram and plan for :func:`theorem1_entropy_bound`.
 
     ``weights[a, b, b']`` are the branch weights p(b|a) p'(b'|ab); any
-    overall normalization is carried through.  A dense Gram is split into
-    an :class:`EveGram`.  Every paired overlap must satisfy Cauchy-Schwarz,
-    |Re| <= sqrt(q0 q1) + ``CS_ATOL``.
+    overall normalization is carried through.  A dense Gram is split and
+    checked by :func:`~sqcka.attacks.validate_gram`.  Every paired overlap
+    must satisfy Cauchy-Schwarz, |Re| <= sqrt(q0 q1) + ``CS_ATOL``: a check
+    stricter than the Gram's own PSD tolerance.
     """
     w = _checked_weights(weights)
     d = w.shape[1]
-    shape = np.shape(gram)
-    if shape != (2, d, d) * 2 or len(plan.pi1) != d or len(plan.pi2) != d:
-        raise ValidationError(f"gram {shape} or plan does not fit d = {d} weights")
-    g = as_gram(gram, d)
+    g = validate_gram(gram, d)
+    if len(plan.pi1) != d or len(plan.pi2) != d:
+        raise ValidationError(f"plan does not fit d = {d} weights")
     partner = _partners(np.asarray(plan.pi1), np.asarray(plan.pi2))
     zero = np.arange(d * d).reshape(d, d)
     lim = np.sqrt(w[0] * w[1].reshape(-1)[partner])
@@ -309,17 +318,12 @@ def pairing_maximize(weights: np.ndarray,
     dimension <= 4) is globally optimal, larger dimensions seed with the
     best of the identity, complement and greedy plans and polish with
     capped 2-opt.  The result never falls below the identity plan.  The
-    weights are checked once, here, and so is Cauchy-Schwarz for every plan:
-    each stored overlap between sender bits has |G| <= 1.
+    weights are checked once, here; a dense Gram is split and checked by
+    :func:`~sqcka.attacks.validate_gram`.
     """
     w = _checked_weights(weights)
     d = w.shape[1]
-    g = as_gram(gram, d)
-    x, y, v = g.entries()
-    worst = float(np.abs(v[(x < d * d) != (y < d * d)]).max(initial=0.0))
-    # a Gram that validate_gram accepts has |G| <= 1 + GRAM_PSD_ATOL + 2e-12
-    if not worst <= 1.0 + 2.0 * GRAM_PSD_ATOL:
-        raise ValidationError(f"an overlap between sender bits has |G| = {worst:.6g} > 1")
+    g = validate_gram(gram, d)
     if d > EXHAUSTIVE_DIM:
         return _greedy_search(w, g)
     plans = list(itertools.permutations(range(d)))
@@ -341,18 +345,14 @@ def depolarizing_entropy_lower(params: DepolarizingParams,
 
     Only the two all-equal branches survive the complement pairing; with A
     their weight and lam* their eigenvalue fraction, the pairing bound is
-    2A(1 - h(lam*)) and the printed literal form is A(1 - h(lam*)).
+    the term of that one pair, 2A(1 - h(lam*)), and the printed literal
+    form is half of it, A(1 - h(lam*)).
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     cat = eve_catalogue(params)
-    # norm_aaa >= cross_overlap, and it is 0 (a 0/0 here) only by underflow
-    # at huge n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(cat.norm_aaa > 0.0,
-                       0.5 * (1.0 + np.divide(cat.cross_overlap, cat.norm_aaa)), 0.5)
-    literal = cat.norm_aaa * (1.0 - binary_entropy(np.minimum(lam, 1.0)))
-    return float_or_array(literal if mode == "paper_literal" else 2.0 * literal)
+    exact = _pair_entropy(cat.norm_aaa, cat.norm_aaa, cat.cross_overlap)
+    return float_or_array(0.5 * exact if mode == "paper_literal" else exact)
 
 
 def qbob(q: float | np.ndarray) -> float | np.ndarray:

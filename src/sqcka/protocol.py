@@ -71,6 +71,7 @@ class ThetaSchedule:
     ctrl_indices: tuple[int, ...]
 
     def __post_init__(self):
+        check_rounds(self.num_rounds)
         idx = tuple(int(j) for j in self.ctrl_indices)
         if list(idx) != sorted(set(idx)):
             raise ValidationError("ctrl_indices must be strictly increasing")
@@ -242,8 +243,6 @@ def _embedded_round_state(attack: CollectiveAttack, theta: int
     else:
         amps = np.einsum("abc,abck->ack", coef, vecs)
         layout = RegisterLayout([("A", 2), ("T", d), ("EV", k)])
-    if layout.total_dim > DIM_CAP:
-        raise CapacityError(f"round state dim {layout.total_dim} exceeds cap {DIM_CAP}")
     flat = amps.reshape(-1)
     nrm2 = float(np.vdot(flat, flat).real)
     if abs(nrm2 - 1.0) > CTRL_CONSISTENCY_ATOL:
@@ -405,7 +404,9 @@ class RoundSampler:
 
 
 def check_rounds(num_rounds: int) -> None:
-    """Raise :class:`CapacityError`, before any allocation, past ``ROUNDS_CAP``."""
+    """Raise, before any allocation, unless 0 <= num_rounds <= ``ROUNDS_CAP``."""
+    if num_rounds < 0:
+        raise DomainError(f"negative round count {num_rounds}")
     if num_rounds > ROUNDS_CAP:
         raise CapacityError(f"{num_rounds} rounds exceed ROUNDS_CAP = {ROUNDS_CAP}")
 
@@ -463,8 +464,6 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     reproduces it.  Only displaced pool entries are stored, so memory is
     O(num_ctrl) whatever N is.
     """
-    if num_rounds < 0:
-        raise DomainError(f"negative round count {num_rounds}")
     check_rounds(num_rounds)
     if num_ctrl is None:
         num_ctrl = default_ctrl_count(num_rounds)
@@ -511,7 +510,6 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
                           "outside [0, 1)")
     if params.n != attack.n:
         raise ValidationError(f"params n={params.n} != attack n={attack.n}")
-    check_rounds(schedule.num_rounds)
     base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
         else int(rng)
     if base < 0:

@@ -6,6 +6,8 @@ replaced (``eve_catalogue`` -> ``depolarizing_entropy_lower`` ->
 1e-15, and as identical 9-significant-digit strings, the form every CSV
 prints.  Likewise the lockstep crossing finder must give, row for row,
 what the one-row bisection it replaced gives, also kept below verbatim.
+The closed form as the term of its one pair must equal, value for value,
+the array form with its own eigenvalue fraction, also kept verbatim.
 """
 
 import math
@@ -25,7 +27,7 @@ from sqcka.keyrate import (
     keyrate_lower,
     qbob,
 )
-from sqcka.qmath import DomainError, binary_entropy
+from sqcka.qmath import DomainError, binary_entropy, float_or_array
 
 NS = (1, 2, 3, 10, 2000)
 GRID = np.concatenate([np.linspace(0.0, 1.0, 21), [1.0 / 3.0, 1e-9, 1.0 - 1e-9]])
@@ -79,6 +81,21 @@ def ref_keyrate(q: float, qt: float, n: int, mode: str) -> tuple[float, float, f
     s_rep = max(0.0, ref_entropy_lower(q, qt, n, mode))
     leakage = ref_binary_entropy(q / 2.0)
     return s_rep, leakage, s_rep - leakage
+
+
+def own_lambda_entropy_lower(params: DepolarizingParams, mode: str) -> float | np.ndarray:
+    """``depolarizing_entropy_lower`` with its own lam and h, before it was
+    written as the term of the one pair of all-equal branches."""
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    cat = eve_catalogue(params)
+    # norm_aaa >= cross_overlap, and it is 0 (a 0/0 here) only by underflow
+    # at huge n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(cat.norm_aaa > 0.0,
+                       0.5 * (1.0 + np.divide(cat.cross_overlap, cat.norm_aaa)), 0.5)
+    literal = cat.norm_aaa * (1.0 - binary_entropy(np.minimum(lam, 1.0)))
+    return float_or_array(literal if mode == "paper_literal" else 2.0 * literal)
 
 
 def _fmt(x: float) -> str:
@@ -216,6 +233,27 @@ class TestArrayMatchesScalarReference:
 # ---------------------------------------------------------------------------
 # scalars, range checks, warnings
 # ---------------------------------------------------------------------------
+
+
+class TestPairTermMatchesOwnLambda:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 10, 1030, 1060, 2000])
+    def test_equal_elementwise(self, n, mode):
+        # edges at 0 and 1, where a weight or the overlap is 0; from
+        # n = 1030 on the tails are subnormal, and norm_aaa may underflow to
+        # 0, where the pair term is -0.0 and the reference +0.0
+        grid = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-300, 1.0 - 1e-16]])
+        params = DepolarizingParams(grid[:, None], grid[None, :], n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = depolarizing_entropy_lower(params, mode)
+        want = own_lambda_entropy_lower(params, mode)
+        assert got.shape == want.shape == (grid.size, grid.size)
+        assert (got == want).all()
+        for q, qt in ((0.0, 0.0), (0.1, 0.2), (1.0, 1.0), (0.3, 1.0)):
+            scalar = DepolarizingParams(q, qt, n)
+            assert depolarizing_entropy_lower(scalar, mode) == \
+                own_lambda_entropy_lower(scalar, mode)
 
 
 class TestScalarsAndChecks:

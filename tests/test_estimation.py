@@ -237,6 +237,14 @@ class TestTallies:
             with pytest.raises(ValidationError, match="line 1: n="):
                 tally_from_text(f"tally n {bad_n}\n")
 
+    @pytest.mark.parametrize("n", [0, -1, -10**6])
+    def test_n_below_one_rejected(self, n):
+        # no empty d = 1 tables, and no bare "negative shift count"
+        with pytest.raises(ValidationError, match=f"^n={n} is not >= 1$"):
+            TallyCounts(n=n)
+        with pytest.raises(ValidationError, match=f"^line 2: n={n} is not >= 1$"):
+            tally_from_text(f"ghz pass 0\ntally n {n}\n")
+
     @pytest.mark.parametrize("n", [22, 64, 10**6])
     def test_oversized_n_is_capacity_error(self, n):
         with pytest.raises(CapacityError, match=f"tally n={n}"):

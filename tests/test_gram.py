@@ -12,7 +12,6 @@ from sqcka import attacks, keyrate, protocol
 from sqcka.attacks import (
     DepolarizingParams,
     EveGram,
-    as_gram,
     attack_from_tables,
     depolarizing_attack,
     depolarizing_gram,
@@ -27,6 +26,7 @@ from sqcka.keyrate import (
     complement_plan,
     depolarizing_entropy_lower,
     exact_entropy_oracle,
+    pairing_maximize,
     terms_from_plan,
     theorem1_entropy_bound,
 )
@@ -75,14 +75,16 @@ def random_dense_gram(rng, d, rank):
 class TestSplit:
     @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
     def test_dense_round_trip_is_exact(self, n, seed, sparsity):
-        # dense -> blocks -> dense gives back the very same array
+        # dense -> blocks -> dense gives back the very same array.  The Gram
+        # is block-diagonal: branches drawn into different groups get
+        # orthogonal vectors, which keeps it PSD (a Schur product of PSD
+        # matrices); more groups, a sparser Gram
         rng = np.random.default_rng(seed)
         d = 1 << n
         dense = random_dense_gram(rng, d, int(rng.integers(1, 2 * d * d + 1)))
-        flat = dense.reshape(2 * d * d, -1)
-        cut = np.triu(rng.random(flat.shape) < sparsity, 1)
-        flat[cut | cut.T] = 0.0
-        np.testing.assert_array_equal(np.asarray(as_gram(dense, d)), dense)
+        group = rng.integers(0, 1 + int(sparsity * 2 * d * d), size=2 * d * d)
+        dense.reshape(2 * d * d, -1)[group[:, None] != group] = 0.0
+        np.testing.assert_array_equal(np.asarray(validate_gram(dense, d)), dense)
 
     def test_components_of_a_dense_gram(self):
         # two disjoint overlaps make two 2 x 2 blocks; the rest is identity
@@ -102,7 +104,8 @@ class TestSplit:
         np.testing.assert_array_equal(g.members, [0, 2 * d * d - 1])
         np.testing.assert_array_equal(g.sizes, [2])
         small = DepolarizingParams(0.1, 0.2, 2)
-        assert np.array_equal(np.asarray(as_gram(np.asarray(depolarizing_gram(small)), 4)),
+        assert np.array_equal(np.asarray(validate_gram(np.asarray(depolarizing_gram(small)),
+                                                       4)),
                               np.asarray(depolarizing_gram(small)))
 
     def test_block_cap_checked_before_allocation(self, monkeypatch):
@@ -110,7 +113,7 @@ class TestSplit:
         dense = np.eye(8)
         dense[0, 5] = dense[5, 0] = 0.5  # one 2 x 2 block: 4 entries
         with pytest.raises(CapacityError, match="GRAM_ENTRY_CAP"):
-            as_gram(dense.reshape((2, 2, 2) * 2), 2)
+            validate_gram(dense.reshape((2, 2, 2) * 2), 2)
 
     def test_bad_blocks_rejected(self):
         with pytest.raises(ValidationError, match="do not match"):
@@ -119,6 +122,29 @@ class TestSplit:
             EveGram(2, (0, 8), (2,), (1.0, 0.0, 0.0, 1.0))
         with pytest.raises(ValidationError, match="distinct branches"):
             EveGram(2, (3, 3), (2,), (1.0, 0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("values,match", [
+        ((1.0, np.nan, np.nan, 1.0), "non-finite"),
+        ((1.0, 0.3, 0.2, 1.0), "not symmetric"),
+        ((1.0, 0.3, 0.3, 0.9), "diagonal"),
+        ((1.0, 5.0, 5.0, 1.0), "not PSD"),
+        ((1.0, 0.9, 0.9, 0.9, 1.0, -0.9, 0.9, -0.9, 1.0), "not PSD"),
+    ])
+    def test_unchecked_blocks_cannot_be_built(self, values, match):
+        # every block is checked when the Gram is built, not when it is used
+        members = np.arange(int(np.sqrt(len(values)))) * 3
+        with pytest.raises(ValidationError, match=match):
+            EveGram(2, members, (members.size,), values)
+
+    def test_pairing_refuses_a_dense_gram_that_is_not_psd(self):
+        # every overlap has |G| <= 1, yet no unit vectors have them: branch 0
+        # is close to 3 and 6, which are far apart (min eigenvalue -0.8)
+        dense = np.eye(8)
+        block = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        dense[np.ix_([0, 3, 6], [0, 3, 6])] = block
+        assert np.linalg.eigvalsh(block).min() == pytest.approx(-0.8)
+        with pytest.raises(ValidationError, match="not PSD"):
+            pairing_maximize(np.full((2, 2, 2), 0.125), dense.reshape((2, 2, 2) * 2))
 
 
 class TestPurification:

@@ -153,8 +153,16 @@ class TestLambdaTerm:
         assert bound == pytest.approx(1.0 - qmath.binary_entropy(lam), abs=1e-12)
 
     def test_cauchy_schwarz_enforced(self):
-        with pytest.raises(ValidationError, match="sqrt"):
+        # |G| = 1.2: no Gram holds it, so it is refused when the Gram is built
+        with pytest.raises(ValidationError, match="not PSD"):
             paired_bound((0.25, 0.25, 0.3))
+
+    def test_cauchy_schwarz_is_stricter_than_the_psd_tolerance(self):
+        # |G| = 1 + 5e-10 is PSD within GRAM_PSD_ATOL, but |Re| exceeds
+        # sqrt(q0 q1) by 1.25e-10, over the pairs' slack CS_ATOL
+        assert 5e-10 < attacks.GRAM_PSD_ATOL and 0.25 * 5e-10 > keyrate.CS_ATOL
+        with pytest.raises(ValidationError, match="exceeds sqrt"):
+            paired_bound((0.25, 0.25, 0.25 * (1.0 + 5e-10)))
 
 
 class TestTheorem1Bound:
@@ -196,7 +204,7 @@ class TestTheorem1Bound:
         w = np.full((2, 2, 2), 0.125)
         with pytest.raises(ValidationError, match="weights must be"):
             terms_from_plan(w[:, :1], np.ones((2, 2, 2) * 2), identity_plan(2))
-        with pytest.raises(ValidationError, match="does not fit d = 2"):
+        with pytest.raises(ValidationError, match="gram must have shape"):
             terms_from_plan(w, np.ones((2, 4, 4) * 2), identity_plan(2))
         with pytest.raises(ValidationError, match="does not fit d = 2"):
             terms_from_plan(w, np.ones((2, 2, 2) * 2), identity_plan(4))
@@ -301,7 +309,7 @@ class TestPairingSearch:
         gram[0, 1, 2, 1, 3, 0] = gram[1, 3, 0, 0, 1, 2] = 0.9
         plan_x, best_x = pairing_maximize(w, gram)
         assert plan_x.strategy == "exhaustive"
-        _, best_g = keyrate._greedy_search(w, attacks.as_gram(gram, 4))
+        _, best_g = keyrate._greedy_search(w, attacks.validate_gram(gram, 4))
         assert best_g == pytest.approx(best_x, abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -312,9 +320,9 @@ class TestPairingSearch:
         gram = np.array(np.asarray(atk.gram))
         last = (1 << n) - 1
         gram[0, 0, 0, 1, last, last] = gram[1, last, last, 0, 0, 0] = 5.0
-        with pytest.raises(ValidationError, match=r"between sender bits has \|G\| = 5 > 1"):
+        with pytest.raises(ValidationError, match="not PSD"):
             pairing_maximize(atk.tables.weights, gram)
-        with pytest.raises(ValidationError, match="exceeds sqrt"):
+        with pytest.raises(ValidationError, match="not PSD"):
             terms_from_plan(atk.tables.weights, gram, complement_plan(1 << n))
 
     def test_every_plan_is_a_lower_bound(self):

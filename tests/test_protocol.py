@@ -432,6 +432,14 @@ class TestSchedule:
                                       ctrl_indices=(1,)), 1)
         assert expand_theta_schedule(b"x", protocol.ROUNDS_CAP, 2).num_ctrl == 2
 
+    def test_negative_round_count_rejected(self):
+        # refused when the schedule is built, not by numpy in run_session
+        with pytest.raises(DomainError, match="negative round count -5"):
+            ThetaSchedule(num_rounds=-5, ctrl_indices=())
+        with pytest.raises(DomainError, match="negative round count -1"):
+            expand_theta_schedule(b"x", -1, 0)
+        assert ThetaSchedule(num_rounds=0, ctrl_indices=()).num_ctrl == 0
+
     def test_theta_lookup(self):
         s = ThetaSchedule(num_rounds=5, ctrl_indices=(2, 4))
         rec = run_session(ProtocolParams(n=1), identity_attack(1), s, 1)
