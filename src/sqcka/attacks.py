@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qmath import (
     DIM_CAP,
@@ -155,6 +156,9 @@ class EveGram:
     different blocks, or outside every block, are orthogonal.  Each block is
     checked here: finite, symmetric, unit diagonal and PSD within
     ``GRAM_PSD_ATOL``, so every entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
+    A Cholesky factor of each stack of same-size blocks plus
+    ``GRAM_PSD_ATOL`` I accepts them as PSD; only if there is none do the
+    eigenvalues decide.
     """
 
     d: int
@@ -186,9 +190,16 @@ class EveGram:
         if any(np.max(np.abs(np.diagonal(b, axis1=1, axis2=2) - 1.0)) > 1e-12
                for b in stacks):
             raise ValidationError("gram diagonal is not all ones")
-        lo = min((float(np.linalg.eigvalsh(b).min()) for b in stacks), default=0.0)
-        if lo < -GRAM_PSD_ATOL:
-            raise ValidationError(f"gram is not PSD within {GRAM_PSD_ATOL} (min eig {lo:.3e})")
+        try:  # a Cholesky factor of G + GRAM_PSD_ATOL I exists: PSD within it
+            for b in stacks:
+                shifted = b.copy()
+                shifted.reshape(len(b), -1)[:, ::b.shape[1] + 1] += GRAM_PSD_ATOL
+                np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:  # not necessarily refused: the eigenvalues decide
+            lo = min(float(np.linalg.eigvalsh(b).min()) for b in stacks)
+            if lo < -GRAM_PSD_ATOL:
+                raise ValidationError(f"gram is not PSD within {GRAM_PSD_ATOL} "
+                                      f"(min eig {lo:.3e})") from None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -276,32 +287,42 @@ def _component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         label = low
 
 
-def _gram_from_entries(d: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> EveGram:
-    """The Gram that is the identity except for the entries G[i, j] = v.
+def _blocks_from_edges(d: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a Gram that differs from the identity at the edges i - j
+    (flat branch indices; an edge may be listed once or both ways).
 
-    ``i`` and ``j`` are flat branch indices; a symmetric Gram lists (i, j)
-    and (j, i).  The blocks are the connected components of the listed
-    entries, and their size is checked before any block is allocated.
+    The blocks are the connected components of the edges: ``members``, the
+    branches of each block in turn, ascending within a block and the blocks
+    ordered by their first branch, and ``sizes``.  The entries the blocks
+    need are checked before any block is allocated.
     """
     touched = np.zeros(2 * d * d, dtype=bool)
     touched[i] = touched[j] = True
     nodes = np.flatnonzero(touched)
     at = np.zeros(touched.size, dtype=np.int64)
     at[nodes] = np.arange(nodes.size)
-    ni, nj = at[i], at[j]
-    _, comp = np.unique(_component_labels(nodes.size, ni, nj), return_inverse=True)
+    _, comp = np.unique(_component_labels(nodes.size, at[i], at[j]), return_inverse=True)
     sizes = np.bincount(comp)
+    _check_gram_entries(int((sizes ** 2).sum()))
+    return nodes[np.argsort(comp, kind="stable")], sizes
+
+
+def _scatter_values(d: int, members: np.ndarray, sizes: np.ndarray, i: np.ndarray,
+                    j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The values of the blocks (``members``, ``sizes``) that hold the
+    entries G[i, j] = G[j, i] = v, 1 elsewhere on the diagonal and 0
+    elsewhere."""
     k2 = sizes ** 2
-    _check_gram_entries(int(k2.sum()))
-    order = np.argsort(comp, kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    pos -= (np.cumsum(sizes) - sizes)[comp]
-    offsets = np.cumsum(k2) - k2
+    blk = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(members.size) - (np.cumsum(sizes) - sizes)[blk]
+    diag = (np.cumsum(k2) - k2)[blk] + pos * (sizes[blk] + 1)  # of each member
+    at = np.zeros(2 * d * d, dtype=np.int64)
+    at[members] = np.arange(members.size)
     values = np.zeros(int(k2.sum()))
-    values[offsets[comp] + pos * (sizes[comp] + 1)] = 1.0
-    values[offsets[comp[ni]] + pos[ni] * sizes[comp[ni]] + pos[nj]] = v
-    return EveGram(d, nodes[order], sizes, values)
+    values[diag] = 1.0
+    values[diag[at[i]] + pos[at[j]] - pos[at[i]]] = v
+    values[diag[at[j]] + pos[at[i]] - pos[at[j]]] = v
+    return values
 
 
 def validate_gram(gram, d: int) -> EveGram:
@@ -309,8 +330,9 @@ def validate_gram(gram, d: int) -> EveGram:
 
     An :class:`EveGram`, checked when built, passes through once its shape
     fits d.  A dense (2, d, d, 2, d, d) array is split into the connected
-    components of its entries that differ from the identity's, and the
-    blocks are checked as the :class:`EveGram` is built.
+    components of its entries that differ from the identity's, each block's
+    values are gathered from the array, and the blocks are checked as the
+    :class:`EveGram` is built.
     """
     shape = np.shape(gram)
     if shape != (2, d, d) * 2:
@@ -321,8 +343,19 @@ def validate_gram(gram, d: int) -> EveGram:
     listed = flat != 0.0
     np.fill_diagonal(listed, flat.diagonal() != 1.0)
     _check_gram_entries(int(np.count_nonzero(listed)))
-    i, j = np.nonzero(listed)
-    return _gram_from_entries(d, i, j, flat[i, j])
+    i, j = np.nonzero(np.triu(listed | listed.T))  # each edge once
+    members, sizes = _blocks_from_edges(d, i, j)
+    del i, j  # freed before the blocks are gathered (2 MiB at n = 4)
+    k2 = sizes ** 2
+    offsets, starts = np.cumsum(k2) - k2, np.cumsum(sizes) - sizes
+    values = np.empty(int(k2.sum()))
+    for k in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == k)
+        m = members[starts[sel, None] + np.arange(k)]
+        # + 0.0 stores a -0.0 entry as +0.0, like an entry that is not listed
+        sliding_window_view(values, k * k, writeable=True)[offsets[sel]] = \
+            (flat[m[:, :, None], m[:, None, :]] + 0.0).reshape(sel.size, -1)
+    return EveGram(d, members, sizes, values)
 
 
 def gram_purification(gram: EveGram) -> np.ndarray:
@@ -730,8 +763,8 @@ def load_attack_file(path) -> CollectiveAttack:
     keep = np.where(i == j, vals != 1.0, vals != 0.0)
     i, j, vals = i[keep], j[keep], vals[keep]
     try:
-        gram = _gram_from_entries(d, np.concatenate([i, j]), np.concatenate([j, i]),
-                                  np.concatenate([vals, vals]))
+        members, sizes = _blocks_from_edges(d, i, j)
+        gram = EveGram(d, members, sizes, _scatter_values(d, members, sizes, i, j, vals))
         return attack_from_tables(tables, gram, label="file")
     except ValidationError as exc:
         at = [ln for ln, _ in rows["GRAM"].values()]

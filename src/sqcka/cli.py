@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, make_dataclass, replace
@@ -603,10 +604,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input ends in one ``sqcka: error:`` line, exit 2."""
+    """Run one command; bad input ends in one ``sqcka: error:`` line, exit 2.
+
+    Output into a pipe whose reader has gone (``sqcka verify | head -1``)
+    ends the command with exit 1 and nothing on stderr.
+    """
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the output still buffered goes nowhere, so the flush at exit cannot
+        # raise again (the recipe of the Python signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (argparse.ArgumentError, qmath.ValidationError, qmath.DomainError,
             qmath.CapacityError, OSError) as exc:
         print(f"sqcka: error: {exc}", file=sys.stderr)

@@ -391,10 +391,14 @@ def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     with the entropies of unnormalized operators; a branch outside every
     block adds 0, because its vector alone tells Eve the sender bit.  With
     D the block's branch weights, rho_E,c has the non-zero spectrum of
-    D^1/2 G_c D^1/2, and rho_AE,c that of the same matrix with the overlaps
-    between sender bits removed.  So every eigenproblem has the block's
-    size, and the size is checked before any is solved.  This is the
-    independent reference the pairing bound is checked against.
+    D^1/2 G_c D^1/2.  rho_AE,c is the direct sum over the sender bit of its
+    parts, so S(AE_c) is the sum of the entropies of the bit-0 and bit-1
+    diagonal sub-blocks of that matrix; the bit-0 branches come first in a
+    block, whose members ascend.  The blocks of one size are solved in
+    groups of equal bit-0 count, one batched eigenproblem per part.  So
+    every eigenproblem is at most the block's size, and the size is checked
+    before any is solved.  This is the independent reference the pairing
+    bound is checked against.
     """
     gram = attack.gram
     dim = 2 * int(gram.sizes.max(initial=0))
@@ -405,8 +409,10 @@ def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     for members, blocks in gram.stacks():
         amp = np.sqrt(weights[members])
         rho_e = amp[:, :, None] * blocks * amp[:, None, :]
-        bit = members >= attack.d ** 2
-        rho_ae = rho_e * (bit[:, :, None] == bit[:, None, :])
-        total += (entropy_of_spectrum(np.linalg.eigvalsh(rho_ae))
-                  - entropy_of_spectrum(np.linalg.eigvalsh(rho_e)))
+        total -= entropy_of_spectrum(np.linalg.eigvalsh(rho_e))
+        zeros = np.count_nonzero(members < attack.d ** 2, axis=1)
+        for z in np.unique(zeros).tolist():
+            part = rho_e[zeros == z]
+            total += (entropy_of_spectrum(np.linalg.eigvalsh(part[:, :z, :z]))
+                      + entropy_of_spectrum(np.linalg.eigvalsh(part[:, z:, z:])))
     return total

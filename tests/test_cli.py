@@ -1,10 +1,15 @@
 """Command-line front-end tests: exit codes, CSV schemas, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqcka
 from sqcka import cli
 from sqcka.attacks import dump_attack_file, random_table_attack
 from sqcka.cli import _parse_range, find_rate_crossing, main
@@ -116,6 +121,23 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--attack-file", str(path))
         assert code == 1
         assert "FAIL attack-file-validation" in out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_ends_quietly(self, unbuffered):
+        # `sqcka verify | head -1`: the reader is gone before the first write
+        # (unbuffered) or before the flush at the end (buffered)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(sqcka.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sqcka.cli", "verify"], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestSweep:

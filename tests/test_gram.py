@@ -1,8 +1,13 @@
 """The block-structured Eve Gram: splitting, caps, and its consumers.
 
-The exact oracle is checked against the dense oracle it replaced, kept here
-verbatim, and the pairing bound against both at the sizes the paper uses.
+The exact oracle is checked against the dense oracle it replaced and
+against the full-block oracle that preceded the per-sender-bit one, the
+dense split against the entry-list split it replaced, all kept here
+verbatim, and the pairing bound against the oracles at the sizes the paper
+uses.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from sqcka.attacks import (
     depolarizing_gram,
     depolarizing_tables,
     identity_attack,
+    identity_gram,
     joint_az_analytic,
     p_ghz_analytic,
     random_table_attack,
@@ -35,6 +41,7 @@ from sqcka.qmath import (
     RegisterLayout,
     ValidationError,
     conditional_entropy,
+    entropy_of_spectrum,
 )
 
 
@@ -64,6 +71,104 @@ def dense_entropy_oracle(attack) -> float:
         rho[a * k:(a + 1) * k, a * k:(a + 1) * k] = block
     layout = RegisterLayout([("A", 2), ("E", k)])
     return conditional_entropy(rho, layout, ("A",), ("E",))
+
+
+def entry_list_gram(gram, d: int) -> EveGram:
+    """The dense split before it gathered blocks, kept verbatim as the
+    reference: every listed entry as an index pair, scattered into the
+    blocks."""
+    flat = np.asarray(gram, dtype=np.float64).reshape(2 * d * d, 2 * d * d)
+    listed = flat != 0.0
+    np.fill_diagonal(listed, flat.diagonal() != 1.0)
+    attacks._check_gram_entries(int(np.count_nonzero(listed)))
+    i, j = np.nonzero(listed)
+    v = flat[i, j]
+    touched = np.zeros(2 * d * d, dtype=bool)
+    touched[i] = touched[j] = True
+    nodes = np.flatnonzero(touched)
+    at = np.zeros(touched.size, dtype=np.int64)
+    at[nodes] = np.arange(nodes.size)
+    ni, nj = at[i], at[j]
+    _, comp = np.unique(attacks._component_labels(nodes.size, ni, nj), return_inverse=True)
+    sizes = np.bincount(comp)
+    k2 = sizes ** 2
+    attacks._check_gram_entries(int(k2.sum()))
+    order = np.argsort(comp, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    pos -= (np.cumsum(sizes) - sizes)[comp]
+    offsets = np.cumsum(k2) - k2
+    values = np.zeros(int(k2.sum()))
+    values[offsets[comp] + pos * (sizes[comp] + 1)] = 1.0
+    values[offsets[comp[ni]] + pos[ni] * sizes[comp[ni]] + pos[nj]] = v
+    return EveGram(d, nodes[order], sizes, values)
+
+
+def full_block_oracle(attack) -> float:
+    """The block oracle before it split rho_AE by sender bit, kept verbatim
+    as the reference: rho_AE,c is the block's rho_E,c with the overlaps
+    between sender bits zeroed, solved at the block's full size."""
+    gram = attack.gram
+    weights = attack.tables.weights.reshape(-1) / 2.0
+    total = 0.0
+    for members, blocks in gram.stacks():
+        amp = np.sqrt(weights[members])
+        rho_e = amp[:, :, None] * blocks * amp[:, None, :]
+        bit = members >= attack.d ** 2
+        rho_ae = rho_e * (bit[:, :, None] == bit[:, None, :])
+        total += (entropy_of_spectrum(np.linalg.eigvalsh(rho_ae))
+                  - entropy_of_spectrum(np.linalg.eigvalsh(rho_e)))
+    return total
+
+
+def assert_same_blocks(got: EveGram, want: EveGram) -> None:
+    """Bitwise equality of the stored blocks (a -0.0 differs from +0.0)."""
+    for name in ("members", "sizes", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def unit_rows(rng, k, rank):
+    vecs = rng.normal(size=(k, rank))
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+def random_block(rng, k, rank):
+    """A k x k unit-diagonal PSD block of at most the given rank."""
+    vecs = unit_rows(rng, k, rank)
+    block = vecs @ vecs.T
+    block = (block + block.T) / 2.0
+    np.fill_diagonal(block, 1.0)
+    return block
+
+
+def block_diagonal_gram(rng, d, sizes):
+    """A dense Gram whose components have the given sizes, each a random
+    PSD block of random rank, over branches in a random order."""
+    dense = np.eye(2 * d * d)
+    order = rng.permutation(2 * d * d)
+    start = 0
+    for k in sizes:
+        members = order[start:start + k]
+        start += k
+        dense[np.ix_(members, members)] = random_block(rng, k, int(rng.integers(1, k + 1)))
+    return dense.reshape((2, d, d) * 2)
+
+
+def gram_at_min_eig(rng, k, min_eig):
+    """A k x k unit-diagonal Gram whose smallest eigenvalue is ``min_eig``.
+
+    Rows 0 and 1 are the same unit vector, so e0 - e1 spans a null vector
+    of the PSD Gram; raising their overlap to 1 - min_eig makes it an
+    eigenvector of eigenvalue min_eig, and leaves the rest PSD."""
+    vecs = unit_rows(rng, k, 2 * k)
+    vecs[1] = vecs[0]
+    block = vecs @ vecs.T
+    block = (block + block.T) / 2.0
+    np.fill_diagonal(block, 1.0)
+    block[0, 1] = block[1, 0] = 1.0 - min_eig
+    return block
 
 
 def random_dense_gram(rng, d, rank):
@@ -147,6 +252,133 @@ class TestSplit:
             pairing_maximize(np.full((2, 2, 2), 0.125), dense.reshape((2, 2, 2) * 2))
 
 
+class TestDenseSplit:
+    """The gathering split stores the same bits as the entry-list split."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_in_grams(self, n):
+        d = 1 << n
+        for gram in (identity_gram(d), depolarizing_gram(DepolarizingParams(0.1, 0.2, n)),
+                     depolarizing_gram(DepolarizingParams(1.0, 1.0, n))):
+            dense = np.asarray(gram)
+            assert_same_blocks(validate_gram(dense, d), entry_list_gram(dense, d))
+            assert np.asarray(validate_gram(dense, d)).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_diagonal_components_of_sizes_one_to_five(self, seed):
+        rng = np.random.default_rng([seed, 16])
+        d = 4
+        sizes = rng.integers(1, 6, size=12)
+        dense = block_diagonal_gram(rng, d, sizes[np.cumsum(sizes) <= 2 * d * d])
+        got = validate_gram(dense, d)
+        assert_same_blocks(got, entry_list_gram(dense, d))
+        assert set(got.sizes.tolist()) <= {2, 3, 4, 5}
+        assert np.asarray(got).tobytes() == dense.tobytes()
+
+    def test_chain_component(self):
+        # a path through 30 branches, met from its largest end: the smallest
+        # label crosses it over several label rounds
+        d = 4
+        path = np.arange(30)[::-1] + 2
+        dense = np.eye(2 * d * d)
+        dense[path[:-1], path[1:]] = dense[path[1:], path[:-1]] = 0.3
+        dense = dense.reshape((2, d, d) * 2)
+        got = validate_gram(dense, d)
+        assert_same_blocks(got, entry_list_gram(dense, d))
+        np.testing.assert_array_equal(got.members, np.arange(2, 32))
+        assert np.asarray(got).tobytes() == dense.tobytes()
+
+    def test_negative_zero_entries_are_stored_as_zero(self):
+        # -0.0 inside a block (the chain's non-neighbours) and between blocks
+        rng = np.random.default_rng(16)
+        d = 2
+        dense = np.asarray(block_diagonal_gram(rng, d, (3, 2))).reshape(8, 8).copy()
+        chain = np.array([6, 1, 4])
+        dense[np.ix_(chain, chain)] = np.eye(3)
+        dense[[6, 1], [1, 4]] = dense[[1, 4], [6, 1]] = 0.4
+        dense[6, 4] = dense[4, 6] = -0.0
+        dense[dense == 0.0] = -0.0
+        np.fill_diagonal(dense, 1.0)
+        dense = dense.reshape((2, d, d) * 2)
+        got = validate_gram(dense, d)
+        assert_same_blocks(got, entry_list_gram(dense, d))
+        assert not np.signbit(got.values[got.values == 0.0]).any()
+        np.testing.assert_array_equal(np.asarray(got), dense)
+
+    @pytest.mark.parametrize("at", [(3, 3), (5, 5)], ids=["alone", "in-a-block"])
+    def test_diagonal_entry_other_than_one_refused(self, at):
+        d = 2
+        dense = np.eye(8)
+        dense[5, 7] = dense[7, 5] = 0.5
+        dense[at] = 0.9
+        for split in (validate_gram, entry_list_gram):
+            with pytest.raises(ValidationError, match="diagonal is not all ones"):
+                split(dense.reshape((2, d, d) * 2), d)
+
+    def test_dense_n4_split_peaks_under_12_mib(self):
+        # the 512 x 512 Gram is 2 MiB; the entry-list split peaked at 20.3 MiB
+        d = 16
+        dense = random_dense_gram(np.random.default_rng(16), d, d * d)
+        validate_gram(dense, d)
+        tracemalloc.start()
+        try:
+            validate_gram(dense, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+
+class TestPsdByCholesky:
+    """Cholesky accepts; the eigenvalues alone refuse, with today's message."""
+
+    @pytest.mark.parametrize("k", [2, 64, 512])
+    def test_min_eig_below_the_tolerance_refused(self, k):
+        block = gram_at_min_eig(np.random.default_rng(k), k, -2 * attacks.GRAM_PSD_ATOL)
+        assert np.linalg.eigvalsh(block).min() == pytest.approx(-2e-9, rel=1e-4)
+        with pytest.raises(ValidationError,
+                           match=r"gram is not PSD within 1e-09 \(min eig -2\.000e-09\)"):
+            EveGram(1 << 5, np.arange(k), (k,), block)
+
+    @pytest.mark.parametrize("k", [2, 64, 512])
+    def test_min_eig_within_the_tolerance_accepted_by_cholesky(self, k, monkeypatch):
+        block = gram_at_min_eig(np.random.default_rng(k), k, -0.5 * attacks.GRAM_PSD_ATOL)
+        assert np.linalg.eigvalsh(block).min() == pytest.approx(-0.5e-9, rel=1e-4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a Gram that Cholesky accepts")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        gram = EveGram(1 << 5, np.arange(k), (k,), block)
+        assert gram.values.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 64, 512])
+    def test_one_failing_block_of_a_stack_refuses_the_gram(self, k):
+        # four blocks of size k, the third at -2 GRAM_PSD_ATOL
+        rng = np.random.default_rng([k, 3])
+        blocks = [gram_at_min_eig(rng, k, 0.0 if b != 2 else -2 * attacks.GRAM_PSD_ATOL)
+                  for b in range(4)]
+        d = 32  # 2048 branches
+        members = np.arange(4 * k).reshape(4, k)
+        values = np.concatenate([b.ravel() for b in blocks])
+        with pytest.raises(ValidationError, match=r"not PSD within 1e-09 \(min eig -2\.0"):
+            EveGram(d, members.ravel(), (k,) * 4, values)
+        ok = np.concatenate([b.ravel() for i, b in enumerate(blocks) if i != 2])
+        EveGram(d, members[[0, 1, 3]].ravel(), (k,) * 3, ok)
+
+    def test_eigenvalues_decide_when_cholesky_fails(self, monkeypatch):
+        # with no Cholesky factor anywhere, a PSD Gram is still accepted and
+        # one below the tolerance refused as before
+        def no_factor(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        rng = np.random.default_rng(5)
+        EveGram(8, np.arange(64), (64,), gram_at_min_eig(rng, 64, -0.5e-9))
+        with pytest.raises(ValidationError, match=r"\(min eig -2\.000e-09\)"):
+            EveGram(8, np.arange(64), (64,), gram_at_min_eig(rng, 64, -2e-9))
+
+
 class TestPurification:
     def test_reproduces_a_gram_of_several_blocks(self):
         # two blocks of random rank, and the identity everywhere else
@@ -174,6 +406,40 @@ class TestOracle:
         for atk in attacks_checked:
             assert exact_entropy_oracle(atk) == pytest.approx(dense_entropy_oracle(atk),
                                                               abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_block_oracle(self, n):
+        rng = np.random.default_rng([n, 16])
+        for _ in range(4 if n < 4 else 2):
+            atk = random_table_attack(rng, n)
+            assert abs(exact_entropy_oracle(atk) - full_block_oracle(atk)) <= 1e-12
+
+    def test_blocks_of_one_sender_bit_add_zero(self):
+        # a bit-0 block and a bit-1 block: each vector tells Eve the bit
+        rng = np.random.default_rng(17)
+        d = 4
+        dense = np.eye(2 * d * d)
+        for members in (np.array([0, 3, 9, 15]), np.array([16, 20, 31])):
+            dense[np.ix_(members, members)] = random_block(rng, members.size, 2)
+        atk = attack_from_tables(random_table_attack(rng, 2).tables,
+                                 dense.reshape((2, d, d) * 2))
+        assert atk.gram.sizes.tolist() == [4, 3]
+        assert abs(exact_entropy_oracle(atk)) <= 1e-12
+        assert abs(full_block_oracle(atk)) <= 1e-12
+
+    def test_stack_with_different_bit_zero_counts(self):
+        # four blocks of size 3 at d = 4 (bit-1 branches are 16..31) holding
+        # 1, 2, 3 and 0 bit-0 branches
+        rng = np.random.default_rng(18)
+        d = 4
+        members = np.array([[1, 17, 25], [2, 5, 18], [3, 8, 12], [16, 22, 30]])
+        gram = EveGram(d, members.ravel(), (3,) * 4,
+                       np.concatenate([random_block(rng, 3, 3).ravel() for _ in members]))
+        (stack_members, _), = gram.stacks()
+        assert np.count_nonzero(stack_members < d * d, axis=1).tolist() == [1, 2, 3, 0]
+        for _ in range(3):
+            atk = attack_from_tables(random_table_attack(rng, 2).tables, gram)
+            assert abs(exact_entropy_oracle(atk) - full_block_oracle(atk)) <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_depolarizing_bound_is_tight(self, n):
