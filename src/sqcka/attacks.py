@@ -152,7 +152,9 @@ class EveGram:
     Branch (a, b, b') has the flat index (a d + b) d + b'.  The Gram is the
     identity except on ``members``, which lists the branches of each block
     in turn, ascending within a block; ``sizes`` holds the block sizes and
-    ``values`` the blocks, row-major, one after another.  Branches in
+    ``values`` the blocks, row-major, one after another.  The values are
+    held once: :meth:`cross` reads them in place, and :meth:`stacks` returns
+    views of them where the blocks of one size are adjacent.  Branches in
     different blocks, or outside every block, are orthogonal.  Each block is
     checked here: finite, symmetric, unit diagonal and PSD within
     ``GRAM_PSD_ATOL``, so every entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
@@ -221,10 +223,18 @@ class EveGram:
 
     def stacks(self):
         """For each block size k in turn: the members (m, k) and the blocks
-        (m, k, k) of the m blocks of that size."""
+        (m, k, k) of the m blocks of that size.  Where those m blocks lie
+        next to each other (one block, or a Gram of one block size), both
+        are read-only views of ``members`` and ``values``; otherwise they
+        are gathered."""
         starts, offsets = self._starts
         for k in sorted(set(self.sizes.tolist())):
             sel = np.flatnonzero(self.sizes == k)
+            if sel[-1] - sel[0] + 1 == sel.size:
+                a, o = starts[sel[0]], offsets[sel[0]]
+                yield (self.members[a:a + sel.size * k].reshape(-1, k),
+                       self.values[o:o + sel.size * k * k].reshape(-1, k, k))
+                continue
             members = self.members[starts[sel, None] + np.arange(k)]
             blocks = self.values[offsets[sel, None] + np.arange(k * k)]
             yield members, blocks.reshape(-1, k, k)
@@ -233,9 +243,9 @@ class EveGram:
     def _cross_keys(self) -> tuple[np.ndarray, ...]:
         """For :meth:`cross`: the block of each sender-bit-0 branch, flat over
         (b, b'), and where its row starts in ``values``; the block of each
-        bit-1 branch, flat over (c, c'), and its column in the block; then
-        ``values`` with a 0 appended.  A branch outside every block is a
-        block of its own."""
+        bit-1 branch, flat over (c, c'), and its column in the block.  A
+        branch outside every block is a block of its own.  Each array has
+        one entry per branch, so the keys hold no copy of ``values``."""
         n = 2 * self.d ** 2
         blk = np.repeat(np.arange(self.sizes.size), self.sizes)
         pos = np.arange(self.members.size) - self._starts[0][blk]
@@ -246,15 +256,18 @@ class EveGram:
         row[self.members] = self._starts[1][blk] + pos * self.sizes[blk]
         col[self.members] = pos
         half = n // 2
-        return block[:half], row[:half], block[half:], col[half:], np.append(self.values, 0.0)
+        return block[:half], row[:half], block[half:], col[half:]
 
     def cross(self, zero: np.ndarray, partner: np.ndarray) -> np.ndarray:
         """G[(0, b, b'), (1, c, c')] elementwise, for bit-0 branches with
         b d + b' = ``zero`` and their bit-1 partners with c d + c' =
-        ``partner`` (the two arrays broadcast)."""
-        block0, row0, block1, col1, padded = self._cross_keys
-        return padded[np.where(block0[zero] == block1[partner],
-                               row0[zero] + col1[partner], -1)]
+        ``partner`` (the two arrays broadcast).  Pairs in one block are read
+        from ``values``; every other pair is orthogonal, +0.0."""
+        block0, row0, block1, col1 = self._cross_keys
+        same = block0[zero] == block1[partner]
+        if not self.values.size:  # no blocks: every pair is orthogonal
+            return np.zeros(same.shape)
+        return np.where(same, self.values[np.where(same, row0[zero] + col1[partner], 0)], 0.0)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense (2, d, d, 2, d, d) Gram, for small d."""

@@ -2,11 +2,12 @@
 
 The exact oracle is checked against the dense oracle it replaced and
 against the full-block oracle that preceded the per-sender-bit one, the
-dense split against the entry-list split it replaced, all kept here
-verbatim, and the pairing bound against the oracles at the sizes the paper
-uses.
+dense split against the entry-list split it replaced, the stacks against
+the gather that preceded their views, all kept here verbatim, and the
+pairing bound against the oracles at the sizes the paper uses.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,17 @@ def full_block_oracle(attack) -> float:
         total += (entropy_of_spectrum(np.linalg.eigvalsh(rho_ae))
                   - entropy_of_spectrum(np.linalg.eigvalsh(rho_e)))
     return total
+
+
+def gathered_stacks(gram: EveGram):
+    """The stacks before adjacent blocks became views, kept verbatim as the
+    reference: every stack gathered through an index array."""
+    starts, offsets = gram._starts
+    for k in sorted(set(gram.sizes.tolist())):
+        sel = np.flatnonzero(gram.sizes == k)
+        members = gram.members[starts[sel, None] + np.arange(k)]
+        blocks = gram.values[offsets[sel, None] + np.arange(k * k)]
+        yield members, blocks.reshape(-1, k, k)
 
 
 def assert_same_blocks(got: EveGram, want: EveGram) -> None:
@@ -327,6 +339,91 @@ class TestDenseSplit:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+
+class TestValuesHeldOnce:
+    """Stacks of adjacent blocks are views, and cross reads ``values`` in place."""
+
+    @pytest.mark.parametrize("sizes,views", [
+        ((5,), {5}),
+        ((3, 3, 3), {3}),
+        ((2, 3, 2), {3}),
+    ], ids=["one-block", "adjacent", "interleaved"])
+    def test_stacks_equal_the_gather(self, sizes, views):
+        rng = np.random.default_rng(sum(sizes))
+        d = 4
+        members = rng.permutation(2 * d * d)[:sum(sizes)]
+        members = np.concatenate([np.sort(part) for part in
+                                  np.split(members, np.cumsum(sizes)[:-1])])
+        values = np.concatenate([random_block(rng, k, k).ravel() for k in sizes])
+        gram = EveGram(d, members, sizes, values)
+        got, want = list(gram.stacks()), list(gathered_stacks(gram))
+        assert len(got) == len(want)
+        for (m, b), (wm, wb) in zip(got, want):
+            for a, w in ((m, wm), (b, wb)):
+                assert (a.dtype, a.shape) == (w.dtype, w.shape)
+                assert a.tobytes() == w.tobytes()
+            k = b.shape[1]
+            assert np.shares_memory(b, gram.values) == (k in views)
+            assert np.shares_memory(m, gram.members) == (k in views)
+            if k in views:
+                assert not (b.flags.writeable or m.flags.writeable)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_in_and_random_grams_are_views(self, n):
+        rng = np.random.default_rng([n, 17])
+        d = 1 << n
+        for gram in (identity_gram(d), depolarizing_gram(DepolarizingParams(0.1, 0.2, n)),
+                     random_table_attack(rng, n).gram):
+            for (m, b), (wm, wb) in itertools.zip_longest(gram.stacks(),
+                                                          gathered_stacks(gram)):
+                assert m.tobytes() == wm.tobytes() and b.tobytes() == wb.tobytes()
+                assert np.shares_memory(b, gram.values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cross_equals_the_dense_lookup(self, n):
+        rng = np.random.default_rng([n, 18])
+        d = 1 << n
+        zero = np.arange(d * d)[:, None]
+        partner = np.arange(d * d)[None, :]
+        grams = [random_table_attack(rng, n).gram for _ in range(3)]
+        sizes = rng.integers(1, 4, size=2 * d * d)
+        grams.append(validate_gram(block_diagonal_gram(
+            rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]), d))
+        grams += [depolarizing_gram(DepolarizingParams(0.3, 0.1, n)), identity_gram(d)]
+        for gram in grams:
+            # bit for bit: an orthogonal pair, or a Gram with no values, is +0.0
+            dense = np.asarray(gram).reshape(2 * d * d, -1)
+            got = gram.cross(zero, partner)
+            assert got.shape == (d * d, d * d)
+            assert got.tobytes() == dense[zero, d * d + partner].tobytes()
+
+    def test_dense_n4_attack_builds_under_8_mib(self):
+        # the 512 x 512 Gram is 2 MiB; the gathered stacks peaked at 8.3 MiB
+        rng = np.random.default_rng(19)
+        tables = random_table_attack(rng, 4).tables
+        dense = random_dense_gram(rng, 16, 256)
+        attack_from_tables(tables, dense)
+        tracemalloc.start()
+        try:
+            attack_from_tables(tables, dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_cross_keeps_no_copy_of_the_values(self):
+        # the padded copy of values that cross kept was 2 MiB at n = 4
+        gram = validate_gram(random_dense_gram(np.random.default_rng(20), 16, 256), 16)
+        zero = np.arange(256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gram.cross(zero, zero[::-1])
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < gram.values.nbytes / 4
 
 
 class TestPsdByCholesky:

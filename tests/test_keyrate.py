@@ -90,6 +90,30 @@ def scalar_bound(w, gram, plan):
     return total / w.sum()
 
 
+def unnormalized_entropy(x, axis=-1):
+    """-sum x log2 x over ``axis``, with 0 log 0 = 0."""
+    live = x > 0.0
+    return -np.sum(np.where(live, x * np.log2(np.where(live, x, 1.0)), 0.0), axis=axis)
+
+
+def spectral_bound(w, gram, plan):
+    """Reference: the Theorem-1 bound from the eigenvalues of each pair's
+    explicit 2 x 2 block [[q0, re], [re, q1]], read from the dense Gram.  A
+    pair adds H(q0, q1) - H(eigenvalues), H the entropy of unnormalized
+    weights, which is s (h(q0 / s) - h(lam)) with s = q0 + q1."""
+    d = w.shape[1]
+    dense = np.asarray(gram).reshape(2 * d * d, -1)
+    b, bp = np.divmod(np.arange(d * d), d)
+    c, cp = np.asarray(plan.pi1)[b], np.asarray(plan.pi2)[bp]
+    q0, q1 = w[0, b, bp], w[1, c, cp]
+    re = np.sqrt(q0 * q1) * dense[b * d + bp, d * d + c * d + cp]
+    blocks = np.stack([np.stack([q0, re], axis=-1), np.stack([re, q1], axis=-1)], axis=-2)
+    spectrum = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
+    terms = (unnormalized_entropy(np.stack([q0, q1], axis=-1))
+             - unnormalized_entropy(spectrum))
+    return float(terms.sum() / w.sum())
+
+
 # The exhaustive search as it was before the evaluator took stacks of plans:
 # one scalar evaluation per plan, in a double loop, with its own log2 binary
 # entropy.  Kept verbatim as the reference of the stacked search.
@@ -239,6 +263,21 @@ class TestTheorem1Bound:
                     bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
                     assert bound == pytest.approx(scalar_bound(w, atk.gram, plan),
                                                   abs=1e-12)
+
+    def test_matches_spectral_reference(self):
+        # pair terms from eigvalsh of the explicit blocks, not the closed form
+        rng = np.random.default_rng(35)
+        atks = [random_table_attack(rng, n) for n in (1, 2, 3) for _ in range(3)]
+        atks += [depolarizing_attack(DepolarizingParams(q, qt, n))
+                 for n in (1, 2, 3) for q, qt in ((0.05, 0.1), (0.3, 0.2))]
+        for atk in atks:
+            w = atk.tables.weights
+            d = atk.d
+            plans = [identity_plan(d), complement_plan(d), keyrate._greedy_plan(w),
+                     PairingPlan(tuple(rng.permutation(d)), tuple(rng.permutation(d)))]
+            for plan in plans:
+                bound = theorem1_entropy_bound(terms_from_plan(w, atk.gram, plan))
+                assert abs(bound - spectral_bound(w, atk.gram, plan)) <= 1e-12
 
     def test_depolarizing_reference_value(self):
         # complement pairing on the n=3, Q=Q~=0.2 table, global convention
