@@ -6,16 +6,18 @@ key rounds give the forward channel conditionals.  Combining the first two
 recovers the real part of the overlap between Eve's two all-equal branch
 vectors, the one attack degree of freedom the entropy bound consumes.
 
-Confidence radii are Hoeffding half-widths: distribution-free and simple to
-compose.  All estimators are pure functions over merged tallies; tallies
-merge associatively.
+What a session counts is declared once, in :data:`TALLY_COUNTERS`: the
+fields of :class:`TallyCounts`, their checks, their associative merge and
+the snapshot text format all follow that one list.  All estimators are pure
+functions over merged tallies.  Confidence radii are Hoeffding half-widths:
+distribution-free and simple to compose.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -40,59 +42,52 @@ def _counter_dim(n: int, where: str = "") -> int:
     return 1 << n
 
 
-@dataclass
-class TallyCounts:
-    """Raw counts accumulated over a session.
+#: The tally counters in snapshot order: (field, snapshot key, whether the
+#: counter is a (2, d) table indexed by sender bit and string, or a scalar).
+#: ``zctrl a,c`` counts joint (sender bit, returned string) outcomes in
+#: reflection-round Z tests; ``sift a,b`` counts (sender bit, receivers'
+#: string) pairs in disclosed key rounds.
+TALLY_COUNTERS = (
+    ("ghz_pass", "ghz pass", False),
+    ("ghz_total", "ghz total", False),
+    ("z_ctrl_counts", "zctrl", True),
+    ("sift_joint_counts", "sift", True),
+    ("sift_total", "sift total", False),
+)
 
-    ``z_ctrl_counts[a, c]`` counts joint (sender bit, returned string)
-    outcomes in reflection-round Z tests; ``sift_joint_counts[a, b]`` counts
-    (sender bit, receivers' string) pairs in disclosed key rounds.
-    """
 
-    n: int
-    ghz_pass: int = 0
-    ghz_total: int = 0
-    z_ctrl_counts: np.ndarray = field(default=None)
-    sift_joint_counts: np.ndarray = field(default=None)
-    sift_total: int = 0
-
-    def __post_init__(self):
-        d = _counter_dim(self.n)
-        if self.z_ctrl_counts is None:
-            self.z_ctrl_counts = np.zeros((2, d), dtype=np.int64)
-        else:
-            self.z_ctrl_counts = np.asarray(self.z_ctrl_counts, dtype=np.int64)
-        if self.sift_joint_counts is None:
-            self.sift_joint_counts = np.zeros((2, d), dtype=np.int64)
-        else:
-            self.sift_joint_counts = np.asarray(self.sift_joint_counts, dtype=np.int64)
-        if self.z_ctrl_counts.shape != (2, d) or self.sift_joint_counts.shape != (2, d):
-            raise ValidationError(f"tally arrays must have shape (2, {d})")
-        self.validate()
-
-    def validate(self) -> None:
-        if min(self.ghz_pass, self.ghz_total, self.sift_total) < 0:
+def _tally_post_init(self) -> None:
+    d = _counter_dim(self.n)
+    for name, _, table in TALLY_COUNTERS:
+        value = getattr(self, name)
+        if table:
+            value = np.asarray(np.zeros((2, d)) if value is None else value, dtype=np.int64)
+            if value.shape != (2, d):
+                raise ValidationError(f"tally arrays must have shape (2, {d})")
+            setattr(self, name, value)
+        if (value.min() if table else value) < 0:
             raise ValidationError("negative tally counts")
-        if self.ghz_pass > self.ghz_total:
-            raise ValidationError("ghz_pass exceeds ghz_total")
-        if self.z_ctrl_counts.min() < 0 or self.sift_joint_counts.min() < 0:
-            raise ValidationError("negative tally counts")
-        if int(self.sift_joint_counts.sum()) != self.sift_total:
-            raise ValidationError("sift_joint_counts do not sum to sift_total")
+    if self.ghz_pass > self.ghz_total:
+        raise ValidationError("ghz_pass exceeds ghz_total")
+    if int(self.sift_joint_counts.sum()) != self.sift_total:
+        raise ValidationError("sift_joint_counts do not sum to sift_total")
 
-    def merged(self, other: "TallyCounts") -> "TallyCounts":
-        if other.n != self.n:
-            raise ValidationError("cannot merge tallies with different n")
-        return TallyCounts(
-            n=self.n,
-            ghz_pass=self.ghz_pass + other.ghz_pass,
-            ghz_total=self.ghz_total + other.ghz_total,
-            z_ctrl_counts=self.z_ctrl_counts + other.z_ctrl_counts,
-            sift_joint_counts=self.sift_joint_counts + other.sift_joint_counts,
-            sift_total=self.sift_total + other.sift_total,
-        )
 
-    __add__ = merged
+def _tally_add(self, other):
+    if other.n != self.n:
+        raise ValidationError("cannot merge tallies with different n")
+    return TallyCounts(n=self.n, **{name: getattr(self, name) + getattr(other, name)
+                                    for name, _, _ in TALLY_COUNTERS})
+
+
+TallyCounts = make_dataclass(
+    "TallyCounts",
+    [("n", int)] + [(name, np.ndarray, field(default=None)) if table else
+                    (name, int, field(default=0)) for name, _, table in TALLY_COUNTERS],
+    namespace={"__module__": __name__, "__post_init__": _tally_post_init,
+               "__add__": _tally_add,
+               "__doc__": "Raw counts of a session: ``n``, then one field per entry of "
+                          "TALLY_COUNTERS; tables default to zeros."})
 
 
 @dataclass(frozen=True)
@@ -188,19 +183,16 @@ def bob_disagreement_rates(tallies: TallyCounts) -> np.ndarray:
 def tally_to_text(tallies: TallyCounts) -> str:
     """Serialize tallies as ``category index count`` lines (zeros skipped)."""
     lines = [f"tally n {tallies.n}"]
-    lines.append(f"ghz pass {tallies.ghz_pass}")
-    lines.append(f"ghz total {tallies.ghz_total}")
-    for (a, c), cnt in np.ndenumerate(tallies.z_ctrl_counts):
-        if cnt:
-            lines.append(f"zctrl {a},{c} {int(cnt)}")
-    for (a, b), cnt in np.ndenumerate(tallies.sift_joint_counts):
-        if cnt:
-            lines.append(f"sift {a},{b} {int(cnt)}")
-    lines.append(f"sift total {tallies.sift_total}")
+    for name, key, table in TALLY_COUNTERS:
+        value = getattr(tallies, name)
+        if not table:
+            lines.append(f"{key} {value}")
+            continue
+        for (a, c), cnt in np.ndenumerate(value):
+            if cnt:
+                lines.append(f"{key} {a},{c} {int(cnt)}")
     return "\n".join(lines) + "\n"
 
-
-_TALLY_SCALARS = ("tally n", "ghz pass", "ghz total", "sift total")
 
 #: Cap on one snapshot count, so that no sum of counts overflows int64.
 COUNT_CAP = 1 << 40
@@ -208,6 +200,8 @@ COUNT_CAP = 1 << 40
 
 def tally_from_text(text: str) -> TallyCounts:
     """Parse :func:`tally_to_text` output; errors name the offending line."""
+    tables = {key for _, key, table in TALLY_COUNTERS if table}
+    scalars = {"tally n"} | {key for _, key, table in TALLY_COUNTERS if not table}
     entries: dict[object, tuple[int, int]] = {}  # key -> (line number, count)
     lineno = 1
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -220,9 +214,9 @@ def tally_from_text(text: str) -> TallyCounts:
         cat, idx, cnt = parts
         try:
             count = int(cnt)
-            if f"{cat} {idx}" in _TALLY_SCALARS:
+            if f"{cat} {idx}" in scalars:
                 key = f"{cat} {idx}"
-            elif cat in ("zctrl", "sift"):
+            elif cat in tables:
                 a, c = (int(x) for x in idx.split(","))
                 key = (cat, a, c)
             else:
@@ -240,24 +234,22 @@ def tally_from_text(text: str) -> TallyCounts:
         raise ValidationError(f"line {lineno}: no 'tally n' line in the snapshot")
     n_line, n = entries["tally n"]
     d = _counter_dim(n, f"line {n_line}: ")
-    tables = {"zctrl": np.zeros((2, d), dtype=np.int64),
-              "sift": np.zeros((2, d), dtype=np.int64)}
+    # key -> (line number, count) of a scalar, or its (2, d) table
+    found = {key: np.zeros((2, d), dtype=np.int64) if table
+             else entries.get(key, (lineno, 0)) for _, key, table in TALLY_COUNTERS}
     for key, (at, count) in entries.items():
         if isinstance(key, tuple):
             cat, a, c = key
             if not (0 <= a < 2 and 0 <= c < d):
                 raise ValidationError(f"line {at}: index {a},{c} outside 2 x {d}")
-            tables[cat][a, c] = count
-    scalar = {k: entries.get(k, (lineno, 0)) for k in _TALLY_SCALARS}
-    if scalar["ghz pass"][1] > scalar["ghz total"][1]:
-        at = max(scalar["ghz pass"][0], scalar["ghz total"][0])
-        raise ValidationError(f"line {at}: ghz pass exceeds ghz total")
-    sift_sum = int(tables["sift"].sum())
-    if sift_sum != scalar["sift total"][1]:
-        raise ValidationError(f"line {scalar['sift total'][0]}: sift counts sum to "
-                              f"{sift_sum}, not the sift total "
-                              f"{scalar['sift total'][1]}")
-    return TallyCounts(n=n, ghz_pass=scalar["ghz pass"][1],
-                       ghz_total=scalar["ghz total"][1],
-                       z_ctrl_counts=tables["zctrl"], sift_joint_counts=tables["sift"],
-                       sift_total=scalar["sift total"][1])
+            found[cat][a, c] = count
+    (pass_at, passed), (total_at, total) = found["ghz pass"], found["ghz total"]
+    if passed > total:
+        raise ValidationError(f"line {max(pass_at, total_at)}: ghz pass exceeds ghz total")
+    sift_sum = int(found["sift"].sum())
+    sift_at, sift_total = found["sift total"]
+    if sift_sum != sift_total:
+        raise ValidationError(f"line {sift_at}: sift counts sum to {sift_sum}, not the "
+                              f"sift total {sift_total}")
+    return TallyCounts(n=n, **{name: found[key] if table else found[key][1]
+                               for name, key, table in TALLY_COUNTERS})

@@ -225,9 +225,19 @@ def _dilated_round_state(attack: CollectiveAttack, theta: int
     return psi, layout
 
 
-#: Tolerance on the reflected-branch norm when checking that tables + gram
-#: describe a channel a unitary dilation can realize.
+#: Tolerance on each sender bit's reflected mass when checking that tables +
+#: gram describe a channel a unitary dilation can realize.
 CTRL_CONSISTENCY_ATOL = 1e-9
+
+
+def _check_reflected_mass(q_ac: np.ndarray) -> None:
+    """Raise unless the reflected branch norms q_ac sum over c to 1 for each
+    sender bit a, as in every unitary round (a dilated one is by construction)."""
+    mass_dev = float(np.max(np.abs(q_ac.sum(axis=1) - 1.0)))
+    if mass_dev > CTRL_CONSISTENCY_ATOL:
+        raise ValidationError(
+            f"tables and gram admit no unitary round: reflected branch mass "
+            f"deviates from 1 by {mass_dev:.3e}")
 
 
 def _embedded_round_state(attack: CollectiveAttack, theta: int
@@ -242,14 +252,10 @@ def _embedded_round_state(attack: CollectiveAttack, theta: int
         layout = RegisterLayout([("A", 2), ("T", d), ("B", d), ("EV", k)])
     else:
         amps = np.einsum("abc,abck->ack", coef, vecs)
+        _check_reflected_mass(2.0 * np.einsum("ack,ack->ac", amps, amps))
         layout = RegisterLayout([("A", 2), ("T", d), ("EV", k)])
     flat = amps.reshape(-1)
-    nrm2 = float(np.vdot(flat, flat).real)
-    if abs(nrm2 - 1.0) > CTRL_CONSISTENCY_ATOL:
-        raise ValidationError(
-            f"tables and gram admit no unitary round: branch mass {nrm2!r} != 1 "
-            "(cross-branch overlaps must vanish under the return-string sum)")
-    return StateVector(flat / math.sqrt(nrm2)), layout
+    return StateVector(flat / math.sqrt(float(np.vdot(flat, flat).real))), layout
 
 
 def statistics_from_state(state: StateVector, layout: RegisterLayout,
@@ -337,27 +343,23 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     d = attack.d
     weights = attack.tables.weights
-    x, y, g = attack.gram.entries()
-    last = 2 * d * d - 1  # the branch (1, d-1, d-1)
     if theta == 1:
         joint = weights / 2.0
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
-        cross = math.sqrt(w000 * w111) * g[(x == 0) & (y == last)].sum()
+        # G[(0, 0, 0), (1, d-1, d-1)], the bit-0 string 0 and bit-1 string d^2 - 1
+        cross = math.sqrt(w000 * w111) * attack.gram.cross(0, d * d - 1)
         return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=float(cross))
     # reflection branch: coherent over b inside Eve's register, so q_ac also
     # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c
+    x, y, g = attack.gram.entries()
     flat = weights.reshape(-1)
     term = np.sqrt(flat[x] * flat[y]) * g
     (ax, _, cx), (ay, _, cy) = (np.unravel_index(i, (2, d, d)) for i in (x, y))
     q_ac = weights.sum(axis=1)
     pair = (x != y) & (ax == ay) & (cx == cy)
     np.add.at(q_ac, (ax[pair], cx[pair]), term[pair])
-    mass_dev = float(np.max(np.abs(q_ac.sum(axis=1) - 1.0)))
-    if mass_dev > CTRL_CONSISTENCY_ATOL:
-        raise ValidationError(
-            f"tables and gram admit no unitary round: reflected branch mass "
-            f"deviates from 1 by {mass_dev:.3e}")
+    _check_reflected_mass(q_ac)
     re_tilde = float(term[(ax == 0) & (cx == 0) & (ay == 1) & (cy == d - 1)].sum())
     return ObservedStatistics(theta=0, ctrl_az=q_ac / 2.0, re_overlap=re_tilde)
 

@@ -322,8 +322,9 @@ class TestCleanExits:
 
     def run_error(self, capsys, *argv):
         code = main(list(argv))
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
+        assert out == ""  # refused before anything is written, a CSV header too
         assert err.startswith("sqcka: error: ") and err.count("\n") == 1
         return err
 
@@ -384,8 +385,11 @@ class TestCleanExits:
         (("simulate", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
         (("sweep", "--mode", "bogus"), "argument --mode: invalid choice: 'bogus'"),
         (("sweep", "--q-step", "x"), "argument --q-step: invalid float value: 'x'"),
+        (("sweep", "--n", "0"), "receiver counts must be >= 1"),
+        (("sweep", "--q", "0:1.5"), "strength grids must lie in [0, 1]"),
     ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "sweep-rows",
-            "rounds", "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float"])
+            "rounds", "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float",
+            "sweep-n-zero", "sweep-q-past-1"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

@@ -196,11 +196,14 @@ class TestTallies:
             TallyCounts(n=1) + TallyCounts(n=2)
 
     def test_invariant_checks(self):
-        with pytest.raises(ValidationError):
-            TallyCounts(n=1, ghz_pass=5, ghz_total=3)
-        with pytest.raises(ValidationError):
-            TallyCounts(n=1, sift_joint_counts=np.ones((2, 2), dtype=np.int64),
-                        sift_total=3)
+        for fields, msg in [
+                (dict(ghz_pass=5, ghz_total=3), "ghz_pass exceeds ghz_total"),
+                (dict(sift_joint_counts=np.ones((2, 2)), sift_total=3), "do not sum"),
+                (dict(ghz_total=-1), "negative tally counts"),
+                (dict(z_ctrl_counts=[[0, -1], [0, 0]]), "negative tally counts"),
+                (dict(z_ctrl_counts=np.zeros((2, 3))), r"shape \(2, 2\)")]:
+            with pytest.raises(ValidationError, match=msg):
+                TallyCounts(n=1, **fields)
 
     def test_text_round_trip(self):
         z = np.array([[3, 0], [0, 7]], dtype=np.int64)

@@ -12,6 +12,7 @@ from sqcka import estimation, protocol, qmath
 from sqcka.attacks import (
     ConditionalChannelTable,
     DepolarizingParams,
+    EveGram,
     attack_from_tables,
     depolarizing_attack,
     identity_attack,
@@ -212,12 +213,16 @@ class TestRunRoundExact:
         vecs = rng.normal(size=(8, 4))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         gram = (vecs @ vecs.T).reshape(2, 2, 2, 2, 2, 2)
-        atk = attack_from_tables(ConditionalChannelTable(fwd, bwd), gram)
-        pp = ProtocolParams(n=1)
-        with pytest.raises(ValidationError, match="unitary round"):
-            run_round_exact(pp, atk, 0)
-        with pytest.raises(ValidationError, match="unitary round"):
-            round_statistics(atk, 0)
+        # the total reflected mass is 1, but bit 0 has 1.25 and bit 1 has 0.75
+        balanced = EveGram(2, (0, 2, 4, 6), (2, 2), (1, .5, .5, 1, 1, -.5, -.5, 1))
+        uniform = ConditionalChannelTable(np.full((2, 2), .5), np.full((2, 2, 2), .5))
+        for tables, g in ((ConditionalChannelTable(fwd, bwd), gram), (uniform, balanced)):
+            atk = attack_from_tables(tables, g)
+            with pytest.raises(ValidationError, match="admit no unitary round") as exact:
+                run_round_exact(ProtocolParams(n=1), atk, 0)
+            with pytest.raises(ValidationError) as analytic:
+                round_statistics(atk, 0)
+            assert str(exact.value) == str(analytic.value)
 
     def test_capacity_error_for_large_n(self):
         pp = ProtocolParams(n=4)
