@@ -35,6 +35,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, make_dataclass, replace
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from . import estimation, keyrate, protocol, qmath
 from .attacks import (
     CollectiveAttack,
     DepolarizingParams,
+    check_attack_size,
     depolarizing_attack,
     eve_catalogue,
     gram_purification,
@@ -76,21 +78,32 @@ def _fmt_all(values) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-#: Simulation settings, key: (type, default).  Each is a ``RunConfig`` field,
-#: a config-file key and a ``simulate`` flag (``_`` written ``-``).
+#: Simulation settings, key: (type, default, range check).  Each is a
+#: ``RunConfig`` field, a config-file key and a ``simulate`` flag (``_``
+#: written ``-``).  The check is the library's own, run on a config-file
+#: value as its line is read; a flag value meets it where it is used.
 SETTINGS = {
-    "n": (int, 2), "q": (float, 0.0), "qtilde": (float, 0.0), "rounds": (int, 1000),
-    "seed": (int, 1), "ctrl_count": (int, None), "cc_fraction": (float, 0.1),
-    "attack_file": (str, None), "out": (str, None),
+    "n": (int, 2, check_attack_size),
+    "q": (float, 0.0, partial(qmath.unit_interval, what="q=")),
+    "qtilde": (float, 0.0, partial(qmath.unit_interval, what="qtilde=")),
+    "rounds": (int, 1000, protocol.check_rounds),
+    "seed": (int, 1, protocol.check_session_seed),
+    "ctrl_count": (int, None, protocol.check_ctrl_count),
+    "cc_fraction": (float, 0.1, protocol.check_cut_and_choose_fraction),
+    "attack_file": (str, None, None), "out": (str, None, None),
 }
 
 RunConfig = make_dataclass(
-    "RunConfig", [(k, t, field(default=v)) for k, (t, v) in SETTINGS.items()],
+    "RunConfig", [(k, t, field(default=v)) for k, (t, v, _) in SETTINGS.items()],
     namespace={"__module__": __name__, "__doc__": "Simulation settings, one field per key."})
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a flat key=value config file; a key may be given once."""
+    """Parse a flat key=value config file; a key may be given once.
+
+    A value of the wrong type or outside its range is refused with the
+    file's path and the line number.
+    """
     cfg = RunConfig()
     first: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -107,10 +120,16 @@ def load_run_config(path) -> RunConfig:
                 raise qmath.ValidationError(f"{path}:{lineno}: duplicate key {key!r}, "
                                             f"first given on line {first[key]}")
             first[key] = lineno
+            typ, _, check = SETTINGS[key]
             try:
-                setattr(cfg, key, SETTINGS[key][0](val))
+                value = typ(val)
+                if check is not None:
+                    check(value)
+            except (qmath.DomainError, qmath.CapacityError) as exc:  # out of range
+                raise qmath.ValidationError(f"{path}:{lineno}: {exc}") from None
             except ValueError as exc:
                 raise qmath.ValidationError(f"{path}:{lineno}: bad {key} ({exc})") from None
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -597,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a sampled session and estimate")
     p.add_argument("--config", default=None, help="key=value config file")
-    for key, (typ, _) in SETTINGS.items():
+    for key, (typ, _, _) in SETTINGS.items():
         p.add_argument("--" + key.replace("_", "-"), type=typ, default=None, dest=key)
     p.set_defaults(fn=cmd_simulate)
     return parser

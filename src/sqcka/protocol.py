@@ -369,10 +369,30 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
 # ---------------------------------------------------------------------------
 
 
+#: Most buckets of a SIFT guide (int32 counts and bool flags: 10 MiB).  A
+#: table has at most 2^21 entries (n <= 10), so the cap is never below it.
+_GUIDE_CAP = 1 << 21
+
+#: Table entries scaled per pass while a guide is built; bounds its temporaries.
+_GUIDE_BLOCK = 1 << 16
+
+
 class RoundSampler:
     """Maps arrays of uniforms in [0, 1) to outcome arrays drawn from the
     attack's analytic per-round distributions; flat indices follow the C
     order of ``abc_joint`` and ``ctrl_az``.
+
+    Each draw is ``np.searchsorted(cum, u, side="right")`` over the table's
+    normalized running sums ``cum``: the number of entries <= u.  SIFT
+    draws, one per round of a session, read a guide table (Chen & Asau,
+    1974) instead: m buckets [k/m, (k+1)/m), m a power of two, where
+    ``_busy[k]`` marks an entry strictly inside the bucket and ``_lo[k]``
+    counts the entries below (k+1)/m, which are the entries <= k/m when
+    the bucket is not busy.  A uniform u falls in bucket floor(u m),
+    exactly, as m is a power of two; its index is that bucket's ``_lo``
+    unless the bucket is busy, and only those uniforms are searched.  So the
+    guide returns the search's index for every u.  m doubles from the table
+    size while more than 1/16 of the buckets are busy, up to ``_GUIDE_CAP``.
     """
 
     def __init__(self, attack: CollectiveAttack):
@@ -381,15 +401,40 @@ class RoundSampler:
         self.p_ghz = float(ctrl.p_ghz)
         self._sift_cum = self._cumulative(sift.abc_joint)
         self._ctrl_cum = self._cumulative(ctrl.ctrl_az)
+        m = self._sift_cum.size
+        self._lo, self._busy = self._guide(self._sift_cum, m)
+        while 16 * np.count_nonzero(self._busy) > m and m < _GUIDE_CAP:
+            m *= 2
+            self._lo, self._busy = self._guide(self._sift_cum, m)
 
     @staticmethod
     def _cumulative(table: np.ndarray) -> np.ndarray:
         cum = np.cumsum(np.asarray(table, dtype=np.float64).ravel())
         return cum / cum[-1]
 
+    @staticmethod
+    def _guide(cum: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (``_lo``, ``_busy``) guide of m buckets over ``cum``.
+
+        An entry v counts in ``_lo[k]`` for every k >= floor(v m), and makes
+        bucket floor(v m) busy unless v m is a whole number; v m is exact.
+        """
+        low = np.empty(cum.size, dtype=np.int32)  # floor(v m) of every entry
+        busy = np.zeros(m, dtype=bool)
+        for s in range(0, cum.size, _GUIDE_BLOCK):
+            x = cum[s:s + _GUIDE_BLOCK] * m
+            k = low[s:s + _GUIDE_BLOCK]
+            k[:] = x  # truncates, and x >= 0
+            busy[k[k != x]] = True
+        return np.cumsum(np.bincount(low, minlength=m + 1)[:m]).astype(np.int32), busy
+
     def draw_sift(self, u: np.ndarray) -> np.ndarray:
         """Flat (sender bit, receivers' string, returned string) indices."""
-        return np.searchsorted(self._sift_cum, u, side="right")
+        k = (u * len(self._lo)).astype(np.intp)
+        out = self._lo[k]
+        busy = np.flatnonzero(self._busy[k])
+        out[busy] = np.searchsorted(self._sift_cum, u[busy], side="right")
+        return out
 
     def draw_ghz(self, u: np.ndarray) -> np.ndarray:
         """GHZ-test results, True where the test passes."""
@@ -411,6 +456,25 @@ def check_rounds(num_rounds: int) -> None:
         raise DomainError(f"negative round count {num_rounds}")
     if num_rounds > ROUNDS_CAP:
         raise CapacityError(f"{num_rounds} rounds exceed ROUNDS_CAP = {ROUNDS_CAP}")
+
+
+def check_ctrl_count(num_ctrl: int) -> None:
+    """Raise unless num_ctrl >= 0; :func:`expand_theta_schedule` also caps it
+    at the round count."""
+    if num_ctrl < 0:
+        raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds")
+
+
+def check_session_seed(seed: int) -> None:
+    """Raise unless a session seed is a non-negative integer."""
+    if seed < 0:
+        raise DomainError(f"session seed {seed} is negative")
+
+
+def check_cut_and_choose_fraction(fraction: float) -> None:
+    """Raise unless the disclosed share of SIFT rounds lies in [0, 1)."""
+    if not 0.0 <= fraction < 1.0:
+        raise DomainError(f"cut-and-choose fraction {fraction} outside [0, 1)")
 
 
 def default_ctrl_count(num_rounds: int) -> int:
@@ -469,7 +533,8 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     check_rounds(num_rounds)
     if num_ctrl is None:
         num_ctrl = default_ctrl_count(num_rounds)
-    if not 0 <= num_ctrl <= num_rounds:
+    check_ctrl_count(num_ctrl)
+    if num_ctrl > num_rounds:
         raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds ({num_rounds})")
     stream = _XofStream(_seed_bytes(seed))
     moved: dict[int, int] = {}  # pool position -> round, where not position + 1
@@ -506,16 +571,19 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     only on the seed and j, whatever the chunk size.  Rounds are sampled in
     chunks of ``_CHUNK``, which bounds the temporaries; the outcome columns
     (see :class:`SessionRecord`) and keys stay O(N) in compact integer dtypes.
+
+    A chunk draws a SIFT outcome for every round from its first uniform,
+    through the sampler's guide table; CTRL rounds then overwrite theirs with
+    a GHZ-test or Z-test draw from that same uniform.  Flat indices split
+    into a, b and c by shifts and masks (d = 2^n), written by slice, and the
+    disclosed and kept rounds are picked out by masks.
     """
-    if not 0.0 <= cut_and_choose_fraction < 1.0:
-        raise DomainError(f"cut-and-choose fraction {cut_and_choose_fraction} "
-                          "outside [0, 1)")
+    check_cut_and_choose_fraction(cut_and_choose_fraction)
     if params.n != attack.n:
         raise ValidationError(f"params n={params.n} != attack n={attack.n}")
     base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
         else int(rng)
-    if base < 0:
-        raise DomainError(f"session seed {base} is negative")
+    check_session_seed(base)
     gen = np.random.Generator(
         np.random.Philox(key=np.random.SeedSequence(base).generate_state(2, np.uint64)))
     sampler = RoundSampler(attack)
@@ -530,30 +598,38 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
         stop = min(start + _CHUNK, num)
         u = gen.random(2 * (stop - start)).reshape(-1, 2)
         th, ca, cb, cc, cg = (col[start:stop] for col in (theta, a, b, c, ghz))
+        abc = sampler.draw_sift(u[:, 0])  # every round; CTRL rounds overwrite
+        ca[:] = abc >> 2 * n
+        cb[:] = (abc >> n) & (d - 1)
+        cc[:] = abc & (d - 1)
         k0, k1 = np.searchsorted(ctrl, (start, stop))
         at = ctrl[k0:k1] - start
         th[at] = 0
+        cb[at] = -1
         ghz_at, z_at = at[k0 % 2::2], at[1 - k0 % 2::2]  # even schedule positions
         passed = sampler.draw_ghz(u[ghz_at, 0])
         cg[ghz_at] = passed
+        ca[ghz_at] = cc[ghz_at] = -1
         az = sampler.draw_ztest(u[z_at, 0])
-        ca[z_at], cc[z_at] = np.divmod(az, d)
-        sift = np.flatnonzero(th)
-        ab, cc[sift] = np.divmod(sampler.draw_sift(u[sift, 0]), d)
-        ca[sift], cb[sift] = np.divmod(ab, d)
-        disclosed = u[sift, 1] < cut_and_choose_fraction
+        ca[z_at] = az >> n
+        cc[z_at] = az & (d - 1)
+        sift = th.view(np.bool_)
+        shown = sift & (u[:, 1] < cut_and_choose_fraction)
+        disclosed = np.flatnonzero(shown)
         tallies += TallyCounts(
             n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
             z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
-            sift_joint_counts=np.bincount(ab[disclosed], minlength=2 * d).reshape(2, d),
-            sift_total=int(disclosed.sum()))
-        kept = sift[~disclosed]
+            sift_joint_counts=np.bincount(abc[disclosed] >> n,
+                                          minlength=2 * d).reshape(2, d),
+            sift_total=disclosed.size)
+        kept = np.flatnonzero(sift & ~shown)
         key_a.append(ca[kept])
         key_b.append(cb[kept])
     bits = np.concatenate(key_b)
     raw_b = np.empty((n, bits.size), dtype=np.uint8)
-    for i in range(n):  # row by row: the temporaries stay one key long
-        raw_b[i] = (bits >> (n - 1 - i)) & 1
+    for i in range(n):  # row by row, cast in place: no key-long temporary
+        np.right_shift(bits, n - 1 - i, out=raw_b[i], casting="unsafe")
+    raw_b &= 1
     return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
                          tallies=tallies,
                          raw_key_alice=np.concatenate(key_a).astype(np.uint8),

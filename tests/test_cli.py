@@ -370,6 +370,24 @@ class TestCleanExits:
         err = self.run_error(capsys, "simulate", "--config", str(cfg))
         assert "run.cfg:1: bad rounds" in err
 
+    @pytest.mark.parametrize("line,msg", [
+        ("q = 1.5", "q=1.5 outside [0, 1]"),
+        ("n = 0", "need at least one receiving party, got n=0"),
+        ("rounds = -1", "negative round count -1"),
+        ("seed = -1", "session seed -1 is negative"),
+        ("ctrl_count = -1", "num_ctrl -1 outside 0..num_rounds"),
+        ("cc_fraction = 1.5", "cut-and-choose fraction 1.5 outside [0, 1)"),
+    ], ids=["q", "n", "rounds", "seed", "ctrl-count", "cc-fraction"])
+    def test_config_value_out_of_range(self, capsys, tmp_path, monkeypatch, line, msg):
+        # the library's own range check, run as the line is read, so the
+        # error names the file and line; the flag is never reached
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a run\n\n\n{line}\n")
+        err = self.run_error(capsys, "simulate", "--config", str(cfg))
+        assert f"run.cfg:4: {msg}" in err
+        assert not (tmp_path / "tallies.txt").exists()
+
     @pytest.mark.parametrize("argv,msg", [
         (("sweep", "--n", "3,x"), "--n '3,x' is not a comma-separated list"),
         (("sweep", "--q", "abc"), "--q 'abc' is not a number or a lo:hi range"),

@@ -9,6 +9,7 @@ from scipy import stats as sstats
 
 from conftest import dense_amps, eve_branch_gram_exact
 from sqcka import estimation, protocol, qmath
+from sqcka.estimation import TallyCounts
 from sqcka.attacks import (
     ConditionalChannelTable,
     DepolarizingParams,
@@ -21,6 +22,7 @@ from sqcka.attacks import (
 from sqcka.protocol import (
     ProtocolParams,
     RoundSampler,
+    SessionRecord,
     ThetaSchedule,
     bob_operation,
     default_ctrl_count,
@@ -398,6 +400,43 @@ class TestSampling:
                         expand_theta_schedule(1, 100), 1)
 
 
+class TestGuideDraw:
+    """The guide draw of SIFT outcomes against the binary search it replaces."""
+
+    @staticmethod
+    def adversarial_uniforms(cum, m):
+        """0, 1 - 2^-53, every table value and every bucket edge k/m (for
+        m <= 2^16), each with its neighbours one ulp away, kept in [0, 1)."""
+        vals = [cum, [0.0, 1.0]]
+        if m <= 1 << 16:
+            vals.append(np.arange(m) / m)
+        vals = np.concatenate(vals)
+        u = np.concatenate([vals, np.nextafter(vals, -1.0), np.nextafter(vals, 2.0)])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("q,qt", [(0.0, 0.0), (0.1, 0.2), (0.5, 0.0)],
+                             ids=["identity", "depolarizing", "q-half"])
+    def test_equals_searchsorted_bit_for_bit(self, n, q, qt):
+        atk = identity_attack(n) if q == qt == 0.0 \
+            else depolarizing_attack(DepolarizingParams(q, qt, n))
+        sampler = RoundSampler(atk)
+        cum, m = sampler._sift_cum, sampler._lo.size
+        assert m & (m - 1) == 0 and m >= cum.size
+        if q == qt == 0.0:
+            # every running sum is 1/2 or 1, repeated over long runs of zero
+            # weight: each lies on a bucket edge, so no bucket is busy
+            assert set(cum.tolist()) == {0.5, 1.0} and not sampler._busy.any()
+        u = np.concatenate([self.adversarial_uniforms(cum, m),
+                            np.random.default_rng(n).random(1 << 16)])
+        for s in range(0, u.size, 1 << 20):  # bounded temporaries at n = 10
+            part = u[s:s + (1 << 20)]
+            np.testing.assert_array_equal(sampler.draw_sift(part),
+                                          np.searchsorted(cum, part, side="right"))
+        assert sampler.draw_sift(np.array([1.0 - 2.0 ** -53]))[0] == \
+            np.searchsorted(cum, 1.0 - 2.0 ** -53, side="right")
+
+
 class TestSchedule:
     def test_deterministic_expansion(self):
         s1 = expand_theta_schedule(b"shared", 16, 4)
@@ -599,3 +638,86 @@ class TestRunSession:
         sched = expand_theta_schedule(b"f", 10, 2)
         with pytest.raises(DomainError):
             run_session(pp, identity_attack(1), sched, 1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The session loop as it was before SIFT outcomes were drawn through the
+# guide table, a whole chunk at a time.  Its chunk loop is kept verbatim as
+# the reference, which every SessionRecord column, both raw keys and the
+# tally text must equal bit for bit; its sampler searches the running sums.
+# ---------------------------------------------------------------------------
+
+
+class SearchSampler(RoundSampler):
+    def draw_sift(self, u):
+        return np.searchsorted(self._sift_cum, u, side="right")
+
+
+def reference_run_session(params, attack, schedule, rng,
+                          cut_and_choose_fraction=0.1):
+    base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
+        else int(rng)
+    gen = np.random.Generator(
+        np.random.Philox(key=np.random.SeedSequence(base).generate_state(2, np.uint64)))
+    _CHUNK = protocol._CHUNK
+    sampler = SearchSampler(attack)
+    n, d, num = attack.n, attack.d, schedule.num_rounds
+    theta = np.ones(num, dtype=np.int8)
+    a, ghz = np.full((2, num), -1, dtype=np.int8)
+    b, c = np.full((2, num), -1, dtype=np.min_scalar_type(-d))  # -1 .. d - 1
+    ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
+    tallies = TallyCounts(n=n)
+    key_a, key_b = [a[:0]], [b[:0]]  # typed and never empty, for concatenate
+    for start in range(0, num, _CHUNK):
+        stop = min(start + _CHUNK, num)
+        u = gen.random(2 * (stop - start)).reshape(-1, 2)
+        th, ca, cb, cc, cg = (col[start:stop] for col in (theta, a, b, c, ghz))
+        k0, k1 = np.searchsorted(ctrl, (start, stop))
+        at = ctrl[k0:k1] - start
+        th[at] = 0
+        ghz_at, z_at = at[k0 % 2::2], at[1 - k0 % 2::2]  # even schedule positions
+        passed = sampler.draw_ghz(u[ghz_at, 0])
+        cg[ghz_at] = passed
+        az = sampler.draw_ztest(u[z_at, 0])
+        ca[z_at], cc[z_at] = np.divmod(az, d)
+        sift = np.flatnonzero(th)
+        ab, cc[sift] = np.divmod(sampler.draw_sift(u[sift, 0]), d)
+        ca[sift], cb[sift] = np.divmod(ab, d)
+        disclosed = u[sift, 1] < cut_and_choose_fraction
+        tallies += TallyCounts(
+            n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
+            z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
+            sift_joint_counts=np.bincount(ab[disclosed], minlength=2 * d).reshape(2, d),
+            sift_total=int(disclosed.sum()))
+        kept = sift[~disclosed]
+        key_a.append(ca[kept])
+        key_b.append(cb[kept])
+    bits = np.concatenate(key_b)
+    raw_b = np.empty((n, bits.size), dtype=np.uint8)
+    for i in range(n):  # row by row: the temporaries stay one key long
+        raw_b[i] = (bits >> (n - 1 - i)) & 1
+    return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
+                         tallies=tallies,
+                         raw_key_alice=np.concatenate(key_a).astype(np.uint8),
+                         raw_key_bobs=raw_b)
+
+
+class TestSessionAgainstReference:
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+    @pytest.mark.parametrize("frac", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_bit_for_bit(self, monkeypatch, n, frac, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, n))
+        sched = expand_theta_schedule(b"reference", 3000, 400)
+        args = (ProtocolParams(n=n), atk, sched, 17, frac)
+        rec, ref = run_session(*args), reference_run_session(*args)
+        for col in ("theta", "a", "b", "c", "ghz_pass", "raw_key_alice",
+                    "raw_key_bobs"):
+            got, want = getattr(rec, col), getattr(ref, col)
+            assert got.dtype == want.dtype and got.shape == want.shape, col
+            assert got.tobytes() == want.tobytes(), col
+        assert estimation.tally_to_text(rec.tallies) == \
+            estimation.tally_to_text(ref.tallies)
+        assert (rec.tallies.sift_total == 0) == (frac == 0.0)
