@@ -269,6 +269,22 @@ class EveGram:
             return np.zeros(same.shape)
         return np.where(same, self.values[np.where(same, row0[zero] + col1[partner], 0)], 0.0)
 
+    def entry(self, x: int, y: int) -> float:
+        """G[x, y] for two distinct flat branches x and y, read from
+        ``members`` and ``values`` in place: 0.0 unless one block holds both.
+        Unlike :meth:`cross`, it builds no per-branch keys."""
+        at = [np.flatnonzero(self.members == b) for b in (x, y)]
+        if not (at[0].size and at[1].size):
+            return 0.0
+        starts, offsets = self._starts
+        px, py = int(at[0][0]), int(at[1][0])
+        blk = np.searchsorted(starts, [px, py], side="right") - 1
+        if blk[0] != blk[1]:
+            return 0.0
+        b = blk[0]
+        return float(self.values[offsets[b] + (px - starts[b]) * self.sizes[b]
+                                 + py - starts[b]])
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense (2, d, d, 2, d, d) Gram, for small d."""
         n = 2 * self.d ** 2

@@ -7,9 +7,12 @@ one pair is written once, in ``_pair_entropy``, over arrays of its weights
 and overlap; ``_pair_terms`` gathers those from a weight table and a Gram
 (checked when built), ``_plan_value`` sums the terms over one plan or a
 stack, and ``theorem1_entropy_bound(terms_from_plan(...))`` is its checked
-entry.  The exhaustive search scores all plans at once; the
-2-opt search recomputes only the two rows or columns of the term table that
-a swap changes, for a batch of swaps at a time.  For the depolarizing channel
+entry.  The exhaustive search scores all plans at once.  The 2-opt search
+screens its swaps by line sums: with one permutation fixed, a swap in the
+other moves the bound by four sums of a line's terms with a partner line,
+so a (d, d) table of them, computed once per phase, decides every swap
+that clears the gain threshold, or misses it, by more than a rounding
+margin; only the others are scored exactly.  For the depolarizing channel
 everything collapses to the term of one pair, the two all-equal branches,
 over numpy arrays: ``DepolarizingParams`` with array strengths gives a whole
 (Q, Q~) grid in one call, and scalar strengths, the 0-d case of the same
@@ -60,9 +63,23 @@ CS_ATOL = 1e-12
 #: of them are scored in one batch.
 MAX_PAIRING_EVALS = 10_000
 
-#: Most term-table entries that one batch of 2-opt swaps holds, so that a
-#: batch's memory does not grow with d; past d = 256 a batch is one table.
+#: Most pair terms, or term-table entries, that the 2-opt search holds
+#: besides its (d, d) arrays, so that its memory does not grow with d: the
+#: terms of the last line sums it computed (d terms each), and the tables
+#: of the swaps it scores exactly at once (d^2 entries each; past d = 256,
+#: one swap).  The swaps it screens at once read at most half as many
+#: terms, so their new lines' terms are still held when they are scored.
 TWO_OPT_BATCH_ENTRIES = 1 << 16
+
+#: Most pair terms that one call computing 2-opt line sums makes.  Its
+#: temporaries then stay in cache: at 2^16 terms a term cost about twice
+#: as much as at 2^13 (2-vCPU VM, numpy 2.4).
+TWO_OPT_CALL_TERMS = 1 << 13
+
+#: Least margin by which a 2-opt swap's screened gain must clear, or miss,
+#: the 1e-15 gain threshold to be decided without an exact score; the
+#: rounding bound it covers is derived in :func:`_two_opt`.
+TWO_OPT_MARGIN = 1e-9
 
 #: Exhaustive pairing search is feasible up to this channel dimension.
 EXHAUSTIVE_DIM = 4
@@ -232,30 +249,79 @@ def _greedy_plan(w: np.ndarray) -> PairingPlan:
                        "greedy")
 
 
-def _swapped(w: np.ndarray, gram: EveGram, pis: np.ndarray, table: np.ndarray,
-             total: float, axis: int, i: np.ndarray,
-             j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds and (k, d, d) term tables of the k plans that swap
-    ``pis[axis][i]`` and ``pis[axis][j]`` in the plan ``pis`` = (pi1, pi2),
-    whose term table is ``table``.
-
-    A swap in pi1 changes rows i and j of the table, one in pi2 columns i
-    and j; only those 2 d terms are computed, the rest is copied.
-    """
-    d = table.shape[0]
-    lines = np.stack([i, j], axis=-1)[..., None]      # (k, 2, 1)
-    moved = pis[axis][np.stack([j, i], axis=-1)][..., None]
-    other = pis[1 - axis]
-    cells = np.arange(d)
+def _line_cells(pis: np.ndarray, axis: int, lines: np.ndarray,
+                partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat bit-0 and bit-1 branches of line ``lines`` (a row b of the
+    term table if ``axis`` is 0, a column b' if 1) paired with partner line
+    ``partners`` (c for a row, c' for a column), the other permutation of
+    ``pis`` = (pi1, pi2) fixed; each entry gives the (d,) branches of one
+    line in cell order."""
+    d = pis.shape[1]
+    lines, partners = lines[:, None], partners[:, None]
+    cells, other = np.arange(d), pis[1 - axis]
     if axis == 0:
-        zero, partner = lines * d + cells, moved * d + other
-    else:
-        zero, partner = cells * d + lines, other * d + moved
+        return lines * d + cells, partners * d + other
+    return cells * d + lines, other * d + partners
+
+
+class _LineTerms:
+    """The (m, d) pair terms of m (line, partner line) entries of one 2-opt
+    phase, for the plan ``pis`` whose permutation ``pis[1 - axis]`` the
+    phase does not change.  The terms of the last ``TWO_OPT_BATCH_ENTRIES``
+    // d entries computed (at most all d^2) are held, the oldest overwritten
+    first, and a call whose entries are all held gathers them instead of
+    computing them again; a term is bitwise the same either way."""
+
+    def __init__(self, w: np.ndarray, gram: EveGram, pis: np.ndarray, axis: int):
+        d = pis.shape[1]
+        self.w, self.gram, self.pis, self.axis = w, gram, pis, axis
+        self.held = np.empty((max(1, min(TWO_OPT_BATCH_ENTRIES // d, d * d)), d))
+        self.slot = np.full(d * d, -1, dtype=np.int32)   # of each held entry
+        self.entry = np.full(len(self.held), -1)         # held in each slot
+        self.head = 0
+
+    def __call__(self, lines: np.ndarray, partners: np.ndarray) -> np.ndarray:
+        flat = lines * self.pis.shape[1] + partners
+        slots = self.slot[flat]
+        if slots.min() >= 0:
+            return self.held[slots]
+        terms = _pair_terms(self.w, self.gram,
+                            *_line_cells(self.pis, self.axis, lines, partners))
+        size = len(self.held)
+        if flat.size <= size:  # hold them, in the slots after the last ones
+            slots = (self.head + np.arange(flat.size)) % size
+            old = self.entry[slots]
+            self.slot[old[old >= 0]] = -1
+            self.slot[flat], self.entry[slots], self.held[slots] = slots, flat, terms
+            self.head = (self.head + flat.size) % size
+        return terms
+
+
+def _swapped(table: np.ndarray, total: float, axis: int, i: np.ndarray,
+             j: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds and (k, d, d) term tables of the k plans whose term table
+    is ``table`` with its lines i and j (rows if ``axis`` is 0, columns if
+    1) replaced by the terms ``lines`` (k, 2, d) of their new pairs: a swap
+    of pi1[i] and pi1[j] (pi2[i] and pi2[j]) changes only those lines.
+    Each table is summed as :func:`_plan_value` sums it."""
     k = i.size
     tables = np.repeat(table[None], k, axis=0)
-    tables.reshape(k, -1)[np.arange(k)[:, None], zero.reshape(k, -1)] = \
-        _pair_terms(w, gram, zero, partner).reshape(k, -1)
+    view = tables if axis == 0 else tables.transpose(0, 2, 1)
+    view[np.arange(k)[:, None], np.stack([i, j], axis=-1)] = lines
     return _table_values(tables, total), tables
+
+
+def _swap_gains(sums: np.ndarray, p: np.ndarray, i: np.ndarray, j: np.ndarray,
+                total: float) -> np.ndarray:
+    """The screen's estimate of the change in the bound when p[i] and p[j]
+    swap, from the line sums ``sums`` of the phase that swaps in p."""
+    return ((sums[i, p[j]] + sums[j, p[i]]) - (sums[i, p[i]] + sums[j, p[j]])) / total
+
+
+def _screen_margin(d: int) -> float:
+    """The margin of the 2-opt screen at dimension d: ``TWO_OPT_MARGIN``, or
+    the rounding bound derived in :func:`_two_opt` where that is larger."""
+    return max(TWO_OPT_MARGIN, (2 * d * d + 4 * d + 16) * 2.0 ** -53)
 
 
 def _two_opt(w: np.ndarray, gram: EveGram, plan: PairingPlan,
@@ -264,39 +330,104 @@ def _two_opt(w: np.ndarray, gram: EveGram, plan: PairingPlan,
 
     Each sweep tries the swaps (i, j), i < j row-major, of pi1 and then of
     pi2, and keeps every swap that raises the bound by over 1e-15; sweeps
-    repeat while one keeps a swap.  The next swaps of a sweep are scored in
-    batches of at most ``TWO_OPT_BATCH_ENTRIES`` table entries against the
-    current plan; the first one that improves is kept, the swaps before it
-    count as scored, and the sweep goes on after it.  So the search, its
-    plan, value and count are those of scoring one swap at a time.
+    repeat while one keeps a swap.  Its plan, value and count of plans
+    scored are those of scoring one swap at a time.
+
+    Each axis of a sweep is a phase, in which the other permutation does
+    not change.  So the sum L[b, c] of the terms of line b paired with
+    partner line c (a row b with pi1[b] = c in a pi1 phase, a column with
+    pi2[b] = c in a pi2 phase) stays valid through the phase, and a swap
+    (i, j) of p changes the bound by the gain
+    (L[i, p[j]] + L[j, p[i]] - L[i, p[i]] - L[j, p[j]]) / total.  The line
+    sums are computed when the next window of swaps first reads them, in
+    calls of ``TWO_OPT_CALL_TERMS`` terms, and kept for the next phase on
+    the same axis while the other permutation stays as it was.  Each
+    window is screened by one gather.  A swap whose gain clears 1e-15 by
+    more than the margin is kept, one that falls short by more than it
+    counts as scored and is passed over, and only the swaps in between are
+    scored exactly, in order, by :func:`_swapped` from the current plan's
+    term table and the held terms of the swapped lines.  That table and
+    the plan's value are computed again only when an exact score, or the
+    return, needs them.
+
+    The margin bounds the rounding in both decisions.  With u = 2^-53,
+    each term t of a pair of weight s has |t| <= s, so the terms of pairs
+    that hold each branch at most once sum, in absolute value, to at most
+    the total weight.  A sum of m such terms, in any order, is off by at
+    most (m - 1) u times that (Higham's bound, to first order).  So the
+    plan's value and the swapped plan's are each off by at most d^2 u from
+    their exact sums of the same terms over ``total``, the threshold
+    best + 1e-15 by u, and the gain, four line sums of d terms (two totals'
+    worth) with three additions and a division, by (2 d + 8) u.  The sum,
+    below (2 d^2 + 4 d + 16) u, is under 1e-9 (``TWO_OPT_MARGIN``) for
+    every d <= 2048; a larger d takes the bound itself.  Exact ties are
+    always scored exactly.
     """
     pis = np.array([plan.pi1, plan.pi2])
     d = pis.shape[1]
     total = w.sum()
-    table = _plan_terms(w, gram, pis[0], pis[1])
-    best = float(_table_values(table, total))
-    evals = 1
+    margin = _screen_margin(d)
     first, second = np.triu_indices(d, 1)
-    batch = max(1, TWO_OPT_BATCH_ENTRIES // (d * d))
+    window = max(1, TWO_OPT_BATCH_ENTRIES // (4 * d))  # swaps screened at once
+    per_call = max(1, TWO_OPT_CALL_TERMS // d)         # line sums per call
+    rescored = max(1, TWO_OPT_BATCH_ENTRIES // (d * d))
+    cells = np.arange(d)
+    table = None  # the current plan's term table, once an exact score needs it
+    saved = [None, None]  # each axis's last line sums, and the plan they were for
+    evals = 1
     improved = True
     while improved and evals < budget:
         improved = False
         for axis in (0, 1):
+            p = pis[axis]
+            terms = _LineTerms(w, gram, pis, axis)
+            if saved[axis] is None or not np.array_equal(saved[axis][0], pis[1 - axis]):
+                saved[axis] = (pis[1 - axis].copy(), np.full((d, d), np.nan))
+            sums = saved[axis][1]  # NaN: not computed yet
+            full = not np.isnan(sums).any()
             pos = 0
             while pos < first.size and evals < budget:
-                end = min(pos + batch, first.size, pos + budget - evals)
-                vals, tables = _swapped(w, gram, pis, table, total, axis,
-                                        first[pos:end], second[pos:end])
-                hits = np.flatnonzero(vals > best + 1e-15)
-                if hits.size:  # keep the first improving swap, go on after it
-                    k = int(hits[0])
-                    i, j = first[pos + k], second[pos + k]
-                    pis[axis, [i, j]] = pis[axis, [j, i]]
-                    table, best = tables[k], float(vals[k])
+                end = min(first.size, pos + budget - evals, pos + window)
+                i, j = first[pos:end], second[pos:end]
+                if not full:
+                    rows = np.concatenate([i, j, i, j])
+                    cols = p[np.concatenate([i, j, j, i])]
+                    miss = np.unique((rows * d + cols)[np.isnan(sums[rows, cols])])
+                    for s in range(0, miss.size, per_call):
+                        r, c = np.divmod(miss[s:s + per_call], d)
+                        sums[r, c] = terms(r, c).sum(axis=1)
+                    full = not np.isnan(sums).any()
+                gain = _swap_gains(sums, p, i, j, total)
+                live = np.flatnonzero(gain >= 1e-15 - margin)
+                sure = np.flatnonzero(gain[live] > 1e-15 + margin)
+                keep = bool(sure.size)  # the first sure swap, unless one before it is
+                k = int(live[sure[0]]) if keep else end - pos - 1
+                undecided = live[:sure[0]] if keep else live
+                for s in range(0, undecided.size, rescored):
+                    todo = undecided[s:s + rescored]
+                    if table is None:
+                        table = terms(cells, p[cells])
+                        table = table if axis == 0 else np.ascontiguousarray(table.T)
+                        best = float(_table_values(table, total))
+                    a, b = i[todo], j[todo]
+                    lines = terms(np.concatenate([a, b]), p[np.concatenate([b, a])])
+                    vals, tables = _swapped(table, total, axis, a, b,
+                                            lines.reshape(2, -1, d).transpose(1, 0, 2))
+                    hits = np.flatnonzero(vals > best + 1e-15)
+                    if hits.size:
+                        k, keep = int(todo[hits[0]]), True
+                        table, best = tables[hits[0]], float(vals[hits[0]])
+                        break
+                else:
+                    if keep:  # kept by the screen: the table is stale
+                        table = None
+                if keep:
+                    p[[i[k], j[k]]] = p[[j[k], i[k]]]
                     improved = True
-                    end = pos + k + 1
-                evals += end - pos
-                pos = end
+                evals += k + 1
+                pos += k + 1
+    if table is None:
+        best = _plan_value(w, gram, pis[0], pis[1])
     return (PairingPlan(tuple(int(x) for x in pis[0]), tuple(int(x) for x in pis[1]),
                         "greedy2opt"), best, evals)
 

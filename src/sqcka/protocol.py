@@ -347,8 +347,8 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
         joint = weights / 2.0
         w000 = joint[0, 0, 0]
         w111 = joint[1, d - 1, d - 1]
-        # G[(0, 0, 0), (1, d-1, d-1)], the bit-0 string 0 and bit-1 string d^2 - 1
-        cross = math.sqrt(w000 * w111) * attack.gram.cross(0, d * d - 1)
+        # G[(0, 0, 0), (1, d-1, d-1)], the first and the last branch
+        cross = math.sqrt(w000 * w111) * attack.gram.entry(0, 2 * d * d - 1)
         return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=float(cross))
     # reflection branch: coherent over b inside Eve's register, so q_ac also
     # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c

@@ -398,6 +398,22 @@ class TestValuesHeldOnce:
             assert got.shape == (d * d, d * d)
             assert got.tobytes() == dense[zero, d * d + partner].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_entry_equals_the_dense_lookup(self, n):
+        # every pair of distinct branches, inside, across and outside blocks
+        rng = np.random.default_rng([n, 21])
+        d = 1 << n
+        sizes = rng.integers(1, 4, size=2 * d * d)
+        grams = [random_table_attack(rng, n).gram, identity_gram(d),
+                 depolarizing_gram(DepolarizingParams(0.3, 0.1, n)),
+                 validate_gram(block_diagonal_gram(
+                     rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]), d)]
+        for gram in grams:
+            dense = np.asarray(gram).reshape(2 * d * d, -1)
+            for x, y in itertools.permutations(range(2 * d * d), 2):
+                got = gram.entry(x, y)
+                assert type(got) is float and got == dense[x, y]
+
     def test_dense_n4_attack_builds_under_8_mib(self):
         # the 512 x 512 Gram is 2 MiB; the gathered stacks peaked at 8.3 MiB
         rng = np.random.default_rng(19)

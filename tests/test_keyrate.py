@@ -489,6 +489,74 @@ class TestBatchedTwoOpt:
         # search inside its first one
         assert {1, 2, 3, 50} <= set(hit)
 
+    @staticmethod
+    def tie_case(name, n):
+        """Weights and Gram whose swaps tie exactly, or nearly: the screen
+        must leave those to exact scores."""
+        if name == "identity":
+            atk = identity_attack(n)
+            return atk.tables.weights, atk.gram
+        if name == "zeroed":  # random tables with zero rows and columns
+            atk = random_table_attack(np.random.default_rng(80 + n), n)
+            w = np.array(atk.tables.weights)
+            w[0, 0] = w[0, :, 1] = w[1, 2] = w[1, :, 0] = 0.0
+            return w, atk.gram
+        if name == "faint":  # half the rows 1e-10 as heavy: their swaps gain
+            atk = random_table_attack(np.random.default_rng(90 + n), n)  # < 1e-9
+            w = np.array(atk.tables.weights)
+            w[:, : 1 << (n - 1)] *= 1e-10
+            return w, atk.gram
+        q, qt = {"q0": (0.0, 0.3), "qtilde0": (0.3, 0.0), "half": (0.5, 0.5)}[name]
+        atk = depolarizing_attack(DepolarizingParams(q, qt, n))
+        return atk.tables.weights, atk.gram
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["identity", "zeroed", "q0", "qtilde0", "half", "faint"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bitwise_on_ties(self, name, n):
+        w, gram = self.tie_case(name, n)
+        w = keyrate._checked_weights(w)
+        d = 1 << n
+        for seed in (identity_plan(d), complement_plan(d), keyrate._greedy_plan(w)):
+            for budget in sorted(self.BUDGETS + (7,)):
+                plan, best, evals = keyrate._two_opt(w, gram, seed, budget)
+                ref_plan, ref_best, ref_evals = reference_two_opt(w, gram, seed, budget)
+                assert (plan.pi1, plan.pi2) == (ref_plan.pi1, ref_plan.pi2)
+                assert type(best) is float and best == ref_best
+                assert evals == ref_evals
+
+    @pytest.mark.parametrize("kind,n", [("random", 3), ("random", 4), ("random", 5),
+                                        ("depolarizing", 3), ("depolarizing", 4),
+                                        ("depolarizing", 5), ("depolarizing", 6)])
+    def test_screen_within_a_thousandth_of_its_margin(self, kind, n):
+        # every swap of two random plans: the line-sum gain against the
+        # change in the exactly scored bound
+        if kind == "random":
+            atk = random_table_attack(np.random.default_rng(70 + n), n)
+        else:
+            atk = depolarizing_attack(DepolarizingParams(0.15, 0.25, n))
+        w = keyrate._checked_weights(atk.tables.weights)
+        d = 1 << n
+        rng = np.random.default_rng(75 + n)
+        i, j = np.triu_indices(d, 1)
+        k = np.arange(i.size)
+        worst = 0.0
+        for _ in range(2):
+            pis = np.array([rng.permutation(d), rng.permutation(d)])
+            value = keyrate._plan_value(w, atk.gram, pis[0], pis[1])
+            for axis in (0, 1):
+                lines, partners = np.divmod(np.arange(d * d), d)
+                sums = keyrate._LineTerms(w, atk.gram, pis, axis)(lines, partners)
+                gain = keyrate._swap_gains(sums.sum(axis=1).reshape(d, d), pis[axis],
+                                           i, j, w.sum())
+                swapped = np.repeat(pis[None], i.size, axis=0)
+                swapped[k, axis, i], swapped[k, axis, j] = pis[axis, j], pis[axis, i]
+                exact = np.concatenate([
+                    keyrate._plan_value(w, atk.gram, part[:, 0], part[:, 1])
+                    for part in np.array_split(swapped, -(-i.size // 64))]) - value
+                worst = max(worst, float(np.max(np.abs(gain - exact))))
+        assert worst <= keyrate._screen_margin(d) / 1000
+
 
 class TestDepolarizingClosedForms:
     def test_noiseless_modes(self):

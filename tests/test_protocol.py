@@ -226,6 +226,21 @@ class TestRunRoundExact:
                 round_statistics(atk, 0)
             assert str(exact.value) == str(analytic.value)
 
+    def test_sift_statistics_at_n10_keep_no_gram_keys(self):
+        # reading the one overlap left 48 MiB of per-branch keys on the Gram
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 10))
+        tracemalloc.start()
+        try:
+            stats = round_statistics(atk, 1)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained - stats.abc_joint.nbytes < 2 ** 20
+        # bitwise the overlap that the per-branch keys read
+        joint = stats.abc_joint
+        via_keys = math.sqrt(joint[0, 0, 0] * joint[1, -1, -1]) * atk.gram.cross(0, 1024 ** 2 - 1)
+        assert stats.cross_overlap == float(via_keys) != 0.0
+
     def test_capacity_error_for_large_n(self):
         pp = ProtocolParams(n=4)
         with pytest.raises(qmath.CapacityError):
