@@ -153,8 +153,10 @@ class EveGram:
     identity except on ``members``, which lists the branches of each block
     in turn, ascending within a block; ``sizes`` holds the block sizes and
     ``values`` the blocks, row-major, one after another.  The values are
-    held once: :meth:`cross` reads them in place, and :meth:`stacks` returns
-    views of them where the blocks of one size are adjacent.  Branches in
+    held once and have three readers, one per access pattern:
+    :meth:`entries` lists every stored entry flat, :meth:`stacks` gives the
+    blocks by size (views where the blocks of one size are adjacent), and
+    :meth:`cross` reads bit-0/bit-1 pairs in place.  Branches in
     different blocks, or outside every block, are orthogonal.  Each block is
     checked here: finite, symmetric, unit diagonal and PSD within
     ``GRAM_PSD_ATOL``, so every entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
@@ -268,22 +270,6 @@ class EveGram:
         if not self.values.size:  # no blocks: every pair is orthogonal
             return np.zeros(same.shape)
         return np.where(same, self.values[np.where(same, row0[zero] + col1[partner], 0)], 0.0)
-
-    def entry(self, x: int, y: int) -> float:
-        """G[x, y] for two distinct flat branches x and y, read from
-        ``members`` and ``values`` in place: 0.0 unless one block holds both.
-        Unlike :meth:`cross`, it builds no per-branch keys."""
-        at = [np.flatnonzero(self.members == b) for b in (x, y)]
-        if not (at[0].size and at[1].size):
-            return 0.0
-        starts, offsets = self._starts
-        px, py = int(at[0][0]), int(at[1][0])
-        blk = np.searchsorted(starts, [px, py], side="right") - 1
-        if blk[0] != blk[1]:
-            return 0.0
-        b = blk[0]
-        return float(self.values[offsets[b] + (px - starts[b]) * self.sizes[b]
-                                 + py - starts[b]])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense (2, d, d, 2, d, d) Gram, for small d."""

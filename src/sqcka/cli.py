@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import field, make_dataclass, replace
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
@@ -336,41 +336,20 @@ def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
 SWEEP_HEADER = "n,q,qtilde,mode,p_ghz,q_bob,s_lower,leakage,r_min"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A resolved sweep grid: receiver counts, strength grids, modes."""
-
-    ns: tuple[int, ...]
-    qs: tuple[float, ...]
-    qtildes: tuple[float, ...]
-    modes: tuple[str, ...]
-    out: str | None = None
-
-    def __post_init__(self):
-        if any(n < 1 for n in self.ns):
-            raise qmath.DomainError("receiver counts must be >= 1")
-        for grid in (self.qs, self.qtildes):
-            if any(not 0.0 <= v <= 1.0 for v in grid):
-                raise qmath.DomainError("strength grids must lie in [0, 1]")
-        for mode in self.modes:
-            if mode not in MODES:
-                raise qmath.DomainError(f"unknown mode {mode!r}")
-
-
-def _sweep_rows(spec: SweepSpec):
+def _sweep_rows(ns, qs, qtildes, modes):
     """CSV text in (n, q, qtilde, mode) order, one chunk per (n, q) row.
 
     Each n's (q, qtilde) grid is one array call per mode.  Each axis value
     is formatted once, and q_bob and the leakage, which depend on q alone,
     once per q row; the values are formatted one q row at a time.
     """
-    q, qt = np.meshgrid(spec.qs, spec.qtildes, indexing="ij")
-    q_s, qt_s = _fmt_all(spec.qs), _fmt_all(spec.qtildes)
+    q, qt = np.meshgrid(qs, qtildes, indexing="ij")
+    q_s, qt_s = _fmt_all(qs), _fmt_all(qtildes)
     bob_s = _fmt_all(keyrate.qbob(q[:, 0]))
-    for n in spec.ns:
+    for n in ns:
         params = DepolarizingParams(q, qt, n)
         pg = p_ghz_analytic(params)
-        reps = [keyrate.depolarizing_keyrate(params, mode) for mode in spec.modes]
+        reps = [keyrate.depolarizing_keyrate(params, mode) for mode in modes]
         leak_s = _fmt_all(reps[0].leakage[:, 0])
         for i, q_i in enumerate(q_s):
             head, bob = f"{n},{q_i},", f",{bob_s[i]},"
@@ -378,7 +357,7 @@ def _sweep_rows(spec: SweepSpec):
                 [f"{head}{qt_j},{mode},{pg_j}{bob}{s},{leak_s[i]},{r}\n"
                  for qt_j, pg_j, s, r in zip(qt_s, _fmt_all(pg[i]), _fmt_all(rep.s_lower[i]),
                                              _fmt_all(rep.r_min[i]))]
-                for mode, rep in zip(spec.modes, reps))
+                for mode, rep in zip(modes, reps))
 
 
 def _interleave(columns) -> str:
@@ -407,9 +386,12 @@ def cmd_sweep(args) -> int:
                                             for text, flag in ranges)
     if rows > GRID_CAP:
         raise qmath.CapacityError(f"the sweep has {rows} rows, over GRID_CAP = {GRID_CAP}")
-    qs, qtildes = (tuple(_parse_range(text, args.q_step, flag)) for text, flag in ranges)
-    spec = SweepSpec(ns=ns, qs=qs, qtildes=qtildes, modes=modes, out=args.out)
-    _write_csv(spec.out, SWEEP_HEADER, _sweep_rows(spec))
+    qs, qtildes = (_parse_range(text, args.q_step, flag) for text, flag in ranges)
+    if min(ns) < 1:
+        raise qmath.DomainError("receiver counts must be >= 1")
+    if not all(0.0 <= v <= 1.0 for v in qs + qtildes):
+        raise qmath.DomainError("strength grids must lie in [0, 1]")
+    _write_csv(args.out, SWEEP_HEADER, _sweep_rows(ns, qs, qtildes, modes))
     return 0
 
 
@@ -526,14 +508,12 @@ def cmd_simulate(args) -> int:
 
     attack = _attack_from_config(cfg)
     params = protocol.ProtocolParams(n=cfg.n)
-    ctrl = cfg.ctrl_count if cfg.ctrl_count is not None \
-        else protocol.default_ctrl_count(cfg.rounds)
-    schedule = protocol.expand_theta_schedule(cfg.seed, cfg.rounds, ctrl)
+    schedule = protocol.expand_theta_schedule(cfg.seed, cfg.rounds, cfg.ctrl_count)
     record = protocol.run_session(params, attack, schedule, cfg.seed,
                                   cfg.cc_fraction)
     t = record.tallies
 
-    print(f"session: n={cfg.n} rounds={cfg.rounds} ctrl={ctrl} seed={cfg.seed} "
+    print(f"session: n={cfg.n} rounds={cfg.rounds} ctrl={schedule.num_ctrl} seed={cfg.seed} "
           f"attack={attack.label}")
     print(f"raw key length: {record.raw_key_alice.size}")
 

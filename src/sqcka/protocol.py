@@ -48,8 +48,13 @@ from .qmath import (
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-#: Cap on a session's round count: its outcome columns take ~5 bytes a round.
+#: Cap on a session's round count.  A session holds its outcome columns and
+#: raw keys, 8.6-16.9 B a round as measured in the README (n = 3 to 10).
 ROUNDS_CAP = 10 ** 8
+
+#: Cap on a session's CTRL round count: expanding the schedule holds about
+#: 250 B per CTRL index.  The default, ceil(sqrt(N)), is at most 10^4.
+CTRL_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -343,16 +348,17 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     d = attack.d
     weights = attack.tables.weights
+    x, y, g = attack.gram.entries()
     if theta == 1:
         joint = weights / 2.0
-        w000 = joint[0, 0, 0]
-        w111 = joint[1, d - 1, d - 1]
-        # G[(0, 0, 0), (1, d-1, d-1)], the first and the last branch
-        cross = math.sqrt(w000 * w111) * attack.gram.entry(0, 2 * d * d - 1)
-        return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=float(cross))
+        # G[(0, 0, 0), (1, d-1, d-1)], the first and the last branch: stored
+        # only if one block holds both, and 0.0 otherwise
+        ends = g[(x == 0) & (y == 2 * d * d - 1)]
+        cross = math.sqrt(joint[0, 0, 0] * joint[1, d - 1, d - 1]) * (
+            float(ends[0]) if ends.size else 0.0)
+        return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=cross)
     # reflection branch: coherent over b inside Eve's register, so q_ac also
     # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c
-    x, y, g = attack.gram.entries()
     flat = weights.reshape(-1)
     term = np.sqrt(flat[x] * flat[y]) * g
     (ax, _, cx), (ay, _, cy) = (np.unravel_index(i, (2, d, d)) for i in (x, y))
@@ -459,10 +465,12 @@ def check_rounds(num_rounds: int) -> None:
 
 
 def check_ctrl_count(num_ctrl: int) -> None:
-    """Raise unless num_ctrl >= 0; :func:`expand_theta_schedule` also caps it
-    at the round count."""
+    """Raise, before any allocation, unless 0 <= num_ctrl <= ``CTRL_CAP``;
+    :func:`expand_theta_schedule` also caps it at the round count."""
     if num_ctrl < 0:
         raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds")
+    if num_ctrl > CTRL_CAP:
+        raise CapacityError(f"{num_ctrl} CTRL rounds exceed CTRL_CAP = {CTRL_CAP}")
 
 
 def check_session_seed(seed: int) -> None:

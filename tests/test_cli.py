@@ -376,8 +376,9 @@ class TestCleanExits:
         ("rounds = -1", "negative round count -1"),
         ("seed = -1", "session seed -1 is negative"),
         ("ctrl_count = -1", "num_ctrl -1 outside 0..num_rounds"),
+        ("ctrl_count = 1000001", "1000001 CTRL rounds exceed CTRL_CAP = 1000000"),
         ("cc_fraction = 1.5", "cut-and-choose fraction 1.5 outside [0, 1)"),
-    ], ids=["q", "n", "rounds", "seed", "ctrl-count", "cc-fraction"])
+    ], ids=["q", "n", "rounds", "seed", "ctrl-count", "ctrl-cap", "cc-fraction"])
     def test_config_value_out_of_range(self, capsys, tmp_path, monkeypatch, line, msg):
         # the library's own range check, run as the line is read, so the
         # error names the file and line; the flag is never reached
@@ -399,6 +400,8 @@ class TestCleanExits:
          "rows, over GRID_CAP"),
         (("simulate", "--rounds", "1000000000000", "--ctrl-count", "10"),
          "exceed ROUNDS_CAP"),
+        (("simulate", "--rounds", "1000001", "--ctrl-count", "1000001"),
+         "1000001 CTRL rounds exceed CTRL_CAP = 1000000"),
         (("simulate", "--rounds", "1e5"), "argument --rounds: invalid int value: '1e5'"),
         (("simulate", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
         (("sweep", "--mode", "bogus"), "argument --mode: invalid choice: 'bogus'"),
@@ -406,8 +409,8 @@ class TestCleanExits:
         (("sweep", "--n", "0"), "receiver counts must be >= 1"),
         (("sweep", "--q", "0:1.5"), "strength grids must lie in [0, 1]"),
     ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "sweep-rows",
-            "rounds", "rounds-not-int", "n-not-int", "mode-choice", "q-step-not-float",
-            "sweep-n-zero", "sweep-q-past-1"])
+            "rounds", "ctrl-cap", "rounds-not-int", "n-not-int", "mode-choice",
+            "q-step-not-float", "sweep-n-zero", "sweep-q-past-1"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

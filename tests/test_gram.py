@@ -8,6 +8,7 @@ pairing bound against the oracles at the sizes the paper uses.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -399,20 +400,29 @@ class TestValuesHeldOnce:
             assert got.tobytes() == dense[zero, d * d + partner].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_entry_equals_the_dense_lookup(self, n):
-        # every pair of distinct branches, inside, across and outside blocks
+    def test_sift_overlap_equals_the_dense_lookup(self, n):
+        # bit for bit, with the two all-equal branches (0, 0, 0) and
+        # (1, d-1, d-1) in one block, in two blocks and outside every block
         rng = np.random.default_rng([n, 21])
         d = 1 << n
+        last = 2 * d * d - 1
+        apart = np.eye(2 * d * d)
+        for pair in ((0, 1), (last - 1, last)):
+            apart[np.ix_(pair, pair)] = random_block(rng, 2, 2)
         sizes = rng.integers(1, 4, size=2 * d * d)
-        grams = [random_table_attack(rng, n).gram, identity_gram(d),
-                 depolarizing_gram(DepolarizingParams(0.3, 0.1, n)),
-                 validate_gram(block_diagonal_gram(
-                     rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]), d)]
-        for gram in grams:
-            dense = np.asarray(gram).reshape(2 * d * d, -1)
-            for x, y in itertools.permutations(range(2 * d * d), 2):
-                got = gram.entry(x, y)
-                assert type(got) is float and got == dense[x, y]
+        tables = random_table_attack(rng, n).tables
+        attacks = [random_table_attack(rng, n), identity_attack(n),
+                   depolarizing_attack(DepolarizingParams(0.3, 0.1, n))]
+        attacks += [attack_from_tables(tables, gram) for gram in (
+            identity_gram(d), apart.reshape((2, d, d) * 2),
+            block_diagonal_gram(rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]))]
+        for atk in attacks:
+            w = atk.tables.weights / 2.0
+            dense = np.asarray(atk.gram).reshape(2 * d * d, -1)
+            want = math.sqrt(w[0, 0, 0] * w[1, d - 1, d - 1]) * float(dense[0, last])
+            got = protocol.round_statistics(atk, 1).cross_overlap
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_dense_n4_attack_builds_under_8_mib(self):
         # the 512 x 512 Gram is 2 MiB; the gathered stacks peaked at 8.3 MiB

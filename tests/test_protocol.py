@@ -491,6 +491,14 @@ class TestSchedule:
                                       ctrl_indices=(1,)), 1)
         assert expand_theta_schedule(b"x", protocol.ROUNDS_CAP, 2).num_ctrl == 2
 
+    def test_ctrl_cap_checked_before_expanding(self, monkeypatch):
+        # 10^8 CTRL indices would take about 22 GB to expand
+        def no_stream(seed):
+            raise AssertionError("the schedule was expanded")
+        monkeypatch.setattr(protocol, "_XofStream", no_stream)
+        with pytest.raises(qmath.CapacityError, match="CTRL_CAP"):
+            expand_theta_schedule(1, 10 ** 8, protocol.CTRL_CAP + 1)
+
     def test_negative_round_count_rejected(self):
         # refused when the schedule is built, not by numpy in run_session
         with pytest.raises(DomainError, match="negative round count -5"):
