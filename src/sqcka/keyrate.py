@@ -175,21 +175,16 @@ def _table_values(terms: np.ndarray, total: float) -> np.ndarray:
     return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1) / total
 
 
-def _plan_terms(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
-                pi2: np.ndarray) -> np.ndarray:
-    """The (..., d, d) pair terms of each plan; branch (0, b, b') pairs with
-    (1, pi1[b], pi2[b'])."""
-    d = w.shape[1]
-    return _pair_terms(w, gram, np.arange(d * d).reshape(d, d), _partners(pi1, pi2))
-
-
 def _plan_value(w: np.ndarray, gram: EveGram, pi1: np.ndarray,
                 pi2: np.ndarray) -> float | np.ndarray:
     """The Theorem-1 bound on non-negative weights, in bits, of one plan (a
     float) or of a stack: ``pi1`` and ``pi2`` broadcast over leading axes.
-    Each plan's terms are summed over its own axis, so that it scores
-    bitwise the same alone or in a stack."""
-    return float_or_array(_table_values(_plan_terms(w, gram, pi1, pi2), w.sum()))
+    Branch (0, b, b') pairs with (1, pi1[b], pi2[b']), and each plan's
+    (d, d) terms are summed over its own axis, so that it scores bitwise the
+    same alone or in a stack."""
+    d = w.shape[1]
+    terms = _pair_terms(w, gram, np.arange(d * d).reshape(d, d), _partners(pi1, pi2))
+    return float_or_array(_table_values(terms, w.sum()))
 
 
 def _checked_weights(weights: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,13 +44,13 @@ from .qmath import (
     complement_index,
     slice_overlap,
     subsystem_probabilities,
-    tensor_all,
+    tensor,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-#: Cap on a session's round count.  A session holds its outcome columns and
-#: raw keys, 8.6-16.9 B a round as measured in the README (n = 3 to 10).
+#: Cap on a session's round count.  A session holds its outcome columns: 6 B
+#: a round up to n = 7, and 8 B from n = 8 on, where b and c are int16.
 ROUNDS_CAP = 10 ** 8
 
 #: Cap on a session's CTRL round count: expanding the schedule holds about
@@ -77,12 +78,14 @@ class ThetaSchedule:
 
     def __post_init__(self):
         check_rounds(self.num_rounds)
-        idx = tuple(int(j) for j in self.ctrl_indices)
-        if list(idx) != sorted(set(idx)):
+        idx = np.asarray(self.ctrl_indices)
+        if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+            raise ValidationError("ctrl_indices must be a sequence of integers")
+        if (idx[1:] <= idx[:-1]).any():
             raise ValidationError("ctrl_indices must be strictly increasing")
-        if idx and not (1 <= idx[0] and idx[-1] <= self.num_rounds):
+        if idx.size and not (1 <= idx[0] and idx[-1] <= self.num_rounds):
             raise ValidationError("ctrl_indices outside 1..num_rounds")
-        object.__setattr__(self, "ctrl_indices", idx)
+        object.__setattr__(self, "ctrl_indices", tuple(map(int, self.ctrl_indices)))
 
     @property
     def num_ctrl(self) -> int:
@@ -99,6 +102,9 @@ class SessionRecord:
     (SIFT and Z-test rounds), ``b`` the receivers' string (SIFT), ``c`` the
     returned string (SIFT and Z-test) and ``ghz_pass`` the GHZ-test result
     (GHZ-test rounds).  Strings are big-endian integer indices.
+    ``disclosed`` marks the SIFT rounds disclosed for estimation; the other
+    SIFT rounds are the key rounds, which the ``raw_key_*`` properties read
+    through a bool mask (an index array would take 8 B per key round).
     """
 
     theta: np.ndarray
@@ -106,9 +112,23 @@ class SessionRecord:
     b: np.ndarray
     c: np.ndarray
     ghz_pass: np.ndarray
+    disclosed: np.ndarray
     tallies: TallyCounts
-    raw_key_alice: np.ndarray
-    raw_key_bobs: np.ndarray
+
+    @property
+    def raw_key_alice(self) -> np.ndarray:
+        """The sender bit of each key round, as uint8."""
+        return self.a[(self.theta == 1) & ~self.disclosed].view(np.uint8)
+
+    @property
+    def raw_key_bobs(self) -> np.ndarray:
+        """Receiver i's bit of each key round in row i, as uint8."""
+        n, bits = self.tallies.n, self.b[(self.theta == 1) & ~self.disclosed]
+        raw = np.empty((n, bits.size), dtype=np.uint8)
+        for i in range(n):  # row by row, cast in place: no (n, K) temporary
+            np.right_shift(bits, n - 1 - i, out=raw[i], casting="unsafe")
+        raw &= 1
+        return raw
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,7 @@ def _with_environments(pairs: list[tuple[str, int]], parts: list[StateVector],
     layout = RegisterLayout(pairs)
     if layout.total_dim > DIM_CAP:
         raise CapacityError(f"round state dim {layout.total_dim} exceeds cap {DIM_CAP}")
-    psi = tensor_all(parts + [StateVector(leg.env_state) for _, leg in legs])
+    psi = reduce(tensor, parts + [StateVector(leg.env_state) for _, leg in legs])
     return psi, layout, targets
 
 
@@ -457,7 +477,9 @@ class RoundSampler:
 
 
 def check_rounds(num_rounds: int) -> None:
-    """Raise, before any allocation, unless 0 <= num_rounds <= ``ROUNDS_CAP``."""
+    """Raise, before any allocation, unless num_rounds is an int in 0..``ROUNDS_CAP``."""
+    if not isinstance(num_rounds, (int, np.integer)):
+        raise ValidationError(f"round count {num_rounds!r} is not an integer")
     if num_rounds < 0:
         raise DomainError(f"negative round count {num_rounds}")
     if num_rounds > ROUNDS_CAP:
@@ -565,12 +587,12 @@ _CHUNK = 1 << 16
 def run_session(params: ProtocolParams, attack: CollectiveAttack,
                 schedule: ThetaSchedule, rng,
                 cut_and_choose_fraction: float = 0.1) -> SessionRecord:
-    """Run a full session: sampled rounds, tallies, raw keys.
+    """Run a full session: sampled rounds and their tallies.
 
     CTRL rounds alternate GHZ test / Z cut-and-choose test by their position
     in the schedule (even positions test GHZ).  The given fraction of SIFT
-    rounds is publicly disclosed for parameter estimation and excluded from
-    the raw keys.
+    rounds is publicly disclosed for parameter estimation, as the
+    ``disclosed`` column marks; the other SIFT rounds make the raw keys.
 
     Randomness is one stream: the session seed (a non-negative ``int``, or
     one draw from a ``Generator``) keys a Philox4x64 generator, read in round
@@ -578,13 +600,13 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     and 2(j-1) + 1, the disclosure draw of SIFT rounds.  So a round depends
     only on the seed and j, whatever the chunk size.  Rounds are sampled in
     chunks of ``_CHUNK``, which bounds the temporaries; the outcome columns
-    (see :class:`SessionRecord`) and keys stay O(N) in compact integer dtypes.
+    (see :class:`SessionRecord`) stay O(N) in compact dtypes.
 
     A chunk draws a SIFT outcome for every round from its first uniform,
     through the sampler's guide table; CTRL rounds then overwrite theirs with
     a GHZ-test or Z-test draw from that same uniform.  Flat indices split
     into a, b and c by shifts and masks (d = 2^n), written by slice, and the
-    disclosed and kept rounds are picked out by masks.
+    disclosed rounds are marked by a mask.
     """
     check_cut_and_choose_fraction(cut_and_choose_fraction)
     if params.n != attack.n:
@@ -599,13 +621,14 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
     theta = np.ones(num, dtype=np.int8)
     a, ghz = np.full((2, num), -1, dtype=np.int8)
     b, c = np.full((2, num), -1, dtype=np.min_scalar_type(-d))  # -1 .. d - 1
+    disclosed = np.zeros(num, dtype=np.bool_)
     ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
     tallies = TallyCounts(n=n)
-    key_a, key_b = [a[:0]], [b[:0]]  # typed and never empty, for concatenate
     for start in range(0, num, _CHUNK):
         stop = min(start + _CHUNK, num)
         u = gen.random(2 * (stop - start)).reshape(-1, 2)
-        th, ca, cb, cc, cg = (col[start:stop] for col in (theta, a, b, c, ghz))
+        th, ca, cb, cc, cg, shown = (col[start:stop]
+                                     for col in (theta, a, b, c, ghz, disclosed))
         abc = sampler.draw_sift(u[:, 0])  # every round; CTRL rounds overwrite
         ca[:] = abc >> 2 * n
         cb[:] = (abc >> n) & (d - 1)
@@ -621,24 +644,12 @@ def run_session(params: ProtocolParams, attack: CollectiveAttack,
         az = sampler.draw_ztest(u[z_at, 0])
         ca[z_at] = az >> n
         cc[z_at] = az & (d - 1)
-        sift = th.view(np.bool_)
-        shown = sift & (u[:, 1] < cut_and_choose_fraction)
-        disclosed = np.flatnonzero(shown)
+        shown[:] = th.view(np.bool_) & (u[:, 1] < cut_and_choose_fraction)
         tallies += TallyCounts(
             n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
             z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
-            sift_joint_counts=np.bincount(abc[disclosed] >> n,
+            sift_joint_counts=np.bincount(abc[np.flatnonzero(shown)] >> n,
                                           minlength=2 * d).reshape(2, d),
-            sift_total=disclosed.size)
-        kept = np.flatnonzero(sift & ~shown)
-        key_a.append(ca[kept])
-        key_b.append(cb[kept])
-    bits = np.concatenate(key_b)
-    raw_b = np.empty((n, bits.size), dtype=np.uint8)
-    for i in range(n):  # row by row, cast in place: no key-long temporary
-        np.right_shift(bits, n - 1 - i, out=raw_b[i], casting="unsafe")
-    raw_b &= 1
+            sift_total=np.count_nonzero(shown))
     return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
-                         tallies=tallies,
-                         raw_key_alice=np.concatenate(key_a).astype(np.uint8),
-                         raw_key_bobs=raw_b)
+                         disclosed=disclosed, tallies=tallies)

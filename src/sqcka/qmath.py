@@ -224,13 +224,6 @@ def tensor(x: StateVector, y: StateVector) -> StateVector:
     return StateVector(np.multiply.outer(x.values, y.values).reshape(-1), index, dim)
 
 
-def tensor_all(states: Sequence[StateVector]) -> StateVector:
-    out = states[0]
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
-
-
 def _check_permutation(perm, dim: int) -> np.ndarray:
     """``perm`` as a checked basis permutation of ``dim`` states."""
     perm = np.asarray(perm)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from sqcka.attacks import (
 from sqcka.protocol import (
     ProtocolParams,
     RoundSampler,
-    SessionRecord,
     ThetaSchedule,
     bob_operation,
     default_ctrl_count,
@@ -507,6 +507,37 @@ class TestSchedule:
             expand_theta_schedule(b"x", -1, 0)
         assert ThetaSchedule(num_rounds=0, ctrl_indices=()).num_ctrl == 0
 
+    def test_non_integer_round_count_rejected(self):
+        with pytest.raises(ValidationError, match="round count 10.5 is not an integer"):
+            ThetaSchedule(num_rounds=10.5, ctrl_indices=(2,))
+        with pytest.raises(ValidationError, match="round count 10.5 is not an integer"):
+            expand_theta_schedule(1, 10.5, 2)
+        with pytest.raises(ValidationError, match="not an integer"):
+            ThetaSchedule(num_rounds="10", ctrl_indices=())
+
+    @pytest.mark.parametrize("idx", [(1.5, 2.7), ("3", "4"), (2, 3.0), (True,),
+                                     ((1, 2), (3, 4))])
+    def test_non_integer_ctrl_indices_rejected(self, idx):
+        with pytest.raises(ValidationError, match="sequence of integers"):
+            ThetaSchedule(num_rounds=10, ctrl_indices=idx)
+
+    def test_numpy_integers_accepted(self):
+        s = ThetaSchedule(num_rounds=np.int64(10),
+                          ctrl_indices=np.array([2, 5], dtype=np.uint32))
+        assert s.ctrl_indices == (2, 5)
+        assert all(type(j) is int for j in s.ctrl_indices)
+        assert ThetaSchedule(num_rounds=np.uint8(3), ctrl_indices=[]).num_ctrl == 0
+
+    def test_ctrl_order_and_range_rejected(self):
+        # unsigned indices are compared, never subtracted, so 3, 2 cannot
+        # wrap round into an increasing step
+        for idx in ((2, 2), (3, 1), np.array([3, 2], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                ThetaSchedule(num_rounds=10, ctrl_indices=idx)
+        for idx in ((0, 3), (3, 11), np.array([4, 2 ** 64 - 1], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match="outside 1..num_rounds"):
+                ThetaSchedule(num_rounds=10, ctrl_indices=idx)
+
     def test_theta_lookup(self):
         s = ThetaSchedule(num_rounds=5, ctrl_indices=(2, 4))
         rec = run_session(ProtocolParams(n=1), identity_attack(1), s, 1)
@@ -567,6 +598,40 @@ class TestRunSession:
         assert (rec.b[sift] >= 0).all() and (rec.b[~sift] == -1).all()
         assert (rec.a >= 0).sum() == 470 and (rec.c >= 0).sum() == 470
 
+    def test_disclosed_marks_sift_rounds_and_rounds_are_conserved(self):
+        atk = depolarizing_attack(DepolarizingParams(0.2, 0.1, 3))
+        sched = expand_theta_schedule(b"disclosed", 4000, 300)
+        rec = run_session(ProtocolParams(n=3), atk, sched, 6, 0.3)
+        t = rec.tallies
+        assert rec.disclosed.dtype == bool and rec.disclosed.shape == (4000,)
+        assert (rec.theta[rec.disclosed] == 1).all()
+        assert np.count_nonzero(rec.disclosed) == t.sift_total > 0
+        assert t.ghz_total + t.z_ctrl_counts.sum() + t.sift_total \
+            + rec.raw_key_alice.size == 4000
+        assert rec.raw_key_bobs.shape == (3, rec.raw_key_alice.size)
+
+    @pytest.mark.parametrize("n,bytes_per_round", [(3, 7.5), (10, 9.0)])
+    def test_record_holds_only_its_columns(self, n, bytes_per_round):
+        # the columns take 6 B a round (8 B once b and c are int16, n >= 8);
+        # stored raw keys would add n + 1 B per key round
+        num = 10 ** 6
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, n))
+        sched = expand_theta_schedule(b"memory", num)
+        tracemalloc.start()
+        try:
+            rec = run_session(ProtocolParams(n=n), atk, sched, 1)
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            key = rec.raw_key_alice
+            reading = tracemalloc.get_traced_memory()[1] - retained
+        finally:
+            tracemalloc.stop()
+        assert retained < bytes_per_round * num, \
+            f"{retained / num:.2f} B a round"
+        # masks and the key itself; an index array would add 8 B a key round
+        assert reading < 4 * num, f"reading the key took {reading / num:.2f} B a round"
+        assert rec.theta.size == num and 0 < key.size < num
+
     def test_disagreement_rate_near_half_q(self):
         q = 0.2
         pp = ProtocolParams(n=2)
@@ -605,8 +670,8 @@ class TestRunSession:
         ref = run_session(pp, atk, sched, 8, 0.2)
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         rec = run_session(pp, atk, sched, 8, 0.2)
-        for col in ("theta", "a", "b", "c", "ghz_pass", "raw_key_alice",
-                    "raw_key_bobs"):
+        for col in ("theta", "a", "b", "c", "ghz_pass", "disclosed",
+                    "raw_key_alice", "raw_key_bobs"):
             np.testing.assert_array_equal(getattr(rec, col), getattr(ref, col))
         assert estimation.tally_to_text(rec.tallies) == \
             estimation.tally_to_text(ref.tallies)
@@ -665,9 +730,11 @@ class TestRunSession:
 
 # ---------------------------------------------------------------------------
 # The session loop as it was before SIFT outcomes were drawn through the
-# guide table, a whole chunk at a time.  Its chunk loop is kept verbatim as
-# the reference, which every SessionRecord column, both raw keys and the
-# tally text must equal bit for bit; its sampler searches the running sums.
+# guide table, a whole chunk at a time, and before the raw keys were read
+# from the outcome columns.  Its chunk loop and key assembly are kept
+# verbatim as the reference, which every SessionRecord column, the
+# disclosure mask, both raw keys and the tally text must equal bit for bit;
+# its sampler searches the running sums.
 # ---------------------------------------------------------------------------
 
 
@@ -688,6 +755,7 @@ def reference_run_session(params, attack, schedule, rng,
     theta = np.ones(num, dtype=np.int8)
     a, ghz = np.full((2, num), -1, dtype=np.int8)
     b, c = np.full((2, num), -1, dtype=np.min_scalar_type(-d))  # -1 .. d - 1
+    shown = np.zeros(num, dtype=bool)
     ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
     tallies = TallyCounts(n=n)
     key_a, key_b = [a[:0]], [b[:0]]  # typed and never empty, for concatenate
@@ -707,6 +775,7 @@ def reference_run_session(params, attack, schedule, rng,
         ab, cc[sift] = np.divmod(sampler.draw_sift(u[sift, 0]), d)
         ca[sift], cb[sift] = np.divmod(ab, d)
         disclosed = u[sift, 1] < cut_and_choose_fraction
+        shown[start + sift] = disclosed
         tallies += TallyCounts(
             n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
             z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
@@ -719,10 +788,10 @@ def reference_run_session(params, attack, schedule, rng,
     raw_b = np.empty((n, bits.size), dtype=np.uint8)
     for i in range(n):  # row by row: the temporaries stay one key long
         raw_b[i] = (bits >> (n - 1 - i)) & 1
-    return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
-                         tallies=tallies,
-                         raw_key_alice=np.concatenate(key_a).astype(np.uint8),
-                         raw_key_bobs=raw_b)
+    return SimpleNamespace(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
+                           disclosed=shown, tallies=tallies,
+                           raw_key_alice=np.concatenate(key_a).astype(np.uint8),
+                           raw_key_bobs=raw_b)
 
 
 class TestSessionAgainstReference:
@@ -736,8 +805,8 @@ class TestSessionAgainstReference:
         sched = expand_theta_schedule(b"reference", 3000, 400)
         args = (ProtocolParams(n=n), atk, sched, 17, frac)
         rec, ref = run_session(*args), reference_run_session(*args)
-        for col in ("theta", "a", "b", "c", "ghz_pass", "raw_key_alice",
-                    "raw_key_bobs"):
+        for col in ("theta", "a", "b", "c", "ghz_pass", "disclosed",
+                    "raw_key_alice", "raw_key_bobs"):
             got, want = getattr(rec, col), getattr(ref, col)
             assert got.dtype == want.dtype and got.shape == want.shape, col
             assert got.tobytes() == want.tobytes(), col
