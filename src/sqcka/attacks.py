@@ -189,7 +189,7 @@ class EveGram:
         if not np.isfinite(values).all():
             raise ValidationError("gram has non-finite entries")
         stacks = [blocks for _, blocks in self.stacks()]
-        if any(np.max(np.abs(b - b.transpose(0, 2, 1))) > 1e-12 for b in stacks):
+        if any(_max_asymmetry(b) > 1e-12 for b in stacks):
             raise ValidationError("gram is not symmetric")
         if any(np.max(np.abs(np.diagonal(b, axis1=1, axis2=2) - 1.0)) > 1e-12
                for b in stacks):
@@ -216,12 +216,16 @@ class EveGram:
         return np.cumsum(self.sizes) - self.sizes, np.cumsum(k2) - k2
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored entry: flat branch indices x, y and the value G[x, y]."""
-        blk = np.repeat(np.arange(self.sizes.size), self.sizes ** 2)
-        row, col = np.divmod(np.arange(self.values.size) - self._starts[1][blk],
-                             self.sizes[blk])
-        first = self._starts[0][blk]
-        return self.members[first + row], self.members[first + col], self.values
+        """Every stored entry: flat branch indices x, y and the value G[x, y].
+
+        ``values`` holds one row per member, as long as its block: x
+        repeats each member along its row, and y is each entry's index in
+        ``values`` less its row's offset from the block's first member."""
+        row = np.repeat(self.sizes, self.sizes)  # the row length of each member
+        offset = np.cumsum(row) - row - np.repeat(self._starts[0], self.sizes)
+        return (np.repeat(self.members, row),
+                self.members[np.arange(self.values.size) - np.repeat(offset, row)],
+                self.values)
 
     def stacks(self):
         """For each block size k in turn: the members (m, k) and the blocks
@@ -289,6 +293,14 @@ def _check_gram_entries(count: int) -> None:
                             f"GRAM_ENTRY_CAP = {GRAM_ENTRY_CAP}")
 
 
+def _max_asymmetry(blocks: np.ndarray) -> float:
+    """max |G - G^T| over a stack of (m, k, k) blocks, 64 rows at a time, so
+    that no temporary is as large as the stack."""
+    return max(float(np.max(np.abs(blocks[:, r:r + 64]
+                                   - blocks[:, :, r:r + 64].transpose(0, 2, 1))))
+               for r in range(0, blocks.shape[1], 64))
+
+
 def _component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The smallest node of each node's connected component, for edges u - v."""
     label = np.arange(count)
@@ -302,24 +314,65 @@ def _component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         label = low
 
 
+def _dense_component_labels(listed: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for the graph
+    whose edges are the True entries of the square bool matrix ``listed``,
+    read either way round.
+
+    Each node points to the first node its row lists, where that is
+    smaller, and pointer jumping turns this forest into stars, each rooted
+    at its smallest node.  Where no listed entry leaves a star, checked on
+    the rows packed into bits, the stars are the components.  Otherwise the
+    stars are contracted into their quotient matrix, made symmetric, and
+    its components are found in the same way.  In a symmetric matrix the
+    larger end of an edge is no root, so every later quotient is smaller
+    than the matrix it contracts.
+    """
+    n = len(listed)
+    node = np.arange(n)
+    first = listed.argmax(axis=1)
+    label = np.where(listed[node, first], np.minimum(first, node), node)
+    while True:
+        up = label[label]
+        if np.array_equal(up, label):
+            break
+        label = up
+    bits = np.packbits(listed, axis=1)
+    star_bits = np.zeros_like(bits)  # row r: the star rooted at r, as bits
+    np.bitwise_or.at(star_bits, (label, node >> 3), (128 >> (node & 7)).astype(np.uint8))
+    if np.array_equal(bits & star_bits[label], bits):
+        return label
+    roots, star, counts = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.argsort(star, kind="stable")
+    bounds = np.cumsum(counts) - counts
+    rows = np.unpackbits(np.bitwise_or.reduceat(bits[order], bounds, axis=0), axis=1, count=n)
+    quotient = np.logical_or.reduceat(rows[:, order], bounds, axis=1)
+    quotient |= quotient.T
+    return roots[_dense_component_labels(quotient)][star]
+
+
+def _blocks(nodes: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``members`` and ``sizes`` of the blocks that group ascending ``nodes``
+    by their component's ``label``, the smallest node of the component: the
+    members of each block ascend and the blocks are ordered by their first
+    member.  The entries the blocks need are checked before any block is
+    allocated."""
+    _, comp = np.unique(label, return_inverse=True)
+    sizes = np.bincount(comp)
+    _check_gram_entries(int((sizes ** 2).sum()))
+    return nodes[np.argsort(comp, kind="stable")], sizes
+
+
 def _blocks_from_edges(d: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks of a Gram that differs from the identity at the edges i - j
-    (flat branch indices; an edge may be listed once or both ways).
-
-    The blocks are the connected components of the edges: ``members``, the
-    branches of each block in turn, ascending within a block and the blocks
-    ordered by their first branch, and ``sizes``.  The entries the blocks
-    need are checked before any block is allocated.
-    """
+    (flat branch indices; an edge may be listed once or both ways): the
+    connected components of the edges, as :func:`_blocks` gives them."""
     touched = np.zeros(2 * d * d, dtype=bool)
     touched[i] = touched[j] = True
     nodes = np.flatnonzero(touched)
     at = np.zeros(touched.size, dtype=np.int64)
     at[nodes] = np.arange(nodes.size)
-    _, comp = np.unique(_component_labels(nodes.size, at[i], at[j]), return_inverse=True)
-    sizes = np.bincount(comp)
-    _check_gram_entries(int((sizes ** 2).sum()))
-    return nodes[np.argsort(comp, kind="stable")], sizes
+    return _blocks(nodes, _component_labels(nodes.size, at[i], at[j]))
 
 
 def _scatter_values(d: int, members: np.ndarray, sizes: np.ndarray, i: np.ndarray,
@@ -345,9 +398,10 @@ def validate_gram(gram, d: int) -> EveGram:
 
     An :class:`EveGram`, checked when built, passes through once its shape
     fits d.  A dense (2, d, d, 2, d, d) array is split into the connected
-    components of its entries that differ from the identity's, each block's
-    values are gathered from the array, and the blocks are checked as the
-    :class:`EveGram` is built.
+    components of its entries that differ from the identity's, found from
+    the matrix of those entries itself (:func:`_dense_component_labels`),
+    each block's values are gathered from the array, and the blocks are
+    checked as the :class:`EveGram` is built.
     """
     shape = np.shape(gram)
     if shape != (2, d, d) * 2:
@@ -358,9 +412,9 @@ def validate_gram(gram, d: int) -> EveGram:
     listed = flat != 0.0
     np.fill_diagonal(listed, flat.diagonal() != 1.0)
     _check_gram_entries(int(np.count_nonzero(listed)))
-    i, j = np.nonzero(np.triu(listed | listed.T))  # each edge once
-    members, sizes = _blocks_from_edges(d, i, j)
-    del i, j  # freed before the blocks are gathered (2 MiB at n = 4)
+    nodes = np.flatnonzero(listed.any(axis=1) | listed.any(axis=0))
+    members, sizes = _blocks(nodes, _dense_component_labels(listed)[nodes])
+    del listed  # freed before the blocks are gathered (4 MiB at n = 5)
     k2 = sizes ** 2
     offsets, starts = np.cumsum(k2) - k2, np.cumsum(sizes) - sizes
     values = np.empty(int(k2.sum()))

@@ -534,7 +534,8 @@ def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     total = 0.0
     for members, blocks in gram.stacks():
         amp = np.sqrt(weights[members])
-        rho_e = amp[:, :, None] * blocks * amp[:, None, :]
+        rho_e = amp[:, :, None] * blocks
+        rho_e *= amp[:, None, :]  # in place: the same products in the same order
         total -= entropy_of_spectrum(np.linalg.eigvalsh(rho_e))
         zeros = np.count_nonzero(members < attack.d ** 2, axis=1)
         for z in np.unique(zeros).tolist():

@@ -487,8 +487,10 @@ def check_rounds(num_rounds: int) -> None:
 
 
 def check_ctrl_count(num_ctrl: int) -> None:
-    """Raise, before any allocation, unless 0 <= num_ctrl <= ``CTRL_CAP``;
+    """Raise, before any allocation, unless num_ctrl is an int in 0..``CTRL_CAP``;
     :func:`expand_theta_schedule` also caps it at the round count."""
+    if not isinstance(num_ctrl, (int, np.integer)):
+        raise ValidationError(f"CTRL count {num_ctrl!r} is not an integer")
     if num_ctrl < 0:
         raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds")
     if num_ctrl > CTRL_CAP:

@@ -3,8 +3,9 @@
 The exact oracle is checked against the dense oracle it replaced and
 against the full-block oracle that preceded the per-sender-bit one, the
 dense split against the entry-list split it replaced, the stacks against
-the gather that preceded their views, all kept here verbatim, and the
-pairing bound against the oracles at the sizes the paper uses.
+the gather that preceded their views, the entry listing against the
+divmod listing it replaced, all kept here verbatim, and the pairing bound
+against the oracles at the sizes the paper uses.
 """
 
 import itertools
@@ -132,6 +133,16 @@ def gathered_stacks(gram: EveGram):
         members = gram.members[starts[sel, None] + np.arange(k)]
         blocks = gram.values[offsets[sel, None] + np.arange(k * k)]
         yield members, blocks.reshape(-1, k, k)
+
+
+def divmod_entries(gram: EveGram):
+    """The entry listing before it was built per stack, kept verbatim as the
+    reference: a block index, a row and a column for every stored entry."""
+    blk = np.repeat(np.arange(gram.sizes.size), gram.sizes ** 2)
+    row, col = np.divmod(np.arange(gram.values.size) - gram._starts[1][blk],
+                         gram.sizes[blk])
+    first = gram._starts[0][blk]
+    return gram.members[first + row], gram.members[first + col], gram.values
 
 
 def assert_same_blocks(got: EveGram, want: EveGram) -> None:
@@ -265,8 +276,76 @@ class TestSplit:
             pairing_maximize(np.full((2, 2, 2), 0.125), dense.reshape((2, 2, 2) * 2))
 
 
+def negative_zero_chain(d):
+    """A 3-branch chain 6 - 1 - 4 with overlaps 0.4 and -0.0 at its ends,
+    and -0.0 for every other zero entry."""
+    dense = np.eye(2 * d * d)
+    dense[[6, 1], [1, 4]] = dense[[1, 4], [6, 1]] = 0.4
+    dense[dense == 0.0] = -0.0
+    return dense.reshape((2, d, d) * 2)
+
+
+def path_gram(d, path, overlap=0.4):
+    """The identity with ``overlap`` between consecutive branches of ``path``."""
+    dense = np.eye(2 * d * d)
+    path = np.asarray(path)
+    dense[path[:-1], path[1:]] = dense[path[1:], path[:-1]] = overlap
+    return dense.reshape((2, d, d) * 2)
+
+
 class TestDenseSplit:
     """The gathering split stores the same bits as the entry-list split."""
+
+    @pytest.mark.parametrize("case", [
+        "random-n1", "random-n2", "random-n3", "random-n4", "blocks-256-n4",
+        "blocks-1024-n5", "identity-n3", "negative-zero-n2", "contracted-path-n2",
+    ])
+    def test_dense_entry_list_and_file_agree(self, case, tmp_path):
+        # members, sizes and values bit for bit: the dense split, the entry-list
+        # split, and the dense split's attack dumped to a file and loaded back
+        kind, n = case.rsplit("-n", 1)
+        n = int(n)
+        d = 1 << n
+        rng = np.random.default_rng([n, 23])
+        dense = {
+            "random": lambda: random_dense_gram(rng, d, d * d),
+            "blocks-256": lambda: block_diagonal_gram(rng, d, (2,) * 256),
+            "blocks-1024": lambda: block_diagonal_gram(rng, d, (2,) * 1024),
+            "identity": lambda: np.eye(2 * d * d).reshape((2, d, d) * 2),
+            "negative-zero": lambda: negative_zero_chain(d),
+            # 5 points to 0 and 1 points to itself: the stars {0, 5} and {1}
+            # share the edge 5 - 1, so they are contracted
+            "contracted-path": lambda: path_gram(d, [0, 5, 1, 9, 2]),
+        }[kind]()
+        got = validate_gram(dense, d)
+        assert_same_blocks(got, entry_list_gram(dense, d))
+        path = tmp_path / "gram.attack"
+        attacks.dump_attack_file(
+            attack_from_tables(depolarizing_tables(DepolarizingParams(0.1, 0.2, n)), got), path)
+        assert_same_blocks(attacks.load_attack_file(path).gram, got)
+        if kind.startswith("blocks"):
+            assert got.sizes.tolist() == [2] * (d * d)
+        if kind == "identity":
+            assert got.sizes.size == 0
+
+    @given(st.integers(1, 60), st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.7]),
+           st.sampled_from(["both", "upper", "lower", "path"]), st.integers(0, 2 ** 32 - 1))
+    def test_component_labels_equal_the_edge_list_labels(self, n, density, shape, seed):
+        # any bool matrix, read either way round: one-sided (asymmetric) entries
+        # and long paths in a random order need contracted quotients
+        rng = np.random.default_rng(seed)
+        listed = rng.random((n, n)) < density
+        if shape == "upper":
+            listed = np.triu(listed)
+        elif shape == "lower":
+            listed = np.tril(listed)
+        elif shape == "path":
+            order = rng.permutation(n)
+            listed = np.zeros((n, n), dtype=bool)
+            listed[order[:-1], order[1:]] = True
+        i, j = np.nonzero(listed)
+        np.testing.assert_array_equal(attacks._dense_component_labels(listed),
+                                      attacks._component_labels(n, i, j))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_built_in_grams(self, n):
@@ -324,12 +403,17 @@ class TestDenseSplit:
         dense = np.eye(8)
         dense[5, 7] = dense[7, 5] = 0.5
         dense[at] = 0.9
+        messages = set()
         for split in (validate_gram, entry_list_gram):
-            with pytest.raises(ValidationError, match="diagonal is not all ones"):
+            with pytest.raises(ValidationError, match="diagonal is not all ones") as err:
                 split(dense.reshape((2, d, d) * 2), d)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_dense_n4_split_peaks_under_12_mib(self):
-        # the 512 x 512 Gram is 2 MiB; the entry-list split peaked at 20.3 MiB
+        # the 512 x 512 Gram is 2 MiB; the entry-list split peaked at 20.3 MiB,
+        # the edge-list split at 6.3 MiB and this split at 6.0 MiB, both of
+        # them set by the Cholesky check (values, a shifted copy and a factor)
         d = 16
         dense = random_dense_gram(np.random.default_rng(16), d, d * d)
         validate_gram(dense, d)
@@ -450,6 +534,63 @@ class TestValuesHeldOnce:
         finally:
             tracemalloc.stop()
         assert kept < gram.values.nbytes / 4
+
+
+class TestSymmetryInPanels:
+    """The symmetry check reads a block 64 rows at a time, and misses no row."""
+
+    @pytest.mark.parametrize("at", [(0, 511), (63, 64), (64, 63), (127, 128), (128, 0),
+                                    (255, 256), (447, 448), (448, 3), (511, 0), (511, 510)])
+    def test_asymmetry_at_panel_boundaries_and_in_the_last_row(self, at):
+        block = random_block(np.random.default_rng(at), 512, 512)
+        for delta, refused in ((2e-12, True), (5e-13, False)):
+            bent = block.copy()
+            bent[at] += delta
+            assert abs(bent[at] - bent[at[::-1]]) > (1e-12 if refused else 0.0)
+            if refused:
+                with pytest.raises(ValidationError, match="gram is not symmetric"):
+                    EveGram(1 << 4, np.arange(512), (512,), bent)
+            else:
+                assert EveGram(1 << 4, np.arange(512), (512,), bent).values.tobytes() == \
+                    bent.tobytes()
+
+    def test_asymmetry_in_one_block_of_a_stack(self):
+        # the third of four 100 x 100 blocks, in its last row
+        rng = np.random.default_rng(24)
+        blocks = np.stack([random_block(rng, 100, 100) for _ in range(4)])
+        blocks[2, 99, 40] += 2e-12
+        with pytest.raises(ValidationError, match="gram is not symmetric"):
+            EveGram(1 << 4, np.arange(400), (100,) * 4, blocks)
+
+
+class TestEntries:
+    """The entry listing built from repeated members equals the divmod listing."""
+
+    @pytest.mark.parametrize("sizes", [(), (1,), (5,), (3, 3, 3), (2, 3, 2, 1, 3)],
+                             ids=["none", "one-branch", "one-block", "adjacent", "interleaved"])
+    def test_equal_to_the_divmod_listing(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        d = 4
+        members = rng.permutation(2 * d * d)[:sum(sizes)]
+        members = np.concatenate([np.sort(part) for part in
+                                  np.split(members, np.cumsum(sizes, dtype=int)[:-1])])
+        values = np.concatenate([random_block(rng, k, k).ravel() for k in sizes] + [[]])
+        gram = EveGram(d, members, sizes, values)
+        for got, want in zip(gram.entries(), divmod_entries(gram)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_in_and_random_grams(self, n):
+        rng = np.random.default_rng([n, 25])
+        d = 1 << n
+        sizes = rng.integers(1, 5, size=2 * d * d)
+        for gram in (identity_gram(d), depolarizing_gram(DepolarizingParams(0.1, 0.2, n)),
+                     random_table_attack(rng, n).gram,
+                     validate_gram(block_diagonal_gram(
+                         rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]), d)):
+            for got, want in zip(gram.entries(), divmod_entries(gram)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPsdByCholesky:

@@ -515,6 +515,18 @@ class TestSchedule:
         with pytest.raises(ValidationError, match="not an integer"):
             ThetaSchedule(num_rounds="10", ctrl_indices=())
 
+    @pytest.mark.parametrize("num_ctrl", [2.5, "2", 2.0])
+    def test_non_integer_ctrl_count_rejected(self, num_ctrl):
+        # refused before the shuffle, not by range() or a str < int compare
+        with pytest.raises(ValidationError, match=f"CTRL count {num_ctrl!r} is not an integer"):
+            expand_theta_schedule(1, 10, num_ctrl)
+        with pytest.raises(ValidationError, match="not an integer"):
+            protocol.check_ctrl_count(num_ctrl)
+
+    def test_numpy_integer_ctrl_count_accepted(self):
+        for num_ctrl in (np.int64(3), np.uint8(3)):
+            assert expand_theta_schedule(1, 10, num_ctrl) == expand_theta_schedule(1, 10, 3)
+
     @pytest.mark.parametrize("idx", [(1.5, 2.7), ("3", "4"), (2, 3.0), (True,),
                                      ((1, 2), (3, 4))])
     def test_non_integer_ctrl_indices_rejected(self, idx):
