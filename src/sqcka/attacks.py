@@ -158,8 +158,9 @@ class EveGram:
     blocks by size (views where the blocks of one size are adjacent), and
     :meth:`cross` reads bit-0/bit-1 pairs in place.  Branches in
     different blocks, or outside every block, are orthogonal.  Each block is
-    checked here: finite, symmetric, unit diagonal and PSD within
-    ``GRAM_PSD_ATOL``, so every entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
+    checked here: its members ascend, and it is finite, symmetric, unit
+    diagonal and PSD within ``GRAM_PSD_ATOL``, so every entry has
+    |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
     A Cholesky factor of each stack of same-size blocks plus
     ``GRAM_PSD_ATOL`` I accepts them as PSD; only if there is none do the
     eigenvalues decide.
@@ -183,6 +184,10 @@ class EveGram:
         seen[members] = True
         if np.count_nonzero(seen) != members.size:
             raise ValidationError("gram blocks must hold distinct branches")
+        ascends = np.diff(members) > 0
+        ascends[np.cumsum(sizes)[:-1] - 1] = True  # where the next block starts
+        if not ascends.all():
+            raise ValidationError("gram block members must ascend within each block")
         for name, arr in (("members", members), ("sizes", sizes), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -747,6 +752,22 @@ def _at(path, linenos) -> str:
     return f"{path}:{lo}" if lo == hi else f"{path}:{lo}-{hi}"
 
 
+def stripped_lines(path):
+    """Each line of the UTF-8 text file ``path``, numbered from 1, cut at
+    its first ``#`` and stripped; a byte that is not UTF-8 is refused with
+    the ``path:line`` it is on."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:  # an undecodable byte b reads as U+DC00 + b
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ValidationError(f"{path}:{lineno}: byte 0x{byte:02x} "
+                                          "is not UTF-8") from None
+            yield lineno, raw.split("#", 1)[0].strip()
+
+
 def load_attack_file(path) -> CollectiveAttack:
     """Parse a plain-text attack definition.
 
@@ -767,37 +788,35 @@ def load_attack_file(path) -> CollectiveAttack:
     headers: dict[str, int] = {}
     section = None
     lineno = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            upper = line.upper()
-            if upper in _SECTIONS:
-                section = upper
-                headers.setdefault(section, lineno)
-                continue
-            parts = line.split()
-            try:
-                if section is None or len(parts) != _SECTIONS[section] + 1:
-                    raise ValueError("wrong field count for section")
-                idx = tuple(int(x) for x in parts[:-1])
-                val = float(parts[-1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: cannot parse {line!r} ({exc})")
-            if not math.isfinite(val):
-                raise ValidationError(f"{path}:{lineno}: value {parts[-1]!r} is not finite")
-            if section != "GRAM" and val < -TABLE_ATOL:
-                raise ValidationError(f"{path}:{lineno}: probability {val!r} is negative")
-            if section == "GRAM":
-                if idx[:3] == idx[3:] and abs(val - 1.0) > 1e-12:
-                    raise ValidationError(f"{path}:{lineno}: diagonal GRAM entry "
-                                          f"{val!r} is not 1")
-                idx = min(idx, idx[3:] + idx[:3])
-            if idx in rows[section]:
-                raise ValidationError(f"{path}:{lineno}: duplicate {section} row, "
-                                      f"first given on line {rows[section][idx][0]}")
-            rows[section][idx] = (lineno, val)
+    for lineno, line in stripped_lines(path):
+        if not line:
+            continue
+        upper = line.upper()
+        if upper in _SECTIONS:
+            section = upper
+            headers.setdefault(section, lineno)
+            continue
+        parts = line.split()
+        try:
+            if section is None or len(parts) != _SECTIONS[section] + 1:
+                raise ValueError("wrong field count for section")
+            idx = tuple(int(x) for x in parts[:-1])
+            val = float(parts[-1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: cannot parse {line!r} ({exc})")
+        if not math.isfinite(val):
+            raise ValidationError(f"{path}:{lineno}: value {parts[-1]!r} is not finite")
+        if section != "GRAM" and val < -TABLE_ATOL:
+            raise ValidationError(f"{path}:{lineno}: probability {val!r} is negative")
+        if section == "GRAM":
+            if idx[:3] == idx[3:] and abs(val - 1.0) > 1e-12:
+                raise ValidationError(f"{path}:{lineno}: diagonal GRAM entry "
+                                      f"{val!r} is not 1")
+            idx = min(idx, idx[3:] + idx[:3])
+        if idx in rows[section]:
+            raise ValidationError(f"{path}:{lineno}: duplicate {section} row, "
+                                  f"first given on line {rows[section][idx][0]}")
+        rows[section][idx] = (lineno, val)
     if not rows["FORWARD"]:
         raise ValidationError(f"{path}:{lineno}: missing FORWARD section")
     d = max(2, max(b for _, b in rows["FORWARD"]) + 1)

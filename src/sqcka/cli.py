@@ -53,6 +53,7 @@ from .attacks import (
     load_attack_file,
     p_ghz_analytic,
     random_table_attack,
+    stripped_lines,
 )
 from .keyrate import MODES
 
@@ -106,30 +107,28 @@ def load_run_config(path) -> RunConfig:
     """
     cfg = RunConfig()
     first: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise qmath.ValidationError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in SETTINGS:
-                raise qmath.ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in first:
-                raise qmath.ValidationError(f"{path}:{lineno}: duplicate key {key!r}, "
-                                            f"first given on line {first[key]}")
-            first[key] = lineno
-            typ, _, check = SETTINGS[key]
-            try:
-                value = typ(val)
-                if check is not None:
-                    check(value)
-            except (qmath.DomainError, qmath.CapacityError) as exc:  # out of range
-                raise qmath.ValidationError(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise qmath.ValidationError(f"{path}:{lineno}: bad {key} ({exc})") from None
-            setattr(cfg, key, value)
+    for lineno, line in stripped_lines(path):
+        if not line:
+            continue
+        if "=" not in line:
+            raise qmath.ValidationError(f"{path}:{lineno}: expected key=value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in SETTINGS:
+            raise qmath.ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise qmath.ValidationError(f"{path}:{lineno}: duplicate key {key!r}, "
+                                        f"first given on line {first[key]}")
+        first[key] = lineno
+        typ, _, check = SETTINGS[key]
+        try:
+            value = typ(val)
+            if check is not None:
+                check(value)
+        except (qmath.DomainError, qmath.CapacityError) as exc:  # out of range
+            raise qmath.ValidationError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise qmath.ValidationError(f"{path}:{lineno}: bad {key} ({exc})") from None
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -509,13 +508,16 @@ def cmd_simulate(args) -> int:
     attack = _attack_from_config(cfg)
     params = protocol.ProtocolParams(n=cfg.n)
     schedule = protocol.expand_theta_schedule(cfg.seed, cfg.rounds, cfg.ctrl_count)
-    record = protocol.run_session(params, attack, schedule, cfg.seed,
-                                  cfg.cc_fraction)
+    out = cfg.out or "tallies.txt"
+    with open(out, "w", encoding="utf-8") as fh:  # a path it cannot write ends the run unsampled
+        record = protocol.run_session(params, attack, schedule, cfg.seed,
+                                      cfg.cc_fraction)
+        fh.write(estimation.tally_to_text(record.tallies))
     t = record.tallies
 
     print(f"session: n={cfg.n} rounds={cfg.rounds} ctrl={schedule.num_ctrl} seed={cfg.seed} "
           f"attack={attack.label}")
-    print(f"raw key length: {record.raw_key_alice.size}")
+    print(f"raw key length: {np.count_nonzero(record.theta) - t.sift_total}")
 
     pg = rates = None
     try:
@@ -551,9 +553,6 @@ def cmd_simulate(args) -> int:
                 DepolarizingParams(q_hat, qt_hat, cfg.n), mode)
             print(f"key rate ({mode}): s_lower={_fmt(rep.s_lower)} "
                   f"leakage={_fmt(rep.leakage)} r_min={_fmt(rep.r_min)}")
-
-    out = cfg.out or "tallies.txt"
-    Path(out).write_text(estimation.tally_to_text(t), encoding="utf-8")
     print(f"tallies written to {out}")
     return 0
 

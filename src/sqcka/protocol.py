@@ -368,15 +368,19 @@ def round_statistics(attack: CollectiveAttack, theta: int) -> ObservedStatistics
         raise DomainError(f"theta must be 0 or 1, got {theta}")
     d = attack.d
     weights = attack.tables.weights
-    x, y, g = attack.gram.entries()
+    gram = attack.gram
     if theta == 1:
         joint = weights / 2.0
         # G[(0, 0, 0), (1, d-1, d-1)], the first and the last branch: stored
-        # only if one block holds both, and 0.0 otherwise
-        ends = g[(x == 0) & (y == 2 * d * d - 1)]
+        # only if one block holds both, as its first and last member (members
+        # ascend), in the last entry of its first row; 0.0 otherwise
+        starts, offsets = gram._starts
+        ends = np.flatnonzero((gram.members[starts] == 0)
+                              & (gram.members[starts + gram.sizes - 1] == 2 * d * d - 1))
         cross = math.sqrt(joint[0, 0, 0] * joint[1, d - 1, d - 1]) * (
-            float(ends[0]) if ends.size else 0.0)
+            float(gram.values[offsets[ends[0]] + gram.sizes[ends[0]] - 1]) if ends.size else 0.0)
         return ObservedStatistics(theta=1, abc_joint=joint, cross_overlap=cross)
+    x, y, g = gram.entries()
     # reflection branch: coherent over b inside Eve's register, so q_ac also
     # sums sqrt(w_x w_y) G[x, y] over stored pairs x != y sharing a and c
     flat = weights.reshape(-1)

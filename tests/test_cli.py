@@ -340,6 +340,29 @@ class TestCleanExits:
                              "--attack-file", str(path))
         assert "bad.attack:2: cannot parse" in err
 
+    @pytest.mark.parametrize("cmd,text,msg", [
+        (("--config",), b"n = 3\nq = 0.1\xff\n", "bad:2: byte 0xff is not UTF-8"),
+        (("--n", "1", "--attack-file"), b"FORWARD\n0 0 1\xfe\n",
+         "bad:2: byte 0xfe is not UTF-8"),
+        (("--config",), b"# caf\xe9\nn = 1\n", "bad:1: byte 0xe9 is not UTF-8"),
+    ], ids=["config", "attack-file", "in-a-comment"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, cmd, text, msg):
+        path = tmp_path / "bad"
+        path.write_bytes(text)
+        err = self.run_error(capsys, "simulate", "--rounds", "10", *cmd, str(path),
+                             "--out", str(tmp_path / "t.txt"))
+        assert msg in err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_out_that_cannot_be_written_ends_the_run_unsampled(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the session started")
+        monkeypatch.setattr(cli.protocol, "run_session", refuse)
+        out = tmp_path / "missing" / "t.txt"
+        err = self.run_error(capsys, "simulate", "--rounds", "100000", "--out", str(out))
+        assert str(out) in err
+
     def test_negative_seed(self, capsys, tmp_path):
         err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
                              "--seed", "-1", "--out", str(tmp_path / "t.txt"))

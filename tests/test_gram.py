@@ -251,6 +251,21 @@ class TestSplit:
             EveGram(2, (0, 8), (2,), (1.0, 0.0, 0.0, 1.0))
         with pytest.raises(ValidationError, match="distinct branches"):
             EveGram(2, (3, 3), (2,), (1.0, 0.0, 0.0, 1.0))
+        # a block may start below the one before it
+        EveGram(2, (4, 6, 0, 2), (2, 2), (1.0, 0.5, 0.5, 1.0) * 2)
+
+    def test_members_that_do_not_ascend_refused(self):
+        # the oracle splits a block by its count of bit-0 members, which must
+        # come first: the same dense Gram with its members interleaved by
+        # sender bit would read as another S(A|E)
+        gram = random_table_attack(np.random.default_rng(5), 1).gram
+        assert gram.sizes.tolist() == [8]
+        order = np.array([0, 4, 1, 5, 2, 6, 3, 7])
+        block = gram.values.reshape(8, 8)[np.ix_(order, order)]
+        with pytest.raises(ValidationError, match="ascend"):
+            EveGram(gram.d, gram.members[order], gram.sizes, block)
+        with pytest.raises(ValidationError, match="ascend"):
+            EveGram(2, (4, 6, 2, 0), (2, 2), (1.0, 0.5, 0.5, 1.0) * 2)
 
     @pytest.mark.parametrize("values,match", [
         ((1.0, np.nan, np.nan, 1.0), "non-finite"),
@@ -486,19 +501,23 @@ class TestValuesHeldOnce:
     @pytest.mark.parametrize("n", [1, 2])
     def test_sift_overlap_equals_the_dense_lookup(self, n):
         # bit for bit, with the two all-equal branches (0, 0, 0) and
-        # (1, d-1, d-1) in one block, in two blocks and outside every block
+        # (1, d-1, d-1) in one block, alone or next to others, in two blocks
+        # and outside every block
         rng = np.random.default_rng([n, 21])
         d = 1 << n
         last = 2 * d * d - 1
         apart = np.eye(2 * d * d)
         for pair in ((0, 1), (last - 1, last)):
             apart[np.ix_(pair, pair)] = random_block(rng, 2, 2)
+        joined = np.eye(2 * d * d)
+        for group in ((1, 2), (0, d * d, last), (3, last - 1)):
+            joined[np.ix_(group, group)] = random_block(rng, len(group), 2)
         sizes = rng.integers(1, 4, size=2 * d * d)
         tables = random_table_attack(rng, n).tables
         attacks = [random_table_attack(rng, n), identity_attack(n),
                    depolarizing_attack(DepolarizingParams(0.3, 0.1, n))]
         attacks += [attack_from_tables(tables, gram) for gram in (
-            identity_gram(d), apart.reshape((2, d, d) * 2),
+            identity_gram(d), apart.reshape((2, d, d) * 2), joined.reshape((2, d, d) * 2),
             block_diagonal_gram(rng, d, sizes[np.cumsum(sizes) <= 2 * d * d]))]
         for atk in attacks:
             w = atk.tables.weights / 2.0

@@ -428,9 +428,10 @@ class TestStackedEvaluator:
         assert count == 132
 
 
-# The 2-opt search as it was before it scored its swaps in batches: one
-# full evaluation per swap.  Kept verbatim as the reference of the batched
-# search, which must return bitwise the same plan, value and count.
+# The 2-opt search one swap at a time: one full evaluation per swap, a swap
+# kept when it raises the bound by more than the screen's margin.  The
+# reference of the batched search, which must return bitwise the same plan,
+# value and count.
 
 
 def reference_two_opt(w, gram, plan, budget):
@@ -450,7 +451,7 @@ def reference_two_opt(w, gram, plan, budget):
                     arr[i], arr[j] = arr[j], arr[i]
                     val = keyrate._plan_value(w, gram, pi1, pi2)
                     evals += 1
-                    if val > best + 1e-15:
+                    if val > best + keyrate._screen_margin(d):
                         best = val
                         improved = True
                     else:
@@ -491,8 +492,8 @@ class TestBatchedTwoOpt:
 
     @staticmethod
     def tie_case(name, n):
-        """Weights and Gram whose swaps tie exactly, or nearly: the screen
-        must leave those to exact scores."""
+        """Weights and Gram whose swaps tie exactly, or nearly: the search
+        must pass over the swaps within the margin, as the reference does."""
         if name == "identity":
             atk = identity_attack(n)
             return atk.tables.weights, atk.gram
@@ -525,6 +526,32 @@ class TestBatchedTwoOpt:
                 assert type(best) is float and best == ref_best
                 assert evals == ref_evals
 
+    @pytest.mark.parametrize("name", ["random", "zeroed", "faint", "identity"])
+    def test_every_kept_swap_raises_the_bound(self, name):
+        # budget b + 1 tries one swap more than budget b, so the searches at
+        # b = 1, 2, ... walk the path of the full search one swap at a time
+        if name == "random":
+            atk = random_table_attack(np.random.default_rng(63), 3)
+            w, gram = atk.tables.weights, atk.gram
+        else:
+            w, gram = self.tie_case(name, 3)
+        w = keyrate._checked_weights(w)
+        kept = 0
+        for seed in (identity_plan(8), complement_plan(8), keyrate._greedy_plan(w)):
+            final = keyrate._two_opt(w, gram, seed, MAX_PAIRING_EVALS)
+            path = [keyrate._two_opt(w, gram, seed, b) for b in range(1, final[2] + 1)]
+            assert path[-1] == final
+            for plan, value, _ in path:
+                assert value == keyrate._plan_value(w, gram, np.array(plan.pi1),
+                                                    np.array(plan.pi2))
+            for (plan, value, _), (before, below, _) in zip(path[1:], path):
+                if plan != before:
+                    assert value > below
+                    kept += 1
+                else:
+                    assert value == below
+        assert kept or name == "identity"  # its swaps all tie: none is kept
+
     @pytest.mark.parametrize("kind,n", [("random", 3), ("random", 4), ("random", 5),
                                         ("depolarizing", 3), ("depolarizing", 4),
                                         ("depolarizing", 5), ("depolarizing", 6)])
@@ -546,7 +573,8 @@ class TestBatchedTwoOpt:
             value = keyrate._plan_value(w, atk.gram, pis[0], pis[1])
             for axis in (0, 1):
                 lines, partners = np.divmod(np.arange(d * d), d)
-                sums = keyrate._LineTerms(w, atk.gram, pis, axis)(lines, partners)
+                sums = keyrate._pair_terms(
+                    w, atk.gram, *keyrate._line_cells(pis, axis, lines, partners))
                 gain = keyrate._swap_gains(sums.sum(axis=1).reshape(d, d), pis[axis],
                                            i, j, w.sum())
                 swapped = np.repeat(pis[None], i.size, axis=0)
