@@ -11,7 +11,9 @@ The Gram is an :class:`EveGram`: the identity plus a few dense blocks, with
 the vectors of different blocks orthogonal, checked once, when it is built.
 A dense (2, d, d, 2, d, d) array, or the GRAM rows of a file, is split into
 the connected components of its non-zero overlaps between distinct
-branches; ``np.asarray(gram)`` gives the dense form back for small d.
+branches; ``np.asarray(gram)`` gives the dense form back for small d.  The
+split orders the blocks by size, then by first member, so the blocks of
+each size form one stack of read-only views (:meth:`EveGram.stacks`).
 Both built-in attacks store one 2 x 2 block, so attacks reach n = 10
 (``check_attack_size``).
 
@@ -28,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .qmath import (
     DIM_CAP,
@@ -152,18 +154,18 @@ class EveGram:
     Branch (a, b, b') has the flat index (a d + b) d + b'.  The Gram is the
     identity except on ``members``, which lists the branches of each block
     in turn, ascending within a block; ``sizes`` holds the block sizes and
-    ``values`` the blocks, row-major, one after another.  The values are
-    held once and have three readers, one per access pattern:
-    :meth:`entries` lists every stored entry flat, :meth:`stacks` gives the
-    blocks by size (views where the blocks of one size are adjacent), and
-    :meth:`cross` reads bit-0/bit-1 pairs in place.  Branches in
-    different blocks, or outside every block, are orthogonal.  Each block is
-    checked here: its members ascend, and it is finite, symmetric, unit
-    diagonal and PSD within ``GRAM_PSD_ATOL``, so every entry has
-    |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.
-    A Cholesky factor of each stack of same-size blocks plus
-    ``GRAM_PSD_ATOL`` I accepts them as PSD; only if there is none do the
-    eigenvalues decide.
+    ``values`` the blocks, row-major, one after another.  The package
+    orders the blocks by size, then by first member; a Gram built by hand
+    may order them otherwise.  The values are held once and have three
+    readers, one per access pattern: :meth:`entries` lists every stored
+    entry flat, :meth:`stacks` gives each run of same-size blocks as
+    read-only views, and :meth:`cross` reads bit-0/bit-1 pairs in place.
+    Branches in different blocks, or outside every block, are orthogonal.
+    Each block is checked here: its members ascend, and it is finite,
+    symmetric, unit diagonal and PSD within ``GRAM_PSD_ATOL``, so every
+    entry has |G| <= 1 + ``GRAM_PSD_ATOL`` + 2e-12.  A Cholesky factor of
+    each stack plus ``GRAM_PSD_ATOL`` I accepts its blocks as PSD; only if
+    there is none do the eigenvalues decide.
     """
 
     d: int
@@ -233,22 +235,11 @@ class EveGram:
                 self.values)
 
     def stacks(self):
-        """For each block size k in turn: the members (m, k) and the blocks
-        (m, k, k) of the m blocks of that size.  Where those m blocks lie
-        next to each other (one block, or a Gram of one block size), both
-        are read-only views of ``members`` and ``values``; otherwise they
-        are gathered."""
-        starts, offsets = self._starts
-        for k in sorted(set(self.sizes.tolist())):
-            sel = np.flatnonzero(self.sizes == k)
-            if sel[-1] - sel[0] + 1 == sel.size:
-                a, o = starts[sel[0]], offsets[sel[0]]
-                yield (self.members[a:a + sel.size * k].reshape(-1, k),
-                       self.values[o:o + sel.size * k * k].reshape(-1, k, k))
-                continue
-            members = self.members[starts[sel, None] + np.arange(k)]
-            blocks = self.values[offsets[sel, None] + np.arange(k * k)]
-            yield members, blocks.reshape(-1, k, k)
+        """For each run of m adjacent blocks of one size k: read-only views
+        (m, k) of their members and (m, k, k) of their blocks.  The package
+        orders blocks by size, so it gives one stack per size; a Gram built
+        with sizes interleaved gives one per run."""
+        return _stacked(self.sizes, self.members, self.values)
 
     @cached_property
     def _cross_keys(self) -> tuple[np.ndarray, ...]:
@@ -326,12 +317,11 @@ def _dense_component_labels(listed: np.ndarray) -> np.ndarray:
 
     Each node points to the first node its row lists, where that is
     smaller, and pointer jumping turns this forest into stars, each rooted
-    at its smallest node.  Where no listed entry leaves a star, checked on
-    the rows packed into bits, the stars are the components.  Otherwise the
-    stars are contracted into their quotient matrix, made symmetric, and
-    its components are found in the same way.  In a symmetric matrix the
-    larger end of an edge is no root, so every later quotient is smaller
-    than the matrix it contracts.
+    at its smallest node.  A check on the rows packed into bits finds the
+    rows that list an entry outside their star; where there are none, the
+    stars are the components.  The listed entries of those rows, read as
+    edges between the roots of their ends' stars, go to
+    :func:`_component_labels`, which joins the stars.
     """
     n = len(listed)
     node = np.arange(n)
@@ -345,57 +335,55 @@ def _dense_component_labels(listed: np.ndarray) -> np.ndarray:
     bits = np.packbits(listed, axis=1)
     star_bits = np.zeros_like(bits)  # row r: the star rooted at r, as bits
     np.bitwise_or.at(star_bits, (label, node >> 3), (128 >> (node & 7)).astype(np.uint8))
-    if np.array_equal(bits & star_bits[label], bits):
-        return label
-    roots, star, counts = np.unique(label, return_inverse=True, return_counts=True)
-    order = np.argsort(star, kind="stable")
-    bounds = np.cumsum(counts) - counts
-    rows = np.unpackbits(np.bitwise_or.reduceat(bits[order], bounds, axis=0), axis=1, count=n)
-    quotient = np.logical_or.reduceat(rows[:, order], bounds, axis=1)
-    quotient |= quotient.T
-    return roots[_dense_component_labels(quotient)][star]
+    leave = np.flatnonzero((bits & ~star_bits[label]).any(axis=1))
+    r, c = np.nonzero(listed[leave])
+    return _component_labels(n, label[leave[r]], label[c])[label]
 
 
 def _blocks(nodes: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``members`` and ``sizes`` of the blocks that group ascending ``nodes``
     by their component's ``label``, the smallest node of the component: the
-    members of each block ascend and the blocks are ordered by their first
-    member.  The entries the blocks need are checked before any block is
-    allocated."""
-    _, comp = np.unique(label, return_inverse=True)
-    sizes = np.bincount(comp)
+    members of each block ascend and the blocks are ordered by size, then
+    by their first member, so the blocks of one size are adjacent.  The
+    entries the blocks need are checked before any block is allocated."""
+    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
     _check_gram_entries(int((sizes ** 2).sum()))
-    return nodes[np.argsort(comp, kind="stable")], sizes
+    return nodes[np.lexsort((label, sizes[comp]))], np.sort(sizes)
 
 
-def _blocks_from_edges(d: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of a Gram that differs from the identity at the edges i - j
-    (flat branch indices; an edge may be listed once or both ways): the
-    connected components of the edges, as :func:`_blocks` gives them."""
+def _stacked(sizes: np.ndarray, members: np.ndarray, values: np.ndarray):
+    """For each run of m adjacent blocks of size k: views (m, k) of
+    ``members`` and (m, k, k) of ``values``, which hold the blocks in turn."""
+    at = offset = 0
+    for k, run in groupby(sizes.tolist()):
+        m = len(list(run))
+        yield (members[at:at + m * k].reshape(m, k),
+               values[offset:offset + m * k * k].reshape(m, k, k))
+        at += m * k
+        offset += m * k * k
+
+
+def _gram_from_edges(d: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> EveGram:
+    """The Gram with G[i, j] = G[j, i] = v at flat branch indices i, j (an
+    entry may be listed once or both ways), 1 elsewhere on the diagonal and
+    0 elsewhere.  Its blocks are the connected components of the edges
+    i - j, as :func:`_blocks` gives them."""
     touched = np.zeros(2 * d * d, dtype=bool)
     touched[i] = touched[j] = True
     nodes = np.flatnonzero(touched)
     at = np.zeros(touched.size, dtype=np.int64)
     at[nodes] = np.arange(nodes.size)
-    return _blocks(nodes, _component_labels(nodes.size, at[i], at[j]))
-
-
-def _scatter_values(d: int, members: np.ndarray, sizes: np.ndarray, i: np.ndarray,
-                    j: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The values of the blocks (``members``, ``sizes``) that hold the
-    entries G[i, j] = G[j, i] = v, 1 elsewhere on the diagonal and 0
-    elsewhere."""
+    members, sizes = _blocks(nodes, _component_labels(nodes.size, at[i], at[j]))
     k2 = sizes ** 2
     blk = np.repeat(np.arange(sizes.size), sizes)
     pos = np.arange(members.size) - (np.cumsum(sizes) - sizes)[blk]
     diag = (np.cumsum(k2) - k2)[blk] + pos * (sizes[blk] + 1)  # of each member
-    at = np.zeros(2 * d * d, dtype=np.int64)
     at[members] = np.arange(members.size)
     values = np.zeros(int(k2.sum()))
     values[diag] = 1.0
     values[diag[at[i]] + pos[at[j]] - pos[at[i]]] = v
     values[diag[at[j]] + pos[at[i]] - pos[at[j]]] = v
-    return values
+    return EveGram(d, members, sizes, values)
 
 
 def validate_gram(gram, d: int) -> EveGram:
@@ -404,9 +392,9 @@ def validate_gram(gram, d: int) -> EveGram:
     An :class:`EveGram`, checked when built, passes through once its shape
     fits d.  A dense (2, d, d, 2, d, d) array is split into the connected
     components of its entries that differ from the identity's, found from
-    the matrix of those entries itself (:func:`_dense_component_labels`),
-    each block's values are gathered from the array, and the blocks are
-    checked as the :class:`EveGram` is built.
+    the matrix of those entries itself (:func:`_dense_component_labels`);
+    each stack of same-size blocks is filled from the array with one
+    assignment, and the blocks are checked as the :class:`EveGram` is built.
     """
     shape = np.shape(gram)
     if shape != (2, d, d) * 2:
@@ -420,15 +408,10 @@ def validate_gram(gram, d: int) -> EveGram:
     nodes = np.flatnonzero(listed.any(axis=1) | listed.any(axis=0))
     members, sizes = _blocks(nodes, _dense_component_labels(listed)[nodes])
     del listed  # freed before the blocks are gathered (4 MiB at n = 5)
-    k2 = sizes ** 2
-    offsets, starts = np.cumsum(k2) - k2, np.cumsum(sizes) - sizes
-    values = np.empty(int(k2.sum()))
-    for k in np.unique(sizes).tolist():
-        sel = np.flatnonzero(sizes == k)
-        m = members[starts[sel, None] + np.arange(k)]
+    values = np.empty(int((sizes ** 2).sum()))
+    for m, blocks in _stacked(sizes, members, values):
         # + 0.0 stores a -0.0 entry as +0.0, like an entry that is not listed
-        sliding_window_view(values, k * k, writeable=True)[offsets[sel]] = \
-            (flat[m[:, :, None], m[:, None, :]] + 0.0).reshape(sel.size, -1)
+        blocks[:] = flat[m[:, :, None], m[:, None, :]] + 0.0
     return EveGram(d, members, sizes, values)
 
 
@@ -851,9 +834,7 @@ def load_attack_file(path) -> CollectiveAttack:
     keep = np.where(i == j, vals != 1.0, vals != 0.0)
     i, j, vals = i[keep], j[keep], vals[keep]
     try:
-        members, sizes = _blocks_from_edges(d, i, j)
-        gram = EveGram(d, members, sizes, _scatter_values(d, members, sizes, i, j, vals))
-        return attack_from_tables(tables, gram, label="file")
+        return attack_from_tables(tables, _gram_from_edges(d, i, j, vals), label="file")
     except ValidationError as exc:
         at = [ln for ln, _ in rows["GRAM"].values()]
         raise ValidationError(f"{_at(path, at or [lineno])}: {exc}") from None

@@ -82,7 +82,7 @@ def _fmt_all(values) -> list[str]:
 #: Simulation settings, key: (type, default, range check).  Each is a
 #: ``RunConfig`` field, a config-file key and a ``simulate`` flag (``_``
 #: written ``-``).  The check is the library's own, run on a config-file
-#: value as its line is read; a flag value meets it where it is used.
+#: value as its line is read and on a flag value once the flags are parsed.
 SETTINGS = {
     "n": (int, 2, check_attack_size),
     "q": (float, 0.0, partial(qmath.unit_interval, what="q=")),
@@ -138,6 +138,7 @@ def _attack_from_config(cfg: RunConfig) -> CollectiveAttack:
         if atk.n != cfg.n:
             raise qmath.ValidationError(
                 f"attack file is for n={atk.n}, config says n={cfg.n}")
+        protocol.round_statistics(atk, 0)  # refuses an attack that no unitary round realizes
         return atk
     if cfg.q == 0.0 and cfg.qtilde == 0.0:
         return identity_attack(cfg.n)
@@ -503,13 +504,18 @@ def _depolarizing_fit(n: int, p_ghz: float, disagreement: float
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     overrides = {k: getattr(args, k) for k in SETTINGS if getattr(args, k) is not None}
+    for key, value in overrides.items():
+        if SETTINGS[key][2] is not None:
+            SETTINGS[key][2](value)
     cfg = replace(cfg, **overrides)
 
     attack = _attack_from_config(cfg)
     params = protocol.ProtocolParams(n=cfg.n)
     schedule = protocol.expand_theta_schedule(cfg.seed, cfg.rounds, cfg.ctrl_count)
     out = cfg.out or "tallies.txt"
-    with open(out, "w", encoding="utf-8") as fh:  # a path it cannot write ends the run unsampled
+    # opened after every check, so a refused run leaves no file, and before
+    # the session, so a path it cannot write ends the run unsampled
+    with open(out, "w", encoding="utf-8") as fh:
         record = protocol.run_session(params, attack, schedule, cfg.seed,
                                       cfg.cc_fraction)
         fh.write(estimation.tally_to_text(record.tallies))

@@ -429,11 +429,11 @@ def exact_entropy_oracle(attack: CollectiveAttack) -> float:
     D^1/2 G_c D^1/2.  rho_AE,c is the direct sum over the sender bit of its
     parts, so S(AE_c) is the sum of the entropies of the bit-0 and bit-1
     diagonal sub-blocks of that matrix; the bit-0 branches come first in a
-    block, whose members ascend.  The blocks of one size are solved in
-    groups of equal bit-0 count, one batched eigenproblem per part.  So
-    every eigenproblem is at most the block's size, and the size is checked
-    before any is solved.  This is the independent reference the pairing
-    bound is checked against.
+    block, whose members ascend.  The blocks of one stack (one size) are
+    solved in groups of equal bit-0 count, one batched eigenproblem per
+    part.  So every eigenproblem is at most the block's size, and the size
+    is checked before any is solved.  This is the independent reference the
+    pairing bound is checked against.
     """
     gram = attack.gram
     dim = 2 * int(gram.sizes.max(initial=0))

@@ -400,6 +400,12 @@ class TestAttackFiles:
         with pytest.raises(ValidationError, match="FORWARD"):
             load_attack_file(path)
 
+    def test_missing_forward_section_rejected(self, tmp_path):
+        path = tmp_path / "bad.attack"
+        path.write_text("BACKWARD\n0 0 0 1\n0 0 1 0\n")
+        with pytest.raises(ValidationError, match=r"bad.attack:3: missing FORWARD section"):
+            load_attack_file(path)
+
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "bad.attack"
         path.write_text("FORWARD\n0 zero 1.0\n")

@@ -301,6 +301,26 @@ class TestSimulate:
         assert code == 0
         assert "attack=file" in out
 
+    def test_no_estimate_without_data(self, capsys, tmp_path):
+        # one round, a GHZ-test CTRL round: no Z test and no disclosed round
+        code, out = run_cli(capsys, "simulate", "--rounds", "1",
+                            "--out", str(tmp_path / "t.txt"))
+        assert code == 0
+        assert "reflection-round estimates unavailable: no reflection-round Z-test " \
+            "tallies\n" in out
+        assert "disclosed-round estimates unavailable: no disclosed key rounds" in out
+        assert "depolarizing fit" not in out and "key rate" not in out
+
+    def test_fit_at_full_forward_noise(self, capsys, tmp_path):
+        # the receivers disagree with the sender about half the time, so the
+        # fitted forward strength reaches 1 and the backward one is set to 0
+        code, out = run_cli(capsys, "simulate", "--n", "2", "--q", "1", "--qtilde", "0",
+                            "--rounds", "20000", "--seed", "1",
+                            "--out", str(tmp_path / "t.txt"))
+        assert code == 0
+        assert "per-receiver disagreement: 0.520321124 0.504264927\n" in out
+        assert "depolarizing fit: q=1 qtilde=0\n" in out
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("qq = 1\n")
@@ -362,6 +382,32 @@ class TestCleanExits:
         out = tmp_path / "missing" / "t.txt"
         err = self.run_error(capsys, "simulate", "--rounds", "100000", "--out", str(out))
         assert str(out) in err
+
+    @pytest.mark.parametrize("argv,msg", [
+        (("--seed", "-1"), "session seed -1 is negative"),
+        (("--cc-fraction", "1.5"), "cut-and-choose fraction 1.5 outside [0, 1)"),
+        (("--n", "2", "--attack-file", "random.attack"),
+         "tables and gram admit no unitary round: reflected branch mass deviates"),
+        (("--seed", "-1", "--n", "1", "--attack-file", "missing.attack"),
+         "session seed -1 is negative"),
+    ], ids=["seed", "cc-fraction", "non-unitary-attack", "seed-before-attack-file"])
+    def test_refused_run_leaves_no_tally_file(self, capsys, tmp_path, monkeypatch,
+                                              argv, msg):
+        # every flag meets its check, and an attack file the session would
+        # refuse is refused, before the tally file is opened
+        monkeypatch.chdir(tmp_path)
+        dump_attack_file(random_table_attack(np.random.default_rng(1), 2), "random.attack")
+        err = self.run_error(capsys, "simulate", "--rounds", "10", *argv, "--out", "t.txt")
+        assert msg in err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_attack_file_for_another_n(self, capsys, tmp_path):
+        path = tmp_path / "n2.attack"
+        dump_attack_file(random_table_attack(np.random.default_rng(1), 2), path)
+        err = self.run_error(capsys, "simulate", "--n", "3", "--rounds", "10",
+                             "--attack-file", str(path), "--out", str(tmp_path / "t.txt"))
+        assert "attack file is for n=2, config says n=3" in err
+        assert not (tmp_path / "t.txt").exists()
 
     def test_negative_seed(self, capsys, tmp_path):
         err = self.run_error(capsys, "simulate", "--n", "1", "--rounds", "10",
@@ -431,9 +477,10 @@ class TestCleanExits:
         (("sweep", "--q-step", "x"), "argument --q-step: invalid float value: 'x'"),
         (("sweep", "--n", "0"), "receiver counts must be >= 1"),
         (("sweep", "--q", "0:1.5"), "strength grids must lie in [0, 1]"),
+        (("sweep", "--q-step", "0"), "step 0.0 must be positive"),
     ], ids=["n-list", "q-value", "q-reversed", "ctrl-count", "q-step", "sweep-rows",
             "rounds", "ctrl-cap", "rounds-not-int", "n-not-int", "mode-choice",
-            "q-step-not-float", "sweep-n-zero", "sweep-q-past-1"])
+            "q-step-not-float", "sweep-n-zero", "sweep-q-past-1", "q-step-zero"])
     def test_bad_flag_value(self, capsys, tmp_path, monkeypatch, argv, msg):
         monkeypatch.chdir(tmp_path)
         err = self.run_error(capsys, *argv)

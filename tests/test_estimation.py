@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from sqcka.attacks import (DepolarizingParams, depolarizing_attack,
                            eve_catalogue)
 from sqcka.estimation import (
+    COUNT_CAP,
     InconsistencyWarning,
     NoDataError,
     TallyCounts,
@@ -230,6 +231,12 @@ class TestTallies:
     def test_text_boundary_errors(self, line, where):
         with pytest.raises(ValidationError, match=where):
             tally_from_text(f"tally n 1\n{line}\n")
+
+    def test_count_over_the_cap_refused(self):
+        assert 2 * 10 ** 12 > COUNT_CAP
+        with pytest.raises(ValidationError,
+                           match=f"^line 2: count 2000000000000 outside 0..{COUNT_CAP}$"):
+            tally_from_text("tally n 1\nghz total 2000000000000\n")
 
     def test_text_errors(self):
         with pytest.raises(ValidationError):

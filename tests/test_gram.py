@@ -2,10 +2,11 @@
 
 The exact oracle is checked against the dense oracle it replaced and
 against the full-block oracle that preceded the per-sender-bit one, the
-dense split against the entry-list split it replaced, the stacks against
-the gather that preceded their views, the entry listing against the
-divmod listing it replaced, all kept here verbatim, and the pairing bound
-against the oracles at the sizes the paper uses.
+dense split against the entry-list split it replaced (which now orders
+its blocks by size), the stacks against the gather that preceded their
+views, the entry listing against the divmod listing it replaced, all kept
+here verbatim otherwise, and the pairing bound against the oracles at the
+sizes the paper uses.
 """
 
 import itertools
@@ -78,8 +79,9 @@ def dense_entropy_oracle(attack) -> float:
 
 def entry_list_gram(gram, d: int) -> EveGram:
     """The dense split before it gathered blocks, kept verbatim as the
-    reference: every listed entry as an index pair, scattered into the
-    blocks."""
+    reference, apart from the block order: every listed entry as an index
+    pair, scattered into the blocks, which are ordered by size and then by
+    first member."""
     flat = np.asarray(gram, dtype=np.float64).reshape(2 * d * d, 2 * d * d)
     listed = flat != 0.0
     np.fill_diagonal(listed, flat.diagonal() != 1.0)
@@ -93,6 +95,10 @@ def entry_list_gram(gram, d: int) -> EveGram:
     at[nodes] = np.arange(nodes.size)
     ni, nj = at[i], at[j]
     _, comp = np.unique(attacks._component_labels(nodes.size, ni, nj), return_inverse=True)
+    sizes = np.bincount(comp)
+    rank = np.empty_like(sizes)
+    rank[np.argsort(sizes, kind="stable")] = np.arange(sizes.size)
+    comp = rank[comp]  # components numbered by size, then by first member
     sizes = np.bincount(comp)
     k2 = sizes ** 2
     attacks._check_gram_entries(int(k2.sum()))
@@ -329,7 +335,7 @@ class TestDenseSplit:
             "identity": lambda: np.eye(2 * d * d).reshape((2, d, d) * 2),
             "negative-zero": lambda: negative_zero_chain(d),
             # 5 points to 0 and 1 points to itself: the stars {0, 5} and {1}
-            # share the edge 5 - 1, so they are contracted
+            # share the edge 5 - 1, so the edge labeler joins them
             "contracted-path": lambda: path_gram(d, [0, 5, 1, 9, 2]),
         }[kind]()
         got = validate_gram(dense, d)
@@ -347,7 +353,7 @@ class TestDenseSplit:
            st.sampled_from(["both", "upper", "lower", "path"]), st.integers(0, 2 ** 32 - 1))
     def test_component_labels_equal_the_edge_list_labels(self, n, density, shape, seed):
         # any bool matrix, read either way round: one-sided (asymmetric) entries
-        # and long paths in a random order need contracted quotients
+        # and long paths in a random order leave stars that the edge labeler joins
         rng = np.random.default_rng(seed)
         listed = rng.random((n, n)) < density
         if shape == "upper":
@@ -444,12 +450,14 @@ class TestDenseSplit:
 class TestValuesHeldOnce:
     """Stacks of adjacent blocks are views, and cross reads ``values`` in place."""
 
-    @pytest.mark.parametrize("sizes,views", [
-        ((5,), {5}),
-        ((3, 3, 3), {3}),
-        ((2, 3, 2), {3}),
+    @pytest.mark.parametrize("sizes,runs", [
+        ((5,), [5]),
+        ((3, 3, 3), [3]),
+        ((2, 3, 2), [2, 3, 2]),
     ], ids=["one-block", "adjacent", "interleaved"])
-    def test_stacks_equal_the_gather(self, sizes, views):
+    def test_stacks_equal_the_gather(self, sizes, runs):
+        # one stack per run of adjacent same-size blocks, each a read-only
+        # view; the runs of one size, joined, are the gathered stack
         rng = np.random.default_rng(sum(sizes))
         d = 4
         members = rng.permutation(2 * d * d)[:sum(sizes)]
@@ -457,17 +465,39 @@ class TestValuesHeldOnce:
                                   np.split(members, np.cumsum(sizes)[:-1])])
         values = np.concatenate([random_block(rng, k, k).ravel() for k in sizes])
         gram = EveGram(d, members, sizes, values)
-        got, want = list(gram.stacks()), list(gathered_stacks(gram))
-        assert len(got) == len(want)
-        for (m, b), (wm, wb) in zip(got, want):
-            for a, w in ((m, wm), (b, wb)):
+        got = list(gram.stacks())
+        assert [b.shape[1] for _, b in got] == runs
+        for m, b in got:
+            assert np.shares_memory(b, gram.values) and np.shares_memory(m, gram.members)
+            assert not (b.flags.writeable or m.flags.writeable)
+        for wm, wb in gathered_stacks(gram):
+            k = wb.shape[1]
+            for part, w in ((0, wm), (1, wb)):
+                a = np.concatenate([stack[part] for stack in got if stack[1].shape[1] == k])
                 assert (a.dtype, a.shape) == (w.dtype, w.shape)
                 assert a.tobytes() == w.tobytes()
-            k = b.shape[1]
-            assert np.shares_memory(b, gram.values) == (k in views)
-            assert np.shares_memory(m, gram.members) == (k in views)
-            if k in views:
-                assert not (b.flags.writeable or m.flags.writeable)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_size_grams_are_one_view_per_size(self, seed, tmp_path):
+        # blocks of sizes 2..5 over branches in a random order, split from the
+        # dense array and read back from an attack file: ordered by size, so
+        # each size is one stack, a view of the values
+        rng = np.random.default_rng([seed, 26])
+        d = 8
+        sizes = np.tile(np.arange(1, 6), 8)
+        dense = block_diagonal_gram(rng, d, rng.permutation(sizes))
+        got = validate_gram(dense, d)
+        path = tmp_path / "mixed.attack"
+        attacks.dump_attack_file(attack_from_tables(random_table_attack(rng, 3).tables, got),
+                                 path)
+        for gram in (got, attacks.load_attack_file(path).gram):
+            assert gram.sizes.tolist() == sorted(gram.sizes.tolist())
+            assert set(gram.sizes.tolist()) == {2, 3, 4, 5}
+            stacks = list(gram.stacks())
+            assert [b.shape[1] for _, b in stacks] == [2, 3, 4, 5]
+            for m, b in stacks:
+                assert np.shares_memory(b, gram.values) and np.shares_memory(m, gram.members)
+            assert np.asarray(gram).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_built_in_and_random_grams_are_views(self, n):
@@ -673,7 +703,7 @@ class TestPurification:
             vecs /= np.linalg.norm(vecs, axis=1)[:, None]
             dense[np.ix_(members, members)] = vecs @ vecs.T
         gram = validate_gram(dense.reshape((2, d, d) * 2), d)
-        assert gram.sizes.tolist() == [4, 3]
+        assert gram.sizes.tolist() == [3, 4]
         m = attacks.gram_purification(gram)
         np.testing.assert_allclose(m.T @ m, dense, atol=1e-12)
 
@@ -706,7 +736,7 @@ class TestOracle:
             dense[np.ix_(members, members)] = random_block(rng, members.size, 2)
         atk = attack_from_tables(random_table_attack(rng, 2).tables,
                                  dense.reshape((2, d, d) * 2))
-        assert atk.gram.sizes.tolist() == [4, 3]
+        assert atk.gram.sizes.tolist() == [3, 4]
         assert abs(exact_entropy_oracle(atk)) <= 1e-12
         assert abs(full_block_oracle(atk)) <= 1e-12
 

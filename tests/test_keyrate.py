@@ -291,6 +291,14 @@ class TestTheorem1Bound:
         assert bound <= oracle + 1e-9
 
 
+class TestPairingPlan:
+    @pytest.mark.parametrize("pis,name", [(((0, 0), (0, 1)), "pi1"),
+                                          (((1, 0), (1, 2)), "pi2")])
+    def test_plan_that_is_no_permutation_refused(self, pis, name):
+        with pytest.raises(qmath.ValidationError, match=f"{name} is not a permutation"):
+            PairingPlan(*pis)
+
+
 class TestPairingSearch:
     def test_identity_attack_identity_plan(self):
         atk = identity_attack(2)
