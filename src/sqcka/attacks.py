@@ -297,17 +297,32 @@ def _max_asymmetry(blocks: np.ndarray) -> float:
                for r in range(0, blocks.shape[1], 64))
 
 
+def forest_roots(parent: np.ndarray) -> np.ndarray:
+    """Each node's root in the forest ``parent`` (a root is its own parent),
+    by pointer jumping: O(log depth) gathers."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
 def _component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The smallest node of each node's connected component, for edges u - v."""
+    """The smallest node of each node's connected component, for edges u - v.
+
+    Each round hooks the larger root of every edge whose ends have different
+    roots onto the smaller one, then shortcuts every node to its root; a
+    label only falls and stays a node of its component, so the one root
+    left in a component is its smallest node.
+    """
     label = np.arange(count)
     while True:
-        low = label.copy()
-        np.minimum.at(low, u, label[v])
-        np.minimum.at(low, v, label[u])
-        low = low[low]  # each label stays a node of the component, never larger
-        if np.array_equal(low, label):
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
             return label
-        label = low
+        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        label = forest_roots(label)
 
 
 def _dense_component_labels(listed: np.ndarray) -> np.ndarray:
@@ -326,12 +341,7 @@ def _dense_component_labels(listed: np.ndarray) -> np.ndarray:
     n = len(listed)
     node = np.arange(n)
     first = listed.argmax(axis=1)
-    label = np.where(listed[node, first], np.minimum(first, node), node)
-    while True:
-        up = label[label]
-        if np.array_equal(up, label):
-            break
-        label = up
+    label = forest_roots(np.where(listed[node, first], np.minimum(first, node), node))
     bits = np.packbits(listed, axis=1)
     star_bits = np.zeros_like(bits)  # row r: the star rooted at r, as bits
     np.bitwise_or.at(star_bits, (label, node >> 3), (128 >> (node & 7)).astype(np.uint8))

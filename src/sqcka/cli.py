@@ -138,7 +138,6 @@ def _attack_from_config(cfg: RunConfig) -> CollectiveAttack:
         if atk.n != cfg.n:
             raise qmath.ValidationError(
                 f"attack file is for n={atk.n}, config says n={cfg.n}")
-        protocol.round_statistics(atk, 0)  # refuses an attack that no unitary round realizes
         return atk
     if cfg.q == 0.0 and cfg.qtilde == 0.0:
         return identity_attack(cfg.n)
@@ -510,20 +509,22 @@ def cmd_simulate(args) -> int:
     cfg = replace(cfg, **overrides)
 
     attack = _attack_from_config(cfg)
-    params = protocol.ProtocolParams(n=cfg.n)
+    sampler = protocol.RoundSampler(attack)  # refuses an attack no unitary round realizes
     schedule = protocol.expand_theta_schedule(cfg.seed, cfg.rounds, cfg.ctrl_count)
     out = cfg.out or "tallies.txt"
     # opened after every check, so a refused run leaves no file, and before
-    # the session, so a path it cannot write ends the run unsampled
+    # the session, so a path it cannot write ends the run unsampled; the
+    # session is folded chunk by chunk into its tallies, with no columns
     with open(out, "w", encoding="utf-8") as fh:
-        record = protocol.run_session(params, attack, schedule, cfg.seed,
-                                      cfg.cc_fraction)
-        fh.write(estimation.tally_to_text(record.tallies))
-    t = record.tallies
+        t = estimation.TallyCounts(n=cfg.n)
+        for chunk in protocol.session_chunks(sampler, schedule, cfg.seed, cfg.cc_fraction):
+            t += chunk.tallies
+        fh.write(estimation.tally_to_text(t))
 
     print(f"session: n={cfg.n} rounds={cfg.rounds} ctrl={schedule.num_ctrl} seed={cfg.seed} "
           f"attack={attack.label}")
-    print(f"raw key length: {np.count_nonzero(record.theta) - t.sift_total}")
+    # every SIFT round that was not disclosed is a key round
+    print(f"raw key length: {cfg.rounds - schedule.num_ctrl - t.sift_total}")
 
     pg = rates = None
     try:

@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .attacks import CollectiveAttack, gram_purification
+from .attacks import CollectiveAttack, forest_roots, gram_purification
 from .estimation import TallyCounts
 from .qmath import (
     CapacityError,
@@ -49,12 +49,13 @@ from .qmath import (
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-#: Cap on a session's round count.  A session holds its outcome columns: 6 B
-#: a round up to n = 7, and 8 B from n = 8 on, where b and c are int16.
+#: Cap on a session's round count.  :func:`run_session` holds the outcome
+#: columns: 6 B a round up to n = 7, and 8 B from n = 8 on, where b and c
+#: are int16; :func:`session_chunks` alone holds one chunk.
 ROUNDS_CAP = 10 ** 8
 
-#: Cap on a session's CTRL round count: expanding the schedule holds about
-#: 250 B per CTRL index.  The default, ceil(sqrt(N)), is at most 10^4.
+#: Cap on a session's CTRL round count: the schedule keeps its indices as a
+#: tuple of ints.  The default, ceil(sqrt(N)), is at most 10^4.
 CTRL_CAP = 10 ** 6
 
 
@@ -426,11 +427,12 @@ class RoundSampler:
     """
 
     def __init__(self, attack: CollectiveAttack):
-        sift = round_statistics(attack, 1)
         ctrl = round_statistics(attack, 0)
+        self.n = attack.n
         self.p_ghz = float(ctrl.p_ghz)
-        self._sift_cum = self._cumulative(sift.abc_joint)
         self._ctrl_cum = self._cumulative(ctrl.ctrl_az)
+        # the SIFT joint (2 d^2 entries) is dropped once it is summed
+        self._sift_cum = self._cumulative(round_statistics(attack, 1).abc_joint)
         m = self._sift_cum.size
         self._lo, self._busy = self._guide(self._sift_cum, m)
         while 16 * np.count_nonzero(self._busy) > m and m < _GUIDE_CAP:
@@ -440,7 +442,8 @@ class RoundSampler:
     @staticmethod
     def _cumulative(table: np.ndarray) -> np.ndarray:
         cum = np.cumsum(np.asarray(table, dtype=np.float64).ravel())
-        return cum / cum[-1]
+        cum /= cum[-1]
+        return cum
 
     @staticmethod
     def _guide(cum: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +459,7 @@ class RoundSampler:
             k = low[s:s + _GUIDE_BLOCK]
             k[:] = x  # truncates, and x >= 0
             busy[k[k != x]] = True
-        return np.cumsum(np.bincount(low, minlength=m + 1)[:m]).astype(np.int32), busy
+        return np.cumsum(np.bincount(low, minlength=m + 1)[:m], dtype=np.int32), busy
 
     def draw_sift(self, u: np.ndarray) -> np.ndarray:
         """Flat (sender bit, receivers' string, returned string) indices."""
@@ -519,27 +522,28 @@ def default_ctrl_count(num_rounds: int) -> int:
 
 
 class _XofStream:
-    """Deterministic 64-bit stream from SHAKE-256 over a seed."""
+    """Deterministic stream of big-endian 64-bit words from SHAKE-256 over a
+    seed; ``pos`` is the index of the next word."""
 
     def __init__(self, seed: bytes):
         self._xof = hashlib.shake_256(seed)
         self._buf = b""
-        self._len = 0
-        self._pos = 0
+        self.pos = 0
 
-    def next_u64(self) -> int:
-        if self._pos + 8 > self._len:
-            self._len = max(1024, self._len * 2)
-            self._buf = self._xof.digest(self._len)
-        out = int.from_bytes(self._buf[self._pos:self._pos + 8], "big")
-        self._pos += 8
-        return out
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words, as uint64."""
+        end = 8 * (self.pos + count)
+        if end > len(self._buf):
+            self._buf = self._xof.digest(max(1024, end, 2 * len(self._buf)))
+        out = np.frombuffer(self._buf, dtype=">u8", count=count, offset=8 * self.pos)
+        self.pos += count
+        return out.astype(np.uint64)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling."""
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
-            u = self.next_u64()
+            u = int(self.words(1)[0])
             if u < limit:
                 return u % bound
 
@@ -563,8 +567,20 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     All parties expand the same seed to the same schedule.  ``num_ctrl``
     defaults to ceil(sqrt(N)).  Selection is a partial Fisher-Yates shuffle
     of the pool 1..N driven by a SHAKE-256 stream, so any seed-holding party
-    reproduces it.  Only displaced pool entries are stored, so memory is
-    O(num_ctrl) whatever N is.
+    reproduces it: step i = 0..K-1 takes the round at pool position
+    j_i = i + w mod (N - i) and moves the round at position i there, where
+    w is the stream's next word below the largest multiple of N - i under
+    2^64 (a word at or above it is skipped).  The K words are read and
+    checked at once; from the first skipped word on, which happens with
+    probability under N 2^-64 a word, they are drawn one by one.
+
+    The shuffle is resolved without replaying it, in O(K) memory whatever N
+    is.  Step i takes j_i + 1 unless an earlier step s wrote to position j_i;
+    then it takes what the last such step moved, the round at position s
+    when step s began, which is s + 1 unless an earlier step wrote to s, and
+    so on.  The "last write before" lookups are one sort of (position, step)
+    keys and ``searchsorted``, and the chains of writes resolve by pointer
+    jumping.
     """
     check_rounds(num_rounds)
     if num_ctrl is None:
@@ -573,13 +589,29 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     if num_ctrl > num_rounds:
         raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds ({num_rounds})")
     stream = _XofStream(_seed_bytes(seed))
-    moved: dict[int, int] = {}  # pool position -> round, where not position + 1
-    chosen = []
-    for i in range(num_ctrl):
-        j = i + stream.below(num_rounds - i)
-        chosen.append(moved.get(j, j + 1))
-        moved[j] = moved.pop(i, i + 1)  # position i is never read again
-    return ThetaSchedule(num_rounds=num_rounds, ctrl_indices=tuple(sorted(chosen)))
+    step = np.arange(num_ctrl, dtype=np.int64)
+    bound = (num_rounds - step).astype(np.uint64)
+    words = stream.words(num_ctrl)
+    # w is kept when w <= 2^64 - 1 - (2^64 mod bound), i.e. w <= ~r for
+    # r = (2^64 - bound) mod bound = (~bound + 1) mod bound
+    skipped = np.flatnonzero(words > ~((~bound + 1) % bound))
+    j = step + (words % bound).astype(np.int64)
+    if skipped.size:
+        stream.pos = int(skipped[0])
+        for i in range(stream.pos, num_ctrl):
+            j[i] = i + stream.below(num_rounds - i)
+    order = np.argsort(j, kind="stable")  # steps by (position, step)
+    by_pos = j[order]
+    # the round at position s when step s began: s + 1, or the round that the
+    # last earlier write to s moved there, followed back to a first write
+    at = np.searchsorted(by_pos * num_ctrl + order, step * (num_ctrl + 1)) - 1
+    held = forest_roots(np.where((at >= 0) & (by_pos[at] == step), order[at], step)) + 1
+    # step i takes j_i + 1, or what the last earlier write to j_i moved there
+    taken = j + 1
+    same = by_pos[1:] == by_pos[:-1]
+    taken[order[1:][same]] = held[order[:-1][same]]
+    return ThetaSchedule(num_rounds=num_rounds,
+                         ctrl_indices=tuple(np.sort(taken).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -590,72 +622,118 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
 _CHUNK = 1 << 16
 
 
-def run_session(params: ProtocolParams, attack: CollectiveAttack,
-                schedule: ThetaSchedule, rng,
-                cut_and_choose_fraction: float = 0.1) -> SessionRecord:
-    """Run a full session: sampled rounds and their tallies.
+@dataclass(frozen=True)
+class SessionChunk:
+    """The rounds ``start`` .. ``start + len(u) - 1`` (0-based) of a session.
+
+    ``u`` holds each round's two uniforms, ``ghz_at`` and ``z_at`` the
+    chunk positions of its GHZ-test and Z-test CTRL rounds, ``passed`` and
+    ``az`` their draws (as :meth:`RoundSampler.draw_ghz` and
+    :meth:`~RoundSampler.draw_ztest` give them), ``shown`` marks the SIFT
+    rounds disclosed for estimation, and ``tallies`` counts the chunk.
+    """
+
+    start: int
+    u: np.ndarray
+    ghz_at: np.ndarray
+    passed: np.ndarray
+    z_at: np.ndarray
+    az: np.ndarray
+    shown: np.ndarray
+    tallies: TallyCounts
+
+
+def session_chunks(sampler: RoundSampler, schedule: ThetaSchedule, rng,
+                   cut_and_choose_fraction: float = 0.1):
+    """Sample a session chunk by chunk: yield a :class:`SessionChunk` for
+    every ``_CHUNK`` rounds, in round order.
 
     CTRL rounds alternate GHZ test / Z cut-and-choose test by their position
     in the schedule (even positions test GHZ).  The given fraction of SIFT
-    rounds is publicly disclosed for parameter estimation, as the
-    ``disclosed`` column marks; the other SIFT rounds make the raw keys.
+    rounds is publicly disclosed for parameter estimation; the other SIFT
+    rounds make the raw keys, so a chunk has len(u) - (CTRL rounds) -
+    (disclosed rounds) key rounds.
 
     Randomness is one stream: the session seed (a non-negative ``int``, or
     one draw from a ``Generator``) keys a Philox4x64 generator, read in round
     order, and round j (1-based) uses its uniforms 2(j-1), the outcome draw,
     and 2(j-1) + 1, the disclosure draw of SIFT rounds.  So a round depends
-    only on the seed and j, whatever the chunk size.  Rounds are sampled in
-    chunks of ``_CHUNK``, which bounds the temporaries; the outcome columns
-    (see :class:`SessionRecord`) stay O(N) in compact dtypes.
-
-    A chunk draws a SIFT outcome for every round from its first uniform,
-    through the sampler's guide table; CTRL rounds then overwrite theirs with
-    a GHZ-test or Z-test draw from that same uniform.  Flat indices split
-    into a, b and c by shifts and masks (d = 2^n), written by slice, and the
-    disclosed rounds are marked by a mask.
+    only on the seed and j, whatever the chunk size.  A chunk's tallies need
+    SIFT outcomes only for its disclosed rounds, so only those are drawn;
+    nothing O(N) is held.  The fraction and the seed are checked on the
+    call, before any chunk is asked for.
     """
     check_cut_and_choose_fraction(cut_and_choose_fraction)
-    if params.n != attack.n:
-        raise ValidationError(f"params n={params.n} != attack n={attack.n}")
     base = int(rng.integers(0, 1 << 62)) if isinstance(rng, np.random.Generator) \
         else int(rng)
     check_session_seed(base)
     gen = np.random.Generator(
         np.random.Philox(key=np.random.SeedSequence(base).generate_state(2, np.uint64)))
+    return _chunks(sampler, schedule, gen, cut_and_choose_fraction)
+
+
+def _chunks(sampler: RoundSampler, schedule: ThetaSchedule, gen: np.random.Generator,
+            cut_and_choose_fraction: float):
+    n, num = sampler.n, schedule.num_rounds
+    d = 1 << n
+    ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
+    for start in range(0, num, _CHUNK):
+        stop = min(start + _CHUNK, num)
+        u = gen.random(2 * (stop - start)).reshape(-1, 2)
+        k0, k1 = np.searchsorted(ctrl, (start, stop))
+        at = ctrl[k0:k1] - start
+        ghz_at, z_at = at[k0 % 2::2], at[1 - k0 % 2::2]  # even schedule positions
+        passed = sampler.draw_ghz(u[ghz_at, 0])
+        az = sampler.draw_ztest(u[z_at, 0])
+        shown = u[:, 1] < cut_and_choose_fraction
+        shown[at] = False
+        ab = sampler.draw_sift(u[:, 0][shown]) >> n  # faster than u[shown, 0]
+        yield SessionChunk(start, u, ghz_at, passed, z_at, az, shown, TallyCounts(
+            n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
+            z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
+            sift_joint_counts=np.bincount(ab, minlength=2 * d).reshape(2, d),
+            sift_total=ab.size))
+
+
+def run_session(params: ProtocolParams, attack: CollectiveAttack,
+                schedule: ThetaSchedule, rng,
+                cut_and_choose_fraction: float = 0.1) -> SessionRecord:
+    """Run a full session and keep its outcome columns (see
+    :class:`SessionRecord`), O(N) in compact dtypes, with its tallies.
+
+    The rounds are those of :func:`session_chunks`.  Each chunk draws a SIFT
+    outcome for every round from its first uniform, through the sampler's
+    guide table (the disclosed rounds' draws repeat the chunk's); CTRL
+    rounds then overwrite theirs with the chunk's GHZ-test or Z-test draw.
+    Flat indices split into a, b and c by shifts and masks (d = 2^n),
+    written by slice, and the disclosed rounds are marked by the chunk's
+    mask.
+    """
+    if params.n != attack.n:
+        raise ValidationError(f"params n={params.n} != attack n={attack.n}")
     sampler = RoundSampler(attack)
+    chunks = session_chunks(sampler, schedule, rng, cut_and_choose_fraction)
     n, d, num = attack.n, attack.d, schedule.num_rounds
     theta = np.ones(num, dtype=np.int8)
     a, ghz = np.full((2, num), -1, dtype=np.int8)
     b, c = np.full((2, num), -1, dtype=np.min_scalar_type(-d))  # -1 .. d - 1
     disclosed = np.zeros(num, dtype=np.bool_)
-    ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
     tallies = TallyCounts(n=n)
-    for start in range(0, num, _CHUNK):
-        stop = min(start + _CHUNK, num)
-        u = gen.random(2 * (stop - start)).reshape(-1, 2)
-        th, ca, cb, cc, cg, shown = (col[start:stop]
+    for chunk in chunks:
+        th, ca, cb, cc, cg, shown = (col[chunk.start:chunk.start + len(chunk.u)]
                                      for col in (theta, a, b, c, ghz, disclosed))
-        abc = sampler.draw_sift(u[:, 0])  # every round; CTRL rounds overwrite
+        abc = sampler.draw_sift(chunk.u[:, 0])  # every round; CTRL rounds overwrite
         ca[:] = abc >> 2 * n
         cb[:] = (abc >> n) & (d - 1)
         cc[:] = abc & (d - 1)
-        k0, k1 = np.searchsorted(ctrl, (start, stop))
-        at = ctrl[k0:k1] - start
-        th[at] = 0
-        cb[at] = -1
-        ghz_at, z_at = at[k0 % 2::2], at[1 - k0 % 2::2]  # even schedule positions
-        passed = sampler.draw_ghz(u[ghz_at, 0])
-        cg[ghz_at] = passed
-        ca[ghz_at] = cc[ghz_at] = -1
-        az = sampler.draw_ztest(u[z_at, 0])
-        ca[z_at] = az >> n
-        cc[z_at] = az & (d - 1)
-        shown[:] = th.view(np.bool_) & (u[:, 1] < cut_and_choose_fraction)
-        tallies += TallyCounts(
-            n=n, ghz_pass=int(passed.sum()), ghz_total=passed.size,
-            z_ctrl_counts=np.bincount(az, minlength=2 * d).reshape(2, d),
-            sift_joint_counts=np.bincount(abc[np.flatnonzero(shown)] >> n,
-                                          minlength=2 * d).reshape(2, d),
-            sift_total=np.count_nonzero(shown))
+        for at in (chunk.ghz_at, chunk.z_at):
+            th[at] = 0
+            cb[at] = -1
+        cg[chunk.ghz_at] = chunk.passed
+        ca[chunk.ghz_at] = cc[chunk.ghz_at] = -1
+        ca[chunk.z_at] = chunk.az >> n
+        cc[chunk.z_at] = chunk.az & (d - 1)
+        shown[:] = chunk.shown
+        tallies += chunk.tallies
     return SessionRecord(theta=theta, a=a, b=b, c=c, ghz_pass=ghz,
                          disclosed=disclosed, tallies=tallies)

@@ -378,7 +378,7 @@ class TestCleanExits:
                                                                monkeypatch):
         def refuse(*args):
             raise AssertionError("the session started")
-        monkeypatch.setattr(cli.protocol, "run_session", refuse)
+        monkeypatch.setattr(cli.protocol, "session_chunks", refuse)
         out = tmp_path / "missing" / "t.txt"
         err = self.run_error(capsys, "simulate", "--rounds", "100000", "--out", str(out))
         assert str(out) in err

@@ -297,6 +297,21 @@ class TestSplit:
             pairing_maximize(np.full((2, 2, 2), 0.125), dense.reshape((2, 2, 2) * 2))
 
 
+def min_propagation_labels(count, u, v):
+    """The edge labeler before it hooked roots, kept verbatim as the
+    reference: every node takes the smallest label of its neighbours and
+    itself, then its label's label, until nothing changes."""
+    label = np.arange(count)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, u, label[v])
+        np.minimum.at(low, v, label[u])
+        low = low[low]  # each label stays a node of the component, never larger
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def negative_zero_chain(d):
     """A 3-branch chain 6 - 1 - 4 with overlaps 0.4 and -0.0 at its ends,
     and -0.0 for every other zero entry."""
@@ -367,6 +382,47 @@ class TestDenseSplit:
         i, j = np.nonzero(listed)
         np.testing.assert_array_equal(attacks._dense_component_labels(listed),
                                       attacks._component_labels(n, i, j))
+
+    @given(st.integers(1, 300), st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+           st.sampled_from(["random", "one-sided", "path"]), st.integers(0, 2 ** 32 - 1))
+    def test_component_labels_equal_min_propagation(self, n, per_node, shape, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "path":
+            order = rng.permutation(n)
+            u, v = order[:-1], order[1:]
+        else:
+            u, v = rng.integers(0, n, (2, int(per_node * n)))
+            if shape == "one-sided":
+                u, v = np.minimum(u, v), np.maximum(u, v)
+        np.testing.assert_array_equal(attacks._component_labels(n, u, v),
+                                      min_propagation_labels(n, u, v))
+
+    def test_long_chain_gram_file_is_labelled_in_few_rounds(self, tmp_path, monkeypatch):
+        # GRAM rows that chain 20,000 of the n = 7 branches in a random order:
+        # labelled in a few hook-and-shortcut rounds (the minimum propagation
+        # it replaced took one round per two nodes), then refused by the cap
+        n, d, nodes = 7, 128, 20_000
+        rng = np.random.default_rng(7)
+        chain = np.unravel_index(rng.permutation(2 * d * d)[:nodes], (2, d, d))
+        lines = ["FORWARD"] + [f"{a} {b} {1.0 if b == 0 else 0.0}"
+                               for a in range(2) for b in range(d)]
+        lines += ["BACKWARD"] + [f"{a} {b} {b} 1.0" for a in range(2) for b in range(d)]
+        lines += ["GRAM"] + [f"{chain[0][k]} {chain[1][k]} {chain[2][k]} "
+                             f"{chain[0][k + 1]} {chain[1][k + 1]} {chain[2][k + 1]} 0.1"
+                             for k in range(nodes - 1)]
+        path = tmp_path / "chain.attack"
+        path.write_text("\n".join(lines) + "\n")
+        rounds = []
+        roots = attacks.forest_roots
+
+        def counted(parent):  # one shortcut per round of the edge labeler
+            rounds.append(parent.size)
+            return roots(parent)
+
+        monkeypatch.setattr(attacks, "forest_roots", counted)
+        with pytest.raises(CapacityError, match="GRAM_ENTRY_CAP"):
+            attacks.load_attack_file(path)
+        assert rounds and set(rounds) == {nodes} and len(rounds) <= 20, len(rounds)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_built_in_grams(self, n):

@@ -1,5 +1,8 @@
 """Protocol round/session tests: soundness, exact statistics, sampling."""
 
+import contextlib
+import hashlib
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -9,7 +12,7 @@ import pytest
 from scipy import stats as sstats
 
 from conftest import dense_amps, eve_branch_gram_exact
-from sqcka import estimation, protocol, qmath
+from sqcka import cli, estimation, protocol, qmath
 from sqcka.estimation import TallyCounts
 from sqcka.attacks import (
     ConditionalChannelTable,
@@ -31,6 +34,7 @@ from sqcka.protocol import (
     round_statistics,
     run_round_exact,
     run_session,
+    session_chunks,
 )
 from sqcka.qmath import DomainError, ValidationError
 
@@ -451,8 +455,126 @@ class TestGuideDraw:
         assert sampler.draw_sift(np.array([1.0 - 2.0 ** -53]))[0] == \
             np.searchsorted(cum, 1.0 - 2.0 ** -53, side="right")
 
+    def test_build_at_n10_is_bitwise_and_bounded(self):
+        # the same tables as the reference below; the SIFT joint is dropped
+        # once summed, so the build peaks at 58.5 MiB above the attack (at the
+        # guide's bincount) where holding the joint through it took 74.5 MiB
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 10))
+        tracemalloc.start()
+        try:
+            sampler = RoundSampler(atk)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert kept < 28 * 2 ** 20, f"kept {kept / 2 ** 20:.1f} MiB"
+        cum = np.cumsum(round_statistics(atk, 1).abc_joint.ravel())
+        cum = cum / cum[-1]
+        m = sampler._lo.size
+        low = (cum * m).astype(np.int32)
+        busy = np.zeros(m, dtype=bool)
+        busy[low[low != cum * m]] = True
+        for got, want in ((sampler._sift_cum, cum), (sampler._busy, busy),
+                          (sampler._lo, np.cumsum(np.bincount(low, minlength=m + 1)[:m])
+                           .astype(np.int32))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def shake_words(digest):
+    """The 64-bit big-endian words of a stream whose first ``length``
+    bytes are ``digest(length)``, one at a time."""
+    buf, pos = b"", 0
+    while True:
+        if pos + 8 > len(buf):
+            buf = digest(max(1024, 2 * len(buf)))
+        yield int.from_bytes(buf[pos:pos + 8], "big")
+        pos += 8
+
+
+def loop_schedule(digest, num_rounds, num_ctrl):
+    """The CTRL indices as the schedule loop chose them before it was
+    vectorized, kept as the reference: a partial Fisher-Yates shuffle that
+    stores the displaced pool entries in a dict, one rejection-sampled word
+    per step."""
+    words = shake_words(digest)
+    moved, chosen = {}, []
+    for i in range(num_ctrl):
+        bound = num_rounds - i
+        limit = (1 << 64) - (1 << 64) % bound
+        while (w := next(words)) >= limit:
+            pass
+        j = i + w % bound
+        chosen.append(moved.get(j, j + 1))
+        moved[j] = moved.pop(i, i + 1)  # position i is never read again
+    return tuple(sorted(chosen))
+
+
+def seed_digest(seed):
+    return hashlib.shake_256(protocol._seed_bytes(seed)).digest
+
+
+class ForcedShake:
+    """SHAKE-256 over a seed whose words at the ``forced`` indices read
+    2^64 - 1, a word that rejection skips for any bound but a power of two."""
+
+    def __init__(self, seed, forced):
+        self._xof = hashlib.shake_256(seed)
+        self._forced = forced
+
+    def digest(self, length):
+        buf = bytearray(self._xof.digest(length))
+        for w in self._forced:
+            if 8 * w + 8 <= length:
+                buf[8 * w:8 * w + 8] = b"\xff" * 8
+        return bytes(buf)
+
 
 class TestSchedule:
+    @pytest.mark.parametrize("seed", [3, b"shared", "text"])
+    def test_equals_the_loop_on_every_small_size(self, seed):
+        for num_rounds in range(40):
+            for num_ctrl in range(num_rounds + 1):
+                got = expand_theta_schedule(seed, num_rounds, num_ctrl).ctrl_indices
+                assert got == loop_schedule(seed_digest(seed), num_rounds, num_ctrl), \
+                    (num_rounds, num_ctrl)
+
+    @pytest.mark.parametrize("seed,num_rounds,num_ctrl", [
+        (1, 10 ** 8, 0), (b"k", 10 ** 8, 10_000), ("all", 5000, 5000),
+        (2 ** 70, 10 ** 6, None), (-7, 10 ** 8, protocol.CTRL_CAP),
+    ], ids=["K=0", "N=1e8", "K=N", "default-K", "K=CTRL_CAP"])
+    def test_equals_the_loop_at_large_sizes(self, seed, num_rounds, num_ctrl):
+        got = expand_theta_schedule(seed, num_rounds, num_ctrl)
+        num_ctrl = default_ctrl_count(num_rounds) if num_ctrl is None else num_ctrl
+        assert type(got.ctrl_indices) is tuple and got.num_ctrl == num_ctrl
+        assert got.ctrl_indices == loop_schedule(seed_digest(seed), num_rounds, num_ctrl)
+
+    @pytest.mark.parametrize("forced", [(0,), (3, 4, 5), (299,), (17, 250, 251)],
+                             ids=["first", "a-run", "last", "two"])
+    def test_skipped_words_fall_back_to_the_loop(self, monkeypatch, forced):
+        # no bound 1000 - i, i < 300, is a power of two, so each forced word
+        # is skipped, and every later step reads the word after
+        seed, num_rounds, num_ctrl = b"forced", 1000, 300
+        plain = expand_theta_schedule(seed, num_rounds, num_ctrl)
+        monkeypatch.setattr(protocol, "hashlib", SimpleNamespace(
+            shake_256=lambda data: ForcedShake(data, forced)))
+        got = expand_theta_schedule(seed, num_rounds, num_ctrl)
+        assert got.ctrl_indices == loop_schedule(
+            ForcedShake(seed, forced).digest, num_rounds, num_ctrl)
+        assert got != plain
+
+    def test_memory_per_ctrl_index(self):
+        # the indices are kept as a tuple of ints (40 B each); the expansion
+        # holds about a dozen int64 arrays of K entries besides
+        num_ctrl = 10 ** 5
+        tracemalloc.start()
+        try:
+            sched = expand_theta_schedule(b"memory", 10 ** 8, num_ctrl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.num_ctrl == num_ctrl
+        assert peak < 150 * num_ctrl, f"{peak / num_ctrl:.1f} B per CTRL index"
+
     def test_deterministic_expansion(self):
         s1 = expand_theta_schedule(b"shared", 16, 4)
         s2 = expand_theta_schedule(b"shared", 16, 4)
@@ -739,6 +861,14 @@ class TestRunSession:
         with pytest.raises(DomainError):
             run_session(pp, identity_attack(1), sched, 1, 1.0)
 
+    @pytest.mark.parametrize("seed,frac", [(-1, 0.1), (1, 1.0)], ids=["seed", "fraction"])
+    def test_chunks_refused_on_the_call(self, seed, frac):
+        # before any chunk is asked for, so a caller that opens a file
+        # between the call and the first chunk is refused first
+        sampler = RoundSampler(identity_attack(1))
+        with pytest.raises(DomainError):
+            session_chunks(sampler, expand_theta_schedule(b"f", 10, 2), seed, frac)
+
 
 # ---------------------------------------------------------------------------
 # The session loop as it was before SIFT outcomes were drawn through the
@@ -825,3 +955,55 @@ class TestSessionAgainstReference:
         assert estimation.tally_to_text(rec.tallies) == \
             estimation.tally_to_text(ref.tallies)
         assert (rec.tallies.sift_total == 0) == (frac == 0.0)
+
+
+class TestSessionFold:
+    """The tallies and key-round count that ``simulate`` folds from the
+    chunks, with no outcome column, against the reference session."""
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+    @pytest.mark.parametrize("frac", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_fold_equals_the_reference(self, monkeypatch, n, frac, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, n))
+        sched = expand_theta_schedule(b"reference", 3000, 400)
+        ref = reference_run_session(ProtocolParams(n=n), atk, sched, 17, frac)
+        tallies, key = TallyCounts(n=n), 0
+        for part in session_chunks(RoundSampler(atk), sched, 17, frac):
+            tallies += part.tallies
+            key += len(part.u) - part.passed.size - part.az.size \
+                - np.count_nonzero(part.shown)
+        assert estimation.tally_to_text(tallies) == estimation.tally_to_text(ref.tallies)
+        assert key == ref.raw_key_alice.size == 3000 - 400 - tallies.sift_total
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+    def test_simulate_prints_the_reference_session(self, monkeypatch, tmp_path, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        out = tmp_path / "t.txt"
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert cli.main(["simulate", "--n", "3", "--q", "0.1", "--qtilde", "0.2",
+                             "--rounds", "5000", "--seed", "9", "--cc-fraction", "0.3",
+                             "--out", str(out)]) == 0
+        atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 3))
+        ref = reference_run_session(ProtocolParams(n=3), atk,
+                                    expand_theta_schedule(9, 5000), 9, 0.3)
+        assert out.read_text() == estimation.tally_to_text(ref.tallies)
+        assert f"raw key length: {ref.raw_key_alice.size}\n" in text.getvalue()
+
+    def test_simulate_holds_no_columns(self, tmp_path):
+        # 10^6 rounds at n = 3: one chunk's uniforms and masks, about 2.4 MiB,
+        # where the outcome columns alone would take 6 MB
+        argv = ["simulate", "--n", "3", "--q", "0.1", "--qtilde", "0.2",
+                "--rounds", "1000000", "--seed", "1", "--out", str(tmp_path / "t.txt")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)  # imports and first-call set-up out of the count
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
