@@ -9,11 +9,12 @@ Commands::
 
 Outputs are deterministic: identical arguments and seed give byte-identical
 CSV files and reports.  Numbers are printed with 9 significant digits.
-``sweep`` and ``figures`` evaluate the closed-form rates over whole
-(Q, Q~) grids, one array call per (n, mode) or, for a figure slice, per
-mode; the threshold crossings of every (figure, n) row of a mode are
-bisected together, one call per step.  Each distinct axis value is
-formatted once, and each line is built from those strings.
+``sweep`` and ``figures`` evaluate both modes' closed-form rates over whole
+(Q, Q~) grids, one array call per n or figure slice, and bisect the
+threshold crossings of every (figure, n, mode) row together, one call per
+step.  Each CSV chunk is one ``%`` call on a template of one line per mode,
+repeated per point: the chunk's constant fields are written in, each
+distinct axis value is a string formatted once, each rate a ``%.9g`` float.
 
 Custom attacks are plain-text files with ``#`` comments and three sections::
 
@@ -36,7 +37,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import field, make_dataclass, replace
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -335,33 +336,36 @@ def _parse_range(text: str, step: float, flag: str = "range") -> list[float]:
 SWEEP_HEADER = "n,q,qtilde,mode,p_ghz,q_bob,s_lower,leakage,r_min"
 
 
+def _chunk(lines, columns) -> str:
+    """One chunk of CSV text: the %-templates ``lines``, one line each,
+    repeated for every row of the equal-length ``columns``, which hold the
+    fields of every line in turn."""
+    return ("".join(lines) * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def _sweep_rows(ns, qs, qtildes, modes):
     """CSV text in (n, q, qtilde, mode) order, one chunk per (n, q) row.
 
-    Each n's (q, qtilde) grid is one array call per mode.  Each axis value
-    is formatted once, and q_bob and the leakage, which depend on q alone,
-    once per q row; the values are formatted one q row at a time.
+    Each n's (q, qtilde) grid is one array call for both modes.  Each axis
+    value is formatted once, and q_bob and the leakage, which depend on q
+    alone, once per q row, into that row's template (:func:`_chunk`).
     """
-    q, qt = np.meshgrid(qs, qtildes, indexing="ij")
+    # q a column, so that the leakage is computed once per q
+    q, qt = np.array(qs)[:, None], np.array(qtildes)
     q_s, qt_s = _fmt_all(qs), _fmt_all(qtildes)
     bob_s = _fmt_all(keyrate.qbob(q[:, 0]))
     for n in ns:
         params = DepolarizingParams(q, qt, n)
         pg = p_ghz_analytic(params)
-        reps = [keyrate.depolarizing_keyrate(params, mode) for mode in modes]
-        leak_s = _fmt_all(reps[0].leakage[:, 0])
+        reps = keyrate.depolarizing_keyrates(params)
+        leak_s = _fmt_all(reps[modes[0]].leakage[:, 0])
         for i, q_i in enumerate(q_s):
-            head, bob = f"{n},{q_i},", f",{bob_s[i]},"
-            yield _interleave(
-                [f"{head}{qt_j},{mode},{pg_j}{bob}{s},{leak_s[i]},{r}\n"
-                 for qt_j, pg_j, s, r in zip(qt_s, _fmt_all(pg[i]), _fmt_all(rep.s_lower[i]),
-                                             _fmt_all(rep.r_min[i]))]
-                for mode, rep in zip(modes, reps))
-
-
-def _interleave(columns) -> str:
-    """The lines of equal-length columns, row by row: a0 b0 a1 b1 ..."""
-    return "".join(chain.from_iterable(zip(*columns)))
+            pg_i = pg[i].tolist()
+            yield _chunk(
+                [f"{n},{q_i},%s,{mode},%.9g,{bob_s[i]},%.9g,{leak_s[i]},%.9g\n"
+                 for mode in modes],
+                [col for mode in modes for col in (qt_s, pg_i, reps[mode].s_lower[i].tolist(),
+                                                   reps[mode].r_min[i].tolist())])
 
 
 def _write_csv(path, header: str, chunks) -> None:
@@ -399,9 +403,10 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rates(n, q, qt, mode: str) -> np.ndarray:
-    """r_min over arrays of n, Q and Q~, broadcast against each other."""
-    return keyrate.depolarizing_keyrate(DepolarizingParams(q, qt, n), mode).r_min
+def _rates(n, q, qt) -> list[np.ndarray]:
+    """Each mode's r_min, in ``MODES`` order, at broadcast arrays n, Q, Q~."""
+    return [rep.r_min for rep in
+            keyrate.depolarizing_keyrates(DepolarizingParams(q, qt, n)).values()]
 
 
 def find_rate_crossing(fn):
@@ -434,17 +439,6 @@ def find_rate_crossing(fn):
     return np.where(found, 0.5 * (a + b), None).tolist()
 
 
-def _rate_rows(n, q_s, qt_s, rates) -> str:
-    """Figure CSV lines at the points (q_s[k], qt_s[k]), both modes at each.
-
-    The coordinates come as strings, and ``rates`` holds each mode's r_min
-    at the points, in ``MODES`` order.
-    """
-    return _interleave(
-        [f"{n},{q},{qt},{mode},{r}\n" for q, qt, r in zip(q_s, qt_s, _fmt_all(rate))]
-        for mode, rate in zip(MODES, rates))
-
-
 def cmd_figures(args) -> int:
     outdir = Path(args.out or "figures")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -453,8 +447,9 @@ def cmd_figures(args) -> int:
 
     # fig2: one q row of the n = 10 surface at a time, each axis formatted once
     half_s = _fmt_all(grid_half)
-    rates = [_rates(10, grid_half[:, None], grid_half, mode) for mode in MODES]
-    rows = (_rate_rows(10, repeat(q_s), half_s, [r[i] for r in rates])
+    rates = _rates(10, grid_half[:, None], grid_half)
+    rows = (_chunk([f"10,{q_s},%s,{mode},%.9g\n" for mode in MODES],
+                   [col for r in rates for col in (half_s, r[i].tolist())])
             for i, q_s in enumerate(half_s))
     _write_csv(outdir / "fig2.csv", "n,q,qtilde,mode,r_min", rows)
 
@@ -463,21 +458,25 @@ def cmd_figures(args) -> int:
               "fig4b": (grid_half, 1.0, 0.0)}
     ns = np.array(FIGURE_NS)[:, None]
     for fig, (grid, q_on, qt_on) in slices.items():
-        x_s, zero_s = _fmt_all(grid), [_fmt(0.0)] * grid.size
-        q_s, qt_s = (x_s if on else zero_s for on in (q_on, qt_on))
-        rates = [_rates(ns, grid * q_on, grid * qt_on, mode) for mode in MODES]
-        rows = (_rate_rows(n, q_s, qt_s, [r[k] for r in rates])
+        # a coordinate that is the point is a field, a zero one is written in
+        q_f, qt_f = ("%s" if on else _fmt(0.0) for on in (q_on, qt_on))
+        axes = [_fmt_all(grid)] * int(q_on + qt_on)
+        rates = _rates(ns, grid * q_on, grid * qt_on)
+        rows = (_chunk([f"{n},{q_f},{qt_f},{mode},%.9g\n" for mode in MODES],
+                       [col for r in rates for col in (*axes, r[k].tolist())])
                 for k, n in enumerate(FIGURE_NS))
         _write_csv(outdir / f"{fig}.csv", "n,q,qtilde,mode,r_min", rows)
 
-    # thresholds: every (figure, n) row of one mode bisected in lockstep
+    # thresholds: every (figure, n, mode) row bisected in lockstep, the mode
+    # the last stack axis, each row reading its own mode's rate
     keys = [(fig, n) for fig in slices for n in FIGURE_NS]
-    row_ns = np.array([n for _, n in keys])[:, None]
-    on = np.array([slices[fig][1:] for fig, _ in keys])
-    crossings = {mode: find_rate_crossing(
-        lambda x: _rates(row_ns, x * on[:, :1], x * on[:, 1:], mode)) for mode in MODES}
-    rows = (f"{fig},{n},{mode},{'' if xs[k] is None else _fmt(xs[k])}\n"
-            for k, (fig, n) in enumerate(keys) for mode, xs in crossings.items())
+    row_ns = np.array([n for _, n in keys])[:, None, None]
+    on = np.array([slices[fig][1:] for fig, _ in keys])[:, :, None, None]
+    pick = np.arange(len(MODES))[:, None]
+    crossings = find_rate_crossing(
+        lambda x: np.choose(pick, _rates(row_ns, x * on[:, 0], x * on[:, 1])))
+    rows = (f"{fig},{n},{mode},{'' if x is None else _fmt(x)}\n"
+            for (fig, n), xs in zip(keys, crossings) for mode, x in zip(MODES, xs))
     _write_csv(outdir / "thresholds.csv", "figure,n,mode,crossing", rows)
     print(f"wrote fig2/fig3/fig4a/fig4b/thresholds CSV files to {outdir}")
     return 0
@@ -555,9 +554,8 @@ def cmd_simulate(args) -> int:
     if pg is not None and rates is not None:
         q_hat, qt_hat = _depolarizing_fit(cfg.n, pg.value, float(rates.mean()))
         print(f"depolarizing fit: q={_fmt(q_hat)} qtilde={_fmt(qt_hat)}")
-        for mode in MODES:
-            rep = keyrate.depolarizing_keyrate(
-                DepolarizingParams(q_hat, qt_hat, cfg.n), mode)
+        reps = keyrate.depolarizing_keyrates(DepolarizingParams(q_hat, qt_hat, cfg.n))
+        for mode, rep in reps.items():
             print(f"key rate ({mode}): s_lower={_fmt(rep.s_lower)} "
                   f"leakage={_fmt(rep.leakage)} r_min={_fmt(rep.r_min)}")
     print(f"tallies written to {out}")

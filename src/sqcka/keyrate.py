@@ -15,8 +15,8 @@ gain, and a swap is kept only when its gain clears a margin that covers
 the rounding, so that each kept swap raises the exactly scored bound.  For
 the depolarizing channel everything collapses to the term of one pair, the
 two all-equal branches, over numpy arrays: ``DepolarizingParams`` with
-array strengths gives a whole (Q, Q~) grid in one call, and scalar
-strengths, the 0-d case of the same lines, give Python floats.
+array strengths gives a whole (Q, Q~) grid, both modes, in one call,
+and scalar strengths, the 0-d case of the same lines, give Python floats.
 
 Two closed-form modes are first class and emitted side by side:
 
@@ -374,25 +374,35 @@ def pairing_maximize(weights: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def depolarizing_entropy_lower(params: DepolarizingParams,
-                               mode: str) -> float | np.ndarray:
-    """Closed-form entropy lower bound for the depolarizing channel.
+def _entropy_lowers(params: DepolarizingParams) -> dict[str, np.ndarray]:
+    """Both modes' closed-form entropy lower bounds, keyed by mode.
 
     Only the two all-equal branches survive the complement pairing; with A
     their weight and lam* their eigenvalue fraction, the pairing bound is
     the term of that one pair, 2A(1 - h(lam*)), and the printed literal
     form is half of it, A(1 - h(lam*)).
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     cat = eve_catalogue(params)
     exact = _pair_entropy(cat.norm_aaa, cat.norm_aaa, cat.cross_overlap)
-    return float_or_array(0.5 * exact if mode == "paper_literal" else exact)
+    return {"paper_literal": 0.5 * exact, "theorem_exact": exact}
+
+
+def depolarizing_entropy_lower(params: DepolarizingParams,
+                               mode: str) -> float | np.ndarray:
+    """Closed-form entropy lower bound of ``mode`` for the depolarizing channel."""
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return float_or_array(_entropy_lowers(params)[mode])
 
 
 def qbob(q: float | np.ndarray) -> float | np.ndarray:
     """Error rate each receiver observes against the sender: Q/2."""
     return float_or_array(unit_interval(q, "q=") / 2.0)
+
+
+def _report(s_lower, leakage) -> KeyRateReport:
+    s_rep = float_or_array(np.where(s_lower > 0.0, s_lower, 0.0))
+    return KeyRateReport(s_lower=s_rep, leakage=leakage, r_min=s_rep - leakage)
 
 
 def keyrate_lower(s_lower: float | np.ndarray,
@@ -403,9 +413,14 @@ def keyrate_lower(s_lower: float | np.ndarray,
     reported as-is so callers can see where the protocol must abort.
     Array inputs broadcast against each other.
     """
-    s_rep = float_or_array(np.where(s_lower > 0.0, s_lower, 0.0))
-    leakage = binary_entropy(qbob(q))
-    return KeyRateReport(s_lower=s_rep, leakage=leakage, r_min=s_rep - leakage)
+    return _report(s_lower, binary_entropy(qbob(q)))
+
+
+def depolarizing_keyrates(params: DepolarizingParams) -> dict[str, KeyRateReport]:
+    """Both modes' closed-form rates, keyed by mode in ``MODES`` order, over
+    arrays as over scalars: one catalogue, one pair term and one leakage."""
+    leakage = binary_entropy(qbob(params.q))
+    return {mode: _report(s, leakage) for mode, s in _entropy_lowers(params).items()}
 
 
 def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport:

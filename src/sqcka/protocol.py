@@ -54,8 +54,8 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 #: are int16; :func:`session_chunks` alone holds one chunk.
 ROUNDS_CAP = 10 ** 8
 
-#: Cap on a session's CTRL round count: the schedule keeps its indices as a
-#: tuple of ints.  The default, ceil(sqrt(N)), is at most 10^4.
+#: Cap on a session's CTRL round count: the schedule keeps its indices as an
+#: int64 array, 8 B each.  The default, ceil(sqrt(N)), is at most 10^4.
 CTRL_CAP = 10 ** 6
 
 
@@ -70,12 +70,17 @@ class ProtocolParams:
             raise DomainError(f"need at least one receiver, got n={self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaSchedule:
-    """Which rounds are CTRL (reflection) rounds, as 1-based indices."""
+    """Which rounds are CTRL (reflection) rounds, as 1-based indices.
+
+    ``ctrl_indices`` is kept as a read-only int64 array: a copy of the
+    sequence given, unless that is already such an array.  Two schedules
+    are equal when their round counts and indices are.
+    """
 
     num_rounds: int
-    ctrl_indices: tuple[int, ...]
+    ctrl_indices: np.ndarray
 
     def __post_init__(self):
         check_rounds(self.num_rounds)
@@ -86,7 +91,19 @@ class ThetaSchedule:
             raise ValidationError("ctrl_indices must be strictly increasing")
         if idx.size and not (1 <= idx[0] and idx[-1] <= self.num_rounds):
             raise ValidationError("ctrl_indices outside 1..num_rounds")
-        object.__setattr__(self, "ctrl_indices", tuple(map(int, self.ctrl_indices)))
+        if idx.dtype != np.int64 or idx.flags.writeable:
+            idx = idx.astype(np.int64)
+            idx.flags.writeable = False
+        object.__setattr__(self, "ctrl_indices", idx)
+
+    def __eq__(self, other):
+        if not isinstance(other, ThetaSchedule):
+            return NotImplemented
+        return self.num_rounds == other.num_rounds and \
+            np.array_equal(self.ctrl_indices, other.ctrl_indices)
+
+    def __hash__(self):
+        return hash((self.num_rounds, self.ctrl_indices.tobytes()))
 
     @property
     def num_ctrl(self) -> int:
@@ -451,6 +468,9 @@ class RoundSampler:
 
         An entry v counts in ``_lo[k]`` for every k >= floor(v m), and makes
         bucket floor(v m) busy unless v m is a whole number; v m is exact.
+        The floors ascend with ``cum``, so the entries that first count in
+        one block of buckets are a slice of them, and ``_lo`` is filled
+        block by block from the count of the entries before that slice.
         """
         low = np.empty(cum.size, dtype=np.int32)  # floor(v m) of every entry
         busy = np.zeros(m, dtype=bool)
@@ -459,7 +479,15 @@ class RoundSampler:
             k = low[s:s + _GUIDE_BLOCK]
             k[:] = x  # truncates, and x >= 0
             busy[k[k != x]] = True
-        return np.cumsum(np.bincount(low, minlength=m + 1)[:m], dtype=np.int32), busy
+        lo = np.empty(m, dtype=np.int32)
+        start = 0
+        for b in range(0, m, _GUIDE_BLOCK):
+            size = min(_GUIDE_BLOCK, m - b)
+            # the entries below bucket b + size; an int32 key, or low is cast
+            stop = int(np.searchsorted(low, np.int32(b + size)))
+            lo[b:b + size] = start + np.cumsum(np.bincount(low[start:stop] - b, minlength=size))
+            start = stop
+        return lo, busy
 
     def draw_sift(self, u: np.ndarray) -> np.ndarray:
         """Flat (sender bit, receivers' string, returned string) indices."""
@@ -610,8 +638,9 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     taken = j + 1
     same = by_pos[1:] == by_pos[:-1]
     taken[order[1:][same]] = held[order[:-1][same]]
-    return ThetaSchedule(num_rounds=num_rounds,
-                         ctrl_indices=tuple(np.sort(taken).tolist()))
+    taken.sort()
+    taken.flags.writeable = False  # kept by the schedule as it is
+    return ThetaSchedule(num_rounds=num_rounds, ctrl_indices=taken)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +705,7 @@ def _chunks(sampler: RoundSampler, schedule: ThetaSchedule, gen: np.random.Gener
             cut_and_choose_fraction: float):
     n, num = sampler.n, schedule.num_rounds
     d = 1 << n
-    ctrl = np.asarray(schedule.ctrl_indices, dtype=np.int64) - 1
+    ctrl = schedule.ctrl_indices - 1
     for start in range(0, num, _CHUNK):
         stop = min(start + _CHUNK, num)
         u = gen.random(2 * (stop - start)).reshape(-1, 2)

@@ -24,6 +24,7 @@ from sqcka.keyrate import (
     MODES,
     depolarizing_entropy_lower,
     depolarizing_keyrate,
+    depolarizing_keyrates,
     keyrate_lower,
     qbob,
 )
@@ -100,6 +101,21 @@ def own_lambda_entropy_lower(params: DepolarizingParams, mode: str) -> float | n
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
+
+
+def reference_sweep_lines(ns, grid_q, grid_qt, modes=MODES) -> list[str]:
+    """The lines of a sweep, header first, written value by value from the
+    scalar chain above."""
+    lines = [cli.SWEEP_HEADER]
+    for n in ns:
+        for q in grid_q:
+            for qt in grid_qt:
+                for mode in modes:
+                    rate = ref_keyrate(q, qt, n, mode)
+                    lines.append(",".join([str(n), _fmt(q), _fmt(qt), mode,
+                                           _fmt(ref_p_ghz(q, qt, n)), _fmt(q / 2.0),
+                                           *map(_fmt, rate)]))
+    return lines
 
 
 def reference_find_rate_crossing(fn) -> float | None:
@@ -191,16 +207,23 @@ class TestArrayMatchesScalarReference:
                      "--qtilde", "0:1", "--q-step", str(step)]) == 0
         lines = capsys.readouterr().out.splitlines()
         grid = cli._parse_range("0:1", step)
-        want = [cli.SWEEP_HEADER]
-        for n in ns:
-            for q in grid:
-                for qt in grid:
-                    for mode in MODES:
-                        rate = ref_keyrate(q, qt, n, mode)
-                        want.append(",".join([str(n), _fmt(q), _fmt(qt), mode,
-                                              _fmt(ref_p_ghz(q, qt, n)), _fmt(q / 2.0),
-                                              *map(_fmt, rate)]))
-        assert lines == want
+        assert lines == reference_sweep_lines(ns, grid, grid)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_exponent_notation_sweep_of_one_mode(self, tmp_path, capsys, mode, to_file):
+        # q = 5e-05 ... 0.0002 and qtilde = 5e-05, 0.0001, so q, qtilde and
+        # q_bob print in exponent notation; one mode alone, to stdout or --out
+        ns = (1, 3, 10)
+        argv = ["sweep", "--n", "1,3,10", "--q", "0:0.0002", "--qtilde", "0:0.0001",
+                "--q-step", "0.00005", "--mode", mode]
+        out = tmp_path / "sweep.csv"
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        want = reference_sweep_lines(ns, cli._parse_range("0:0.0002", 0.00005),
+                                     cli._parse_range("0:0.0001", 0.00005), (mode,))
+        assert text.splitlines() == want and text.endswith("\n")
+        assert ",5e-05," in text and ",2.5e-05," in text
 
     def test_figure_rows_match_reference(self, figures_dir):
         header = ["n,q,qtilde,mode,r_min"]
@@ -233,6 +256,41 @@ class TestArrayMatchesScalarReference:
 # ---------------------------------------------------------------------------
 # scalars, range checks, warnings
 # ---------------------------------------------------------------------------
+
+
+class TestBothModesInOneCall:
+    """``depolarizing_keyrates`` against the one-mode call, bit for bit."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_arrays_with_n_as_a_column(self, mode):
+        params = DepolarizingParams(GRID[:, None], GRID[None, :], np.array(NS)[:, None, None])
+        got = depolarizing_keyrates(params)
+        assert list(got) == list(MODES)
+        want = depolarizing_keyrate(params, mode)
+        # the leakage has the shape of q alone, the rates the full one
+        for name, shape in (("s_lower", (len(NS), GRID.size, GRID.size)),
+                            ("leakage", (GRID.size, 1)),
+                            ("r_min", (len(NS), GRID.size, GRID.size))):
+            g, w = getattr(got[mode], name), getattr(want, name)
+            assert g.shape == w.shape == shape
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("n", NS)
+    def test_scalars_give_python_floats(self, n):
+        for q, qt in ((0.0, 0.0), (0.1, 0.2), (1.0, 1.0), (0.3, 1.0), (1e-9, 0.5)):
+            params = DepolarizingParams(q, qt, n)
+            for mode, rep in depolarizing_keyrates(params).items():
+                want = depolarizing_keyrate(params, mode)
+                for name in ("s_lower", "leakage", "r_min"):
+                    g = getattr(rep, name)
+                    assert type(g) is float and g == getattr(want, name)
+                    assert math.copysign(1.0, g) == math.copysign(1.0, getattr(want, name))
+
+    def test_the_literal_mode_is_half_the_exact_one(self):
+        params = DepolarizingParams(GRID[:, None], GRID[None, :], 3)
+        got = depolarizing_keyrates(params)
+        assert (got["paper_literal"].s_lower == 0.5 * got["theorem_exact"].s_lower).all()
+        assert got["paper_literal"].leakage is got["theorem_exact"].leakage
 
 
 class TestPairTermMatchesOwnLambda:
@@ -386,13 +444,17 @@ class TestArrayCrossingFinder:
 
 def test_figures_call_the_rates_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):
     shapes = []
-    real = keyrate.depolarizing_keyrate
+    real = keyrate.depolarizing_keyrates
 
-    def counted(params, mode):
+    def counted(params):
         shapes.append(np.shape(params.q))
-        return real(params, mode)
+        return real(params)
 
-    monkeypatch.setattr(keyrate, "depolarizing_keyrate", counted)
+    def one_mode(params, mode):
+        raise AssertionError("figures evaluated one mode alone")
+
+    monkeypatch.setattr(keyrate, "depolarizing_keyrates", counted)
+    monkeypatch.setattr(keyrate, "depolarizing_keyrate", one_mode)
     assert main(["figures", "--out", str(tmp_path)]) == 0
-    # per mode: fig2, the three slices, the thresholds scan and its steps
-    assert len(shapes) <= len(MODES) * (1 + len(SLICES) + 1 + MAX_STEPS), shapes
+    # both modes at once: fig2, the three slices, the thresholds scan and its steps
+    assert len(shapes) <= 1 + len(SLICES) + 1 + MAX_STEPS, shapes

@@ -419,6 +419,20 @@ class TestSampling:
                         expand_theta_schedule(1, 100), 1)
 
 
+def reference_guide(cum, m):
+    """The (``_lo``, ``_busy``) guide as built before ``_lo`` was filled
+    block by block, kept as the reference: one bincount over every
+    entry's floor(v m), summed."""
+    low = np.empty(cum.size, dtype=np.int32)  # floor(v m) of every entry
+    busy = np.zeros(m, dtype=bool)
+    for s in range(0, cum.size, protocol._GUIDE_BLOCK):
+        x = cum[s:s + protocol._GUIDE_BLOCK] * m
+        k = low[s:s + protocol._GUIDE_BLOCK]
+        k[:] = x  # truncates, and x >= 0
+        busy[k[k != x]] = True
+    return np.cumsum(np.bincount(low, minlength=m + 1)[:m], dtype=np.int32), busy
+
+
 class TestGuideDraw:
     """The guide draw of SIFT outcomes against the binary search it replaces."""
 
@@ -455,10 +469,42 @@ class TestGuideDraw:
         assert sampler.draw_sift(np.array([1.0 - 2.0 ** -53]))[0] == \
             np.searchsorted(cum, 1.0 - 2.0 ** -53, side="right")
 
+    @staticmethod
+    def tie_heavy_cum(dyadic):
+        """Running sums over long runs of zero weight: 64 weights of 1 (so
+        that every sum is a multiple of 1/64, on a bucket edge once m >= 64)
+        or of 1 to 3, among 5000 entries, the last ones zero."""
+        rng = np.random.default_rng(5)
+        w = np.zeros(5000)
+        w[rng.choice(4900, 64, replace=False)] = 1.0 if dyadic else rng.integers(1, 4, 64)
+        return RoundSampler._cumulative(w)
+
+    @pytest.mark.parametrize("table,block", [
+        (table, block) for table in ("n1", "n3", "ties", "dyadic-ties")
+        for block in (None, 3, 64)] + [("n10", None)])
+    def test_guide_equals_the_reference(self, monkeypatch, table, block):
+        # None: the module's block; 3 and 64 split small tables into many
+        # blocks, some holding no entry and some only the entries at 1.0
+        if block is not None:
+            monkeypatch.setattr(protocol, "_GUIDE_BLOCK", block)
+        if table.endswith("ties"):
+            cum = self.tie_heavy_cum(table == "dyadic-ties")
+            assert np.unique(cum).size == 65 and cum[-1] == 1.0
+            ms = [1 << k for k in range(0, 15, 2)]
+        else:
+            n = int(table[1:])
+            cum = RoundSampler(depolarizing_attack(DepolarizingParams(0.1, 0.2, n)))._sift_cum
+            size = 1 << (cum.size - 1).bit_length()
+            ms = [size, 4 * size] if n < 10 else [size]
+        for m in ms:
+            for got, want in zip(RoundSampler._guide(cum, m), reference_guide(cum, m)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
+
     def test_build_at_n10_is_bitwise_and_bounded(self):
         # the same tables as the reference below; the SIFT joint is dropped
-        # once summed, so the build peaks at 58.5 MiB above the attack (at the
-        # guide's bincount) where holding the joint through it took 74.5 MiB
+        # once summed and the guide's counts are filled block by block, so
+        # the build peaks at 42.5 MiB above the attack, where a bincount
+        # over every entry's bucket took it to 58.5 MiB
         atk = depolarizing_attack(DepolarizingParams(0.1, 0.2, 10))
         tracemalloc.start()
         try:
@@ -466,7 +512,7 @@ class TestGuideDraw:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= 43 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert kept < 28 * 2 ** 20, f"kept {kept / 2 ** 20:.1f} MiB"
         cum = np.cumsum(round_statistics(atk, 1).abc_joint.ravel())
         cum = cum / cum[-1]
@@ -535,7 +581,7 @@ class TestSchedule:
         for num_rounds in range(40):
             for num_ctrl in range(num_rounds + 1):
                 got = expand_theta_schedule(seed, num_rounds, num_ctrl).ctrl_indices
-                assert got == loop_schedule(seed_digest(seed), num_rounds, num_ctrl), \
+                assert tuple(got.tolist()) == loop_schedule(seed_digest(seed), num_rounds, num_ctrl), \
                     (num_rounds, num_ctrl)
 
     @pytest.mark.parametrize("seed,num_rounds,num_ctrl", [
@@ -545,8 +591,9 @@ class TestSchedule:
     def test_equals_the_loop_at_large_sizes(self, seed, num_rounds, num_ctrl):
         got = expand_theta_schedule(seed, num_rounds, num_ctrl)
         num_ctrl = default_ctrl_count(num_rounds) if num_ctrl is None else num_ctrl
-        assert type(got.ctrl_indices) is tuple and got.num_ctrl == num_ctrl
-        assert got.ctrl_indices == loop_schedule(seed_digest(seed), num_rounds, num_ctrl)
+        idx = got.ctrl_indices
+        assert idx.dtype == np.int64 and not idx.flags.writeable and got.num_ctrl == num_ctrl
+        assert tuple(idx.tolist()) == loop_schedule(seed_digest(seed), num_rounds, num_ctrl)
 
     @pytest.mark.parametrize("forced", [(0,), (3, 4, 5), (299,), (17, 250, 251)],
                              ids=["first", "a-run", "last", "two"])
@@ -558,38 +605,57 @@ class TestSchedule:
         monkeypatch.setattr(protocol, "hashlib", SimpleNamespace(
             shake_256=lambda data: ForcedShake(data, forced)))
         got = expand_theta_schedule(seed, num_rounds, num_ctrl)
-        assert got.ctrl_indices == loop_schedule(
+        assert tuple(got.ctrl_indices.tolist()) == loop_schedule(
             ForcedShake(seed, forced).digest, num_rounds, num_ctrl)
         assert got != plain
 
     def test_memory_per_ctrl_index(self):
-        # the indices are kept as a tuple of ints (40 B each); the expansion
-        # holds about a dozen int64 arrays of K entries besides
+        # the indices are kept as one int64 array (8 B each), the expansion's
+        # own sorted array; the expansion holds about ten int64 arrays of K
+        # entries besides (82 B per index at its peak)
         num_ctrl = 10 ** 5
         tracemalloc.start()
         try:
             sched = expand_theta_schedule(b"memory", 10 ** 8, num_ctrl)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sched.num_ctrl == num_ctrl
-        assert peak < 150 * num_ctrl, f"{peak / num_ctrl:.1f} B per CTRL index"
+        assert kept < 9 * num_ctrl, f"{kept / num_ctrl:.1f} B kept per CTRL index"
+        assert peak < 90 * num_ctrl, f"{peak / num_ctrl:.1f} B per CTRL index"
+
+    def test_indices_are_a_read_only_copy_compared_by_value(self):
+        given = np.array([2, 5, 9])
+        s = ThetaSchedule(num_rounds=10, ctrl_indices=given)
+        assert s.ctrl_indices is not given and given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.ctrl_indices[0] = 1
+        same = ThetaSchedule(num_rounds=10, ctrl_indices=(2, 5, 9))
+        assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+        assert s != ThetaSchedule(num_rounds=11, ctrl_indices=(2, 5, 9))
+        assert s != ThetaSchedule(num_rounds=10, ctrl_indices=(2, 5))
+        assert s != ThetaSchedule(num_rounds=10, ctrl_indices=(2, 5, 8))
+        assert s != (10, (2, 5, 9))
+        # the expansion's own array is kept, not copied
+        sched = expand_theta_schedule(b"own", 1000, 30)
+        assert ThetaSchedule(sched.num_rounds, sched.ctrl_indices).ctrl_indices \
+            is sched.ctrl_indices
 
     def test_deterministic_expansion(self):
         s1 = expand_theta_schedule(b"shared", 16, 4)
         s2 = expand_theta_schedule(b"shared", 16, 4)
-        assert s1.ctrl_indices == s2.ctrl_indices
+        assert s1 == s2 and np.array_equal(s1.ctrl_indices, s2.ctrl_indices)
         assert len(set(s1.ctrl_indices)) == 4
         assert all(1 <= j <= 16 for j in s1.ctrl_indices)
 
     def test_different_seeds_differ(self):
         a = expand_theta_schedule(b"seed-a", 1000, 100)
         b = expand_theta_schedule(b"seed-b", 1000, 100)
-        assert a.ctrl_indices != b.ctrl_indices
+        assert a != b and not np.array_equal(a.ctrl_indices, b.ctrl_indices)
 
     def test_all_ctrl(self):
         s = expand_theta_schedule(7, 12, 12)
-        assert s.ctrl_indices == tuple(range(1, 13))
+        assert s.ctrl_indices.tolist() == list(range(1, 13))
 
     def test_default_policy_sqrt(self):
         assert default_ctrl_count(10_000) == 100
@@ -658,8 +724,7 @@ class TestSchedule:
     def test_numpy_integers_accepted(self):
         s = ThetaSchedule(num_rounds=np.int64(10),
                           ctrl_indices=np.array([2, 5], dtype=np.uint32))
-        assert s.ctrl_indices == (2, 5)
-        assert all(type(j) is int for j in s.ctrl_indices)
+        assert s.ctrl_indices.tolist() == [2, 5] and s.ctrl_indices.dtype == np.int64
         assert ThetaSchedule(num_rounds=np.uint8(3), ctrl_indices=[]).num_ctrl == 0
 
     def test_ctrl_order_and_range_rejected(self):
@@ -700,7 +765,7 @@ class TestSchedule:
             return tuple(sorted(int(x) for x in pool[:num_ctrl]))
 
         got = expand_theta_schedule(seed, num_rounds, num_ctrl).ctrl_indices
-        assert got == pool_reference(seed, num_rounds, num_ctrl)
+        assert tuple(got.tolist()) == pool_reference(seed, num_rounds, num_ctrl)
 
 
 class TestRunSession:
