@@ -424,8 +424,10 @@ def depolarizing_keyrates(params: DepolarizingParams) -> dict[str, KeyRateReport
 
 
 def depolarizing_keyrate(params: DepolarizingParams, mode: str) -> KeyRateReport:
-    """The closed-form rate of ``mode``, over arrays as over scalars."""
-    return keyrate_lower(depolarizing_entropy_lower(params, mode), params.q)
+    """The closed-form rate of ``mode``: its entry of :func:`depolarizing_keyrates`."""
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return depolarizing_keyrates(params)[mode]
 
 
 # ---------------------------------------------------------------------------

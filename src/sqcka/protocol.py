@@ -74,8 +74,8 @@ class ProtocolParams:
 class ThetaSchedule:
     """Which rounds are CTRL (reflection) rounds, as 1-based indices.
 
-    ``ctrl_indices`` is kept as a read-only int64 array: a copy of the
-    sequence given, unless that is already such an array.  Two schedules
+    ``ctrl_indices`` is kept as a read-only int64 copy of the sequence
+    given, so no caller holds an array that can change it.  Two schedules
     are equal when their round counts and indices are.
     """
 
@@ -91,9 +91,8 @@ class ThetaSchedule:
             raise ValidationError("ctrl_indices must be strictly increasing")
         if idx.size and not (1 <= idx[0] and idx[-1] <= self.num_rounds):
             raise ValidationError("ctrl_indices outside 1..num_rounds")
-        if idx.dtype != np.int64 or idx.flags.writeable:
-            idx = idx.astype(np.int64)
-            idx.flags.writeable = False
+        idx = np.array(idx, dtype=np.int64)
+        idx.flags.writeable = False
         object.__setattr__(self, "ctrl_indices", idx)
 
     def __eq__(self, other):
@@ -616,7 +615,14 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     check_ctrl_count(num_ctrl)
     if num_ctrl > num_rounds:
         raise DomainError(f"num_ctrl {num_ctrl} outside 0..num_rounds ({num_rounds})")
-    stream = _XofStream(_seed_bytes(seed))
+    # found in a call of their own, so that its temporaries are freed
+    # before the schedule copies the indices
+    return ThetaSchedule(num_rounds, _shuffle_indices(_XofStream(_seed_bytes(seed)),
+                                                      num_rounds, num_ctrl))
+
+
+def _shuffle_indices(stream: _XofStream, num_rounds: int, num_ctrl: int) -> np.ndarray:
+    """The rounds that :func:`expand_theta_schedule`'s shuffle takes, sorted."""
     step = np.arange(num_ctrl, dtype=np.int64)
     bound = (num_rounds - step).astype(np.uint64)
     words = stream.words(num_ctrl)
@@ -639,8 +645,7 @@ def expand_theta_schedule(seed, num_rounds: int, num_ctrl: int | None = None
     same = by_pos[1:] == by_pos[:-1]
     taken[order[1:][same]] = held[order[:-1][same]]
     taken.sort()
-    taken.flags.writeable = False  # kept by the schedule as it is
-    return ThetaSchedule(num_rounds=num_rounds, ctrl_indices=taken)
+    return taken
 
 
 # ---------------------------------------------------------------------------

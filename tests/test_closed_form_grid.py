@@ -259,14 +259,17 @@ class TestArrayMatchesScalarReference:
 
 
 class TestBothModesInOneCall:
-    """``depolarizing_keyrates`` against the one-mode call, bit for bit."""
+    """``depolarizing_keyrates`` against the composition of the one-mode
+    parts, ``keyrate_lower(depolarizing_entropy_lower(...), q)``, bit for
+    bit; ``depolarizing_keyrate`` is an entry of it."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_arrays_with_n_as_a_column(self, mode):
         params = DepolarizingParams(GRID[:, None], GRID[None, :], np.array(NS)[:, None, None])
         got = depolarizing_keyrates(params)
         assert list(got) == list(MODES)
-        want = depolarizing_keyrate(params, mode)
+        want = keyrate_lower(depolarizing_entropy_lower(params, mode), params.q)
+        one = depolarizing_keyrate(params, mode)
         # the leakage has the shape of q alone, the rates the full one
         for name, shape in (("s_lower", (len(NS), GRID.size, GRID.size)),
                             ("leakage", (GRID.size, 1)),
@@ -274,13 +277,15 @@ class TestBothModesInOneCall:
             g, w = getattr(got[mode], name), getattr(want, name)
             assert g.shape == w.shape == shape
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+            assert getattr(one, name).tobytes() == g.tobytes(), name
 
     @pytest.mark.parametrize("n", NS)
     def test_scalars_give_python_floats(self, n):
         for q, qt in ((0.0, 0.0), (0.1, 0.2), (1.0, 1.0), (0.3, 1.0), (1e-9, 0.5)):
             params = DepolarizingParams(q, qt, n)
             for mode, rep in depolarizing_keyrates(params).items():
-                want = depolarizing_keyrate(params, mode)
+                want = keyrate_lower(depolarizing_entropy_lower(params, mode), q)
+                assert depolarizing_keyrate(params, mode) == rep
                 for name in ("s_lower", "leakage", "r_min"):
                     g = getattr(rep, name)
                     assert type(g) is float and g == getattr(want, name)
@@ -291,6 +296,10 @@ class TestBothModesInOneCall:
         got = depolarizing_keyrates(params)
         assert (got["paper_literal"].s_lower == 0.5 * got["theorem_exact"].s_lower).all()
         assert got["paper_literal"].leakage is got["theorem_exact"].leakage
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(DomainError, match="unknown mode"):
+            depolarizing_keyrate(DepolarizingParams(0.1, 0.2, 3), "exactish")
 
 
 class TestPairTermMatchesOwnLambda:

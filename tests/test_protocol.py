@@ -610,9 +610,9 @@ class TestSchedule:
         assert got != plain
 
     def test_memory_per_ctrl_index(self):
-        # the indices are kept as one int64 array (8 B each), the expansion's
-        # own sorted array; the expansion holds about ten int64 arrays of K
-        # entries besides (82 B per index at its peak)
+        # the indices are kept as one int64 array (8 B each), a copy made
+        # once the expansion's temporaries, about ten int64 arrays of K
+        # entries, are freed (81 B per index at its peak)
         num_ctrl = 10 ** 5
         tracemalloc.start()
         try:
@@ -636,10 +636,17 @@ class TestSchedule:
         assert s != ThetaSchedule(num_rounds=10, ctrl_indices=(2, 5))
         assert s != ThetaSchedule(num_rounds=10, ctrl_indices=(2, 5, 8))
         assert s != (10, (2, 5, 9))
-        # the expansion's own array is kept, not copied
-        sched = expand_theta_schedule(b"own", 1000, 30)
-        assert ThetaSchedule(sched.num_rounds, sched.ctrl_indices).ctrl_indices \
-            is sched.ctrl_indices
+        # a read-only view of a writable array, and a read-only array whose
+        # owner makes it writeable again, are copied too
+        base = np.array([2, 5, 9])
+        view = base[:]
+        view.flags.writeable = False
+        owned = np.array([2, 5, 9])
+        owned.flags.writeable = False
+        built = [ThetaSchedule(num_rounds=10, ctrl_indices=a) for a in (view, owned)]
+        owned.flags.writeable = True
+        base[0] = owned[0] = 7
+        assert all(b == same and hash(b) == hash(same) for b in built)
 
     def test_deterministic_expansion(self):
         s1 = expand_theta_schedule(b"shared", 16, 4)
